@@ -274,10 +274,15 @@ fn net_mode(
                 c.class
             );
         }
+        let inline_hits: u64 = st
+            .per_class
+            .iter()
+            .map(|c| snapshot_counter(&snapshot, &format!("serve.inline_hits.{}", c.class)))
+            .sum();
         assert_eq!(
-            snapshot_counter(&snapshot, "pool.claims"),
+            snapshot_counter(&snapshot, "pool.claims") + inline_hits,
             st.accepted,
-            "every accepted request is claimed exactly once"
+            "every accepted request is one pool job or one inline cache hit"
         );
         println!("\nsnapshot counters balance: registry mirrors agree with the ledgers.");
     }

@@ -48,10 +48,11 @@
 //! *concurrent insert of the same key* by another thread. The workload
 //! is built so that cannot exist: timed hot-key lookups go through the
 //! read-only probe ([`rcache::Cache::get`] — the identical optimistic
-//! read as the hit path of `get_or_insert_with`, minus the insert
-//! fallback), cold churn keys come off a shared counter so each is
-//! inserted by exactly one thread, and re-warming evicted hot keys is
-//! owned by a single warden thread. Every key has at most one inserter,
+//! read as the hit path of `get_or_insert_with`, minus the promise wait
+//! and the insert fallback), cold churn keys come off a shared counter
+//! so each is inserted by exactly one thread, and re-warming evicted
+//! hot keys is owned by a single warden thread. Every key has at most
+//! one inserter,
 //! ever, so the absent→insert race — the only path to a `locked_hit` —
 //! is impossible by construction, not merely unlikely. This matters
 //! because CLOCK second-chance eviction is *approximate*: under
@@ -116,9 +117,9 @@ pub trait HitCache: Send + Sync {
     /// warden's re-warm patrol.
     fn get(&self, key: u64) -> u64;
     /// Read-only lookup — the timed operation. Shares the full hit
-    /// machinery with [`HitCache::get`] but never inserts, so a reader
-    /// that races an eviction takes a fast miss instead of becoming a
-    /// second inserter.
+    /// machinery with [`HitCache::get`] but never inserts or waits, so a
+    /// reader that races an eviction gets an uncounted `None` instead of
+    /// becoming a second inserter.
     fn probe(&self, key: u64) -> Option<u64>;
     /// Exclusive-lock acquisitions attributable to the *hit* path so
     /// far (structural counter, not a timing).
@@ -206,8 +207,7 @@ pub struct HitChurnOutcome {
     pub evictions: u64,
     /// Total hits across both phases.
     pub hits: u64,
-    /// Total misses (warmup, churn inserts, and any probe that raced a
-    /// hot-key eviction before the warden re-warmed it).
+    /// Total misses (warmup and churn inserts).
     pub misses: u64,
     /// Structural hit-path exclusive-lock counter at the end.
     pub hit_lock_events: u64,
@@ -310,10 +310,10 @@ fn run_phase<C: HitCache>(
                             .wrapping_add(1442695040888963407);
                         let key = (rng >> 33) % params.hot_keys;
                         // A `None` here means a sweep evicted this hot
-                        // key moments ago: a genuine (fast) miss. The
-                        // warden will re-insert it; probing must not,
-                        // or this thread would become a second
-                        // inserter.
+                        // key moments ago (or the warden is re-inserting
+                        // it). The warden will re-insert it; probing
+                        // must not, or this thread would become a
+                        // second inserter.
                         if let Some(v) = cache.probe(key) {
                             debug_assert_eq!(v, value_of(key));
                         }

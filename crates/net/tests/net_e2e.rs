@@ -486,10 +486,19 @@ fn stats_op_returns_a_snapshot_whose_counters_balance_the_ledgers() {
             row.class
         );
     }
+    // A repeat that arrives after its first copy finished is answered at
+    // admission; one still computing is a pool job that waits on it. The
+    // sum is exact whatever the timing.
+    let inline_hits: u64 = stats
+        .per_class
+        .iter()
+        .map(|row| counter_value(&snapshot, &format!("serve.inline_hits.{}", row.class)))
+        .sum();
     let claims = counter_value(&snapshot, "pool.claims");
     assert_eq!(
-        claims, stats.accepted,
-        "every accepted job was claimed exactly once"
+        claims + inline_hits,
+        stats.accepted,
+        "every accepted request was one pool job or one inline hit"
     );
     let requests = counter_value(&snapshot, "net.requests");
     assert_eq!(requests, srv.net_stats().requests);
@@ -524,6 +533,12 @@ fn requests_racing_shutdown_get_goaway_not_silence_under(io: Io) {
     let mut writer = BufWriter::new(&stream);
     let mut reader = BufReader::new(&stream);
     write_frame(&mut writer, &request(1, JobClass::Bulk, 64, "slow/0")).unwrap();
+    // Shut down only once request 1 is admitted, so the race under test
+    // is shutdown against an admitted request (`net_stats().requests`
+    // counts the frame before it is submitted, which is too early).
+    while srv.course().stats().accepted < 1 {
+        std::thread::yield_now();
+    }
 
     let shutter = std::thread::spawn(move || srv.shutdown());
     // Whatever the interleaving, the connection ends with our admitted

@@ -313,19 +313,17 @@ where
         }
     }
 
-    /// Read-only probe: returns the cached value for `key`, or `None`
-    /// without inserting anything on a miss. The found path is the
-    /// *same* optimistic read as [`Cache::get_or_insert_with`]'s hit
-    /// path — same seqlock walk, same recency touch, same promise wait
-    /// if the slot is still `Computing` — it just lacks the insert
-    /// fallback, so a probe cannot take a bucket lock under any
-    /// schedule. E19 times hot-key hits through this entry point for
-    /// exactly that reason (see `bench::rcache_exp`).
-    ///
-    /// # Panics
-    ///
-    /// If the resident slot is poisoned — the same contract as a waiter
-    /// in [`Cache::get_or_insert_with`].
+    /// Ready-only probe: returns the published value for `key`, counting
+    /// one hit, or `None` — counting nothing and never waiting — when
+    /// the key is absent, still `Computing`, or poisoned. The found path
+    /// is the *same* optimistic read as [`Cache::get_or_insert_with`]'s
+    /// hit path (same seqlock walk, same recency touch); it lacks both
+    /// the promise wait and the insert fallback, so a probe cannot block
+    /// or take a bucket lock under any schedule, and a caller that falls
+    /// back to [`Cache::get_or_insert_with`] after `None` is counted
+    /// once, by that call. E19 times hot-key hits through this entry
+    /// point (see `bench::rcache_exp`), and the course server answers
+    /// `Ready` hits at admission with it.
     pub fn get(&self, key: &K) -> Option<Arc<V>> {
         let hash = self.hasher.hash_one(key);
         match self.table.read(hash, key) {
@@ -334,15 +332,8 @@ where
                 self.record_hit();
                 Some(v)
             }
-            Read::InFlight(node, retries) => {
+            Read::InFlight(_, retries) | Read::Absent { retries } => {
                 self.note_retries(retries);
-                self.record_hit();
-                Some(self.wait_on(node))
-            }
-            Read::Absent { retries } => {
-                self.note_retries(retries);
-                self.misses.fetch_add(1, Relaxed);
-                self.mirrors.misses.inc();
                 None
             }
         }
@@ -438,14 +429,40 @@ mod tests {
     #[test]
     fn probe_reads_without_inserting() {
         let cache: Cache<u64, u64> = Cache::new(16);
+        let counts = |c: &Cache<u64, u64>| {
+            let s = c.stats();
+            (s.hits, s.misses, s.waits, s.locked_hits)
+        };
         assert!(cache.get(&9).is_none());
         assert!(cache.is_empty(), "a probe miss must not insert");
-        let v = cache.get_or_insert_with(9, |k| k * 2);
-        assert_eq!(*v, 18);
+        assert_eq!(
+            counts(&cache),
+            (0, 0, 0, 0),
+            "an absent probe counts nothing"
+        );
+        // A Computing key: the owner is parked inside its compute until
+        // released, and the probe must neither wait nor count.
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let while_computing = std::thread::scope(|s| {
+            let cache = &cache;
+            let owner = s.spawn(move || {
+                cache.get_or_insert_with(9, |k| {
+                    gate.recv().expect("test releases the owner");
+                    k * 2
+                })
+            });
+            while cache.is_empty() {
+                std::thread::yield_now();
+            }
+            let probed = (cache.get(&9), counts(cache));
+            release.send(()).expect("owner is waiting");
+            assert_eq!(*owner.join().expect("owner thread"), 18);
+            probed
+        });
+        assert_eq!(while_computing, (None, (0, 1, 0, 0)));
         assert_eq!(cache.get(&9).as_deref(), Some(&18));
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.locked_hits), (1, 2, 0));
-        assert_eq!(s.occupancy, 1);
+        assert_eq!(counts(&cache), (1, 1, 0, 0), "a Ready probe counts one hit");
+        assert_eq!(cache.stats().occupancy, 1);
     }
 
     #[test]

@@ -269,45 +269,30 @@ impl<K: Eq + Hash + Clone, V: Clone> Cache<K, V> {
         }
     }
 
-    /// Read-only probe: returns the cached value for `key`, or `None`
-    /// without inserting anything on a miss. Hit or miss, the probe
-    /// takes the shard's map lock — the structural contrast E19 draws
-    /// against the promise cache's lock-free [`rcache::Cache::get`]. A
-    /// hit bumps recency and, if the owner is still computing, waits on
-    /// the slot like any other waiter.
-    ///
-    /// # Panics
-    /// If the owner computing this key panicked.
+    /// Ready-only probe: returns the value for `key` if it is resident
+    /// and `Ready`, counting one hit and bumping its recency. An absent,
+    /// still-`Computing` or poisoned key returns `None`, counts nothing
+    /// and never waits, so a caller that falls back to
+    /// [`Cache::get_or_insert_with`] is counted exactly once. Either
+    /// way the probe takes the shard's map lock — the structural
+    /// contrast E19 draws against the promise cache's lock-free
+    /// [`rcache::Cache::get`].
     pub fn get(&self, key: &K) -> Option<V> {
-        let shard = self.shard_for(key);
-        let slot = {
-            let mut map = shard.map.lock().expect("cache shard poisoned");
-            map.clock += 1;
-            let now = map.clock;
-            match map.entries.get_mut(key) {
-                Some(entry) => {
-                    entry.last_used = now;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    Arc::clone(&entry.slot)
-                }
-                None => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    return None;
-                }
-            }
+        let mut map = self
+            .shard_for(key)
+            .map
+            .lock()
+            .expect("cache shard poisoned");
+        map.clock += 1;
+        let now = map.clock;
+        let entry = map.entries.get_mut(key)?;
+        let value = match &*entry.slot.state.lock().expect("cache slot poisoned") {
+            SlotState::Ready(v) => v.clone(),
+            SlotState::Computing | SlotState::Poisoned => return None,
         };
-        let mut st = slot.state.lock().expect("cache slot poisoned");
-        loop {
-            match &*st {
-                SlotState::Ready(v) => return Some(v.clone()),
-                SlotState::Poisoned => {
-                    panic!("cache compute for this key panicked in another thread")
-                }
-                SlotState::Computing => {
-                    st = slot.ready.wait(st).expect("cache slot poisoned");
-                }
-            }
-        }
+        entry.last_used = now;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(value)
     }
 
     /// Evicts least-recently-used *ready* entries until the shard is
@@ -471,6 +456,17 @@ where
         }
     }
 
+    /// Dispatches to the selected implementation's ready-only probe:
+    /// `Some` (one hit counted) only for a resident `Ready` key; absent,
+    /// `Computing` and poisoned keys return `None`, count nothing and
+    /// never wait. The server answers such hits at admission.
+    pub fn get(&self, key: &K) -> Option<V> {
+        match self {
+            ServerCache::ShardedMutex(c) => c.get(key),
+            ServerCache::Promise(c) => c.get(key).map(|v| (*v).clone()),
+        }
+    }
+
     /// Counter snapshot in the common [`CacheStats`] shape. For the
     /// promise cache, CLOCK sweep removals map to `evictions` and
     /// occupancy to `entries`; its extra counters (waits, retries,
@@ -543,14 +539,33 @@ mod tests {
     #[test]
     fn probe_reads_without_inserting() {
         let cache: Cache<u32, u64> = Cache::new(2, 4);
+        let counts = |c: &Cache<u32, u64>| (c.stats().hits, c.stats().misses);
         assert!(cache.get(&5).is_none());
         assert_eq!(cache.len(), 0, "a probe miss must not insert");
-        assert_eq!(cache.get_or_insert_with(5, |k| u64::from(k) * 7), 35);
+        assert_eq!(counts(&cache), (0, 0), "an absent probe counts nothing");
+        // A Computing key: the owner is parked inside its compute until
+        // released, and the probe must neither wait nor count.
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let while_computing = thread::scope(|s| {
+            let cache = &cache;
+            let owner = s.spawn(move || {
+                cache.get_or_insert_with(5, |k| {
+                    gate.recv().expect("test releases the owner");
+                    u64::from(k) * 7
+                })
+            });
+            while cache.is_empty() {
+                thread::yield_now();
+            }
+            let probed = (cache.get(&5), counts(cache));
+            release.send(()).expect("owner is waiting");
+            assert_eq!(owner.join().expect("owner thread"), 35);
+            probed
+        });
+        assert_eq!(while_computing, (None, (0, 1)));
         assert_eq!(cache.get(&5), Some(35));
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.entries, 1);
+        assert_eq!(counts(&cache), (1, 1), "a Ready probe counts one hit");
+        assert_eq!(cache.stats().entries, 1);
     }
 
     #[test]

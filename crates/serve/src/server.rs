@@ -17,17 +17,23 @@
 //! 1. **per-class budget** — each class may occupy at most
 //!    `admit_limit(class)` of the admission queue, so bulk work can
 //!    never fill the queue wall-to-wall and lock interactive work out;
-//! 2. **global bound** — the admission semaphore caps total in-flight
+//! 2. **ready cache hit** — a request whose result the cache already
+//!    holds `Ready` is admitted and completed right here, on the
+//!    submitting thread: no queue slot, no shed-registry entry, no pool
+//!    job (`serve.inline_hits.<class>`). Absent and still-`Computing`
+//!    keys go on to the pool, whose compute-once lookup computes or
+//!    waits for them;
+//! 3. **global bound** — the admission semaphore caps total in-flight
 //!    work; when it is exhausted an incoming request may **displace**
 //!    (shed) the newest queued request of a *lower* class: the victim's
 //!    ticket resolves immediately with an honest `ok: false` "shed
 //!    under load" response and its queue slot transfers to the
 //!    newcomer;
-//! 3. **scheduling** — the job is submitted to the pool with its meta,
+//! 4. **scheduling** — the job is submitted to the pool with its meta,
 //!    so under [`Scheduler::PriorityLanes`] grade-class work overtakes
 //!    the bulk backlog (with the pool's aging rule keeping bulk work
 //!    from starving);
-//! 4. **rejection** — when neither a slot nor a victim exists the
+//! 5. **rejection** — when neither a slot nor a victim exists the
 //!    caller gets a [`Rejected`] whose `retry_after_ms` respects the
 //!    request's deadline: never a hint that lands after the deadline
 //!    has already passed.
@@ -553,6 +559,12 @@ pub struct ClassServerStats {
     /// Requests of this class rejected at admission (class budget or
     /// full queue with nothing shedable).
     pub rejected: u64,
+    /// Requests of this class answered at admission from a `Ready`
+    /// cache entry, on the submitting thread and without a pool job
+    /// (also counted in `admitted` and `completed`). Every other
+    /// admitted request became exactly one pool job:
+    /// pool `submitted + inline_hits == admitted`.
+    pub inline_hits: u64,
     /// Jobs of this class that started past their deadline (pool
     /// counter; includes shed no-ops claimed after the deadline).
     pub deadline_missed: u64,
@@ -588,6 +600,7 @@ struct ClassLedger {
     completed: AtomicU64,
     shed: AtomicU64,
     rejected: AtomicU64,
+    inline_hits: AtomicU64,
 }
 
 /// A queued-but-not-started request, registered so higher-class
@@ -617,6 +630,7 @@ struct ServeObs {
     completed: [obs::Counter; JobClass::COUNT],
     shed: [obs::Counter; JobClass::COUNT],
     rejected: [obs::Counter; JobClass::COUNT],
+    inline_hits: [obs::Counter; JobClass::COUNT],
     tracer: obs::Tracer,
 }
 
@@ -636,6 +650,7 @@ impl ServeObs {
             completed: class_counters("completed"),
             shed: class_counters("shed"),
             rejected: class_counters("rejected"),
+            inline_hits: class_counters("inline_hits"),
             tracer: obs::Tracer::new(trace_capacity, registry, &label_refs),
         }
     }
@@ -966,6 +981,38 @@ impl ServerInner {
         }
         q.push_back(entry);
     }
+
+    /// Admits and completes, on the submitting thread, a request whose
+    /// response the cache already holds `Ready` (probed at `started`):
+    /// the ledgers count it admitted and completed under the promise
+    /// lock, as a worker would, and the returned ticket is resolved.
+    /// Its span has `queue_us = 0`: it never waited for a worker.
+    fn answer_inline(&self, band: usize, mut resp: Response, started: Instant) -> Ticket {
+        resp.cached = true;
+        let promise = Promise::new();
+        let mut span_id = 0;
+        promise.resolve(resp, || {
+            span_id = self.accepted.fetch_add(1, Ordering::SeqCst);
+            self.completed.fetch_add(1, Ordering::SeqCst);
+            let ledger = &self.per_class[band];
+            ledger.admitted.fetch_add(1, Ordering::SeqCst);
+            ledger.completed.fetch_add(1, Ordering::SeqCst);
+            ledger.inline_hits.fetch_add(1, Ordering::SeqCst);
+            self.obs.admitted[band].inc();
+            self.obs.completed[band].inc();
+            self.obs.inline_hits[band].inc();
+        });
+        let total_us = started.elapsed().as_micros() as u64;
+        self.obs.tracer.record(&obs::SpanRecord {
+            id: span_id,
+            class: band as u8,
+            outcome: obs::SpanOutcome::Completed,
+            queue_us: 0,
+            service_us: total_us,
+            total_us,
+        });
+        Ticket { promise }
+    }
 }
 
 /// Decrements the open-submission count on drop, so even a panic
@@ -997,7 +1044,9 @@ impl Drop for OpenGuard<'_> {
 /// Lifecycle: [`CourseServer::submit`] classifies the request via the
 /// configured [`AdmissionPolicy`] and either admits it (you get a
 /// [`Ticket`]) or rejects it with a deadline-aware retry hint — it
-/// never blocks the caller. Admitted requests run on the worker pool
+/// never blocks the caller. A request whose result the cache already
+/// holds is answered at admission, on the caller's thread. Other
+/// admitted requests run on the worker pool
 /// with their class metadata (under [`Scheduler::PriorityLanes`] that
 /// metadata decides execution order), consult the result cache
 /// (compute-once per distinct request), and complete their ticket even
@@ -1094,7 +1143,9 @@ impl CourseServer {
     ///
     /// * `Ok(ticket)` — admitted; the ticket resolves exactly once
     ///   (with the computed response, or an `ok: false` shed response
-    ///   if a higher-class request displaced it while queued).
+    ///   if a higher-class request displaced it while queued). A
+    ///   request the cache already holds `Ready` comes back resolved
+    ///   (`cached: true`), answered on this thread without a pool job.
     /// * `Err(SubmitError::Busy(_))` — class budget or queue full with
     ///   nothing shedable; retry after the hinted backoff.
     /// * `Err(SubmitError::ShuttingDown(_))` — shutdown has begun.
@@ -1126,6 +1177,15 @@ impl CourseServer {
                 .fetch_add(1, Ordering::Relaxed);
             inner.obs.rejected[band].inc();
             return Err(SubmitError::Busy(inner.busy(&meta)));
+        }
+
+        // A `Ready` hit is answered here: no slot, no shed-registry
+        // entry, no pool job. Absent and still-`Computing` keys go on
+        // to the pool, whose `get_or_insert_with` computes or waits
+        // for them (compute-once) and counts them.
+        let probed_at = Instant::now();
+        if let Some(resp) = inner.cache.get(&req) {
+            return Ok(inner.answer_inline(band, resp, probed_at));
         }
 
         // Global bound: take a free slot, or displace a queued
@@ -1323,6 +1383,7 @@ impl CourseServer {
                     completed,
                     shed,
                     rejected: ledger.rejected.load(Ordering::SeqCst),
+                    inline_hits: ledger.inline_hits.load(Ordering::SeqCst),
                     deadline_missed: pool.per_class[band].deadline_missed,
                     in_flight: admitted.saturating_sub(completed).saturating_sub(shed),
                 }
@@ -1461,6 +1522,16 @@ mod tests {
         for t in tickets {
             t.wait();
         }
+        // Four repeats of computed keys: answered at admission.
+        for seed in 0..4 {
+            let hit = server
+                .submit(Request::Homework {
+                    generator: "binary_arithmetic".into(),
+                    seed,
+                })
+                .expect("accepted");
+            assert!(hit.try_get().expect("resolved at admission").cached);
+        }
         server.shutdown();
 
         let st = server.stats();
@@ -1471,14 +1542,18 @@ mod tests {
             let completed = snap.counter(&format!("serve.completed.{class}")).unwrap();
             let shed = snap.counter(&format!("serve.shed.{class}")).unwrap();
             let rejected = snap.counter(&format!("serve.rejected.{class}")).unwrap();
+            let inline = snap.counter(&format!("serve.inline_hits.{class}")).unwrap();
             assert_eq!(admitted, row.admitted, "{class} admitted mirror");
             assert_eq!(completed, row.completed, "{class} completed mirror");
             assert_eq!(shed, row.shed, "{class} shed mirror");
             assert_eq!(rejected, row.rejected, "{class} rejected mirror");
+            assert_eq!(inline, row.inline_hits, "{class} inline-hit mirror");
             assert_eq!(admitted, completed + shed, "{class} drained balance");
         }
-        // Pool mirrors cover every admitted request that reached a worker.
-        assert_eq!(snap.counter("pool.claims"), Some(st.accepted));
+        // Every admitted request became one pool job or one inline hit.
+        let inline: u64 = st.per_class.iter().map(|c| c.inline_hits).sum();
+        assert_eq!(inline, 4);
+        assert_eq!(snap.counter("pool.claims").unwrap() + inline, st.accepted);
         assert_eq!(snap.gauge("pool.queue_depth"), Some(0));
 
         // Homework defaults to the Batch class: its stage histograms hold
@@ -1486,9 +1561,9 @@ mod tests {
         let queue = snap.hist("serve.stage.queue_us.batch").unwrap();
         let service = snap.hist("serve.stage.service_us.batch").unwrap();
         let total = snap.hist("serve.stage.total_us.batch").unwrap();
-        assert_eq!(queue.count(), 12);
-        assert_eq!(service.count(), 12);
-        assert_eq!(total.count(), 12);
+        assert_eq!(queue.count(), 16);
+        assert_eq!(service.count(), 16);
+        assert_eq!(total.count(), 16);
         assert!(total.max() >= service.min());
 
         // The trace ring retains the most recent spans with real data.
@@ -2004,5 +2079,117 @@ mod tests {
         assert_eq!(pool.per_class[JobClass::Interactive.band()].submitted, 1);
         assert_eq!(pool.per_class[JobClass::Batch.band()].submitted, 1);
         assert_eq!(pool.per_class[JobClass::Bulk.band()].submitted, 0);
+    }
+
+    fn pool_claims(server: &CourseServer) -> u64 {
+        server
+            .registry()
+            .snapshot()
+            .counter("pool.claims")
+            .expect("pool.claims is registered")
+    }
+
+    #[test]
+    fn ready_hits_are_answered_at_admission_without_a_pool_job() {
+        const REPEATS: u64 = 8;
+        let band = JobClass::Interactive.band();
+        for cache_impl in [CacheImpl::ShardedMutex, CacheImpl::Promise] {
+            let server = CourseServer::new(ServerConfig {
+                cache_impl,
+                ..ServerConfig::default()
+            });
+            let req = Request::Grade {
+                submission: GOOD_SUBMISSION.to_string(),
+            };
+            let computed = server.submit(req.clone()).expect("accepted").wait();
+            assert!(!computed.cached);
+            for _ in 0..REPEATS {
+                let hit = server
+                    .submit(req.clone())
+                    .expect("accepted")
+                    .try_get()
+                    .expect("a Ready hit resolves at admission");
+                assert!(hit.cached, "{cache_impl:?}");
+                assert_eq!(hit.body, computed.body);
+            }
+            let st = server.stats();
+            let row = st.per_class[band];
+            assert_eq!(row.inline_hits, REPEATS, "{cache_impl:?}");
+            assert_eq!(
+                (st.cache.hits, st.cache.misses),
+                (REPEATS, 1),
+                "{cache_impl:?}: one count per lookup"
+            );
+            assert_eq!(pool_claims(&server), 1, "{cache_impl:?}: hits took jobs");
+            assert_eq!(
+                st.pool.per_class[band].submitted + row.inline_hits,
+                row.admitted
+            );
+            assert_eq!(row.admitted, REPEATS + 1);
+            assert_eq!(row.admitted, row.completed + row.shed);
+            // Span 0 is the computed request; the hits never queued.
+            let hits: Vec<obs::SpanRecord> = server
+                .tracer()
+                .recent(2 * REPEATS as usize)
+                .into_iter()
+                .filter(|s| s.id > 0)
+                .collect();
+            assert_eq!(hits.len() as u64, REPEATS);
+            assert!(hits.iter().all(|s| s.queue_us == 0), "{hits:?}");
+            if let Some(promise) = server.promise_cache_stats() {
+                assert_eq!(promise.locked_hits, 0);
+            }
+        }
+    }
+
+    /// Holds `gated_experiment` inside its compute until opened.
+    static GATE: (Mutex<bool>, Condvar) = (Mutex::new(false), Condvar::new());
+
+    fn set_gate(open: bool) {
+        *GATE.0.lock().expect("gate poisoned") = open;
+        GATE.1.notify_all();
+    }
+
+    fn gated_experiment() -> String {
+        let mut open = GATE.0.lock().expect("gate poisoned");
+        while !*open {
+            open = GATE.1.wait(open).expect("gate poisoned");
+        }
+        "gated table".to_string()
+    }
+
+    #[test]
+    fn computing_keys_are_not_answered_at_admission() {
+        for cache_impl in [CacheImpl::ShardedMutex, CacheImpl::Promise] {
+            set_gate(false);
+            let server = CourseServer::with_experiments(
+                ServerConfig {
+                    cache_impl,
+                    ..ServerConfig::default()
+                },
+                vec![("gated".to_string(), gated_experiment as ExperimentFn)],
+            );
+            let req = Request::Reproduce { id: "gated".into() };
+            let first = server.submit(req.clone()).expect("accepted");
+            // The cache counts the miss when it inserts the `Computing`
+            // slot, before the owner enters the (gated) compute.
+            while server.stats().cache.misses == 0 {
+                std::thread::yield_now();
+            }
+            let second = server.submit(req).expect("accepted");
+            let second_early = second.try_get();
+            set_gate(true);
+            let (a, b) = (first.wait(), second.wait());
+            server.shutdown();
+            assert!(
+                second_early.is_none(),
+                "{cache_impl:?}: a Computing key was answered at admission"
+            );
+            assert!(!a.cached && b.cached && a.body == b.body, "{cache_impl:?}");
+            let st = server.stats();
+            assert_eq!((st.cache.hits, st.cache.misses), (1, 1), "{cache_impl:?}");
+            assert_eq!(st.per_class[JobClass::Bulk.band()].inline_hits, 0);
+            assert_eq!(pool_claims(&server), 2, "{cache_impl:?}");
+        }
     }
 }

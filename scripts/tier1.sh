@@ -88,4 +88,15 @@ cargo run --release -q -p bench --bin reproduce -- e20 > /dev/null
 printf 'view\njoin 0\ndrain 0\nload\nquit\n' | \
     cargo run --release -q -p bench --bin serve_demo -- 4 24 router 2 --ctl tier1 > /dev/null
 
+# Benchmark tier: perfbench's own tests, then one-second runs of the
+# two hit workloads against the shipped defaults, so the benchmark's
+# correctness gate (every hit OK_CACHED, byte-identical bodies at every
+# level, balanced ledgers) checks the code that ships. compute_mix is
+# left out: its p99 needs ten samples beyond it, which 1 s cannot give.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+for workload in hit_direct hit_routed; do
+    cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 > /dev/null
+done
+
 echo "tier1: all green"
