@@ -5,12 +5,10 @@
 //! cargo run -p bench --bin serve_demo -- 4 100           # 4 clients x 100 requests
 //! cargo run -p bench --bin serve_demo -- 4 100 fifo      # shared-FIFO baseline pool
 //! cargo run -p bench --bin serve_demo -- 4 100 priority  # class-aware priority lanes
-//! cargo run -p bench --bin serve_demo -- 4 100 lockfree  # lock-free Chase-Lev deques
 //! cargo run -p bench --bin serve_demo -- 4 100 net       # over TCP: server + loadgen
 //! cargo run -p bench --bin serve_demo -- 4 100 net-epoll # same, epoll reactor front end
 //! cargo run -p bench --bin serve_demo -- 4 100 net-epoll --conns 2,8,32  # sweep mode
 //! cargo run -p bench --bin serve_demo -- 4 100 stats     # net mode + Op::Stats snapshot
-//! cargo run -p bench --bin serve_demo -- 4 100 promise   # both cache impls, hit/miss table
 //! cargo run -p bench --bin serve_demo -- 4 100 router 3  # 3 backend *processes* + router
 //! cargo run -p bench --bin serve_demo -- 4 100 router 7401,7402  # explicit backend ports
 //! cargo run -p bench --bin serve_demo -- 4 100 router-epoll 3    # pooled reactor links
@@ -56,7 +54,7 @@ done:
 ";
 
 const USAGE: &str = "usage: serve_demo [clients] [requests] \
-                     [steal|fifo|priority|lockfree|promise|net|net-epoll|stats\
+                     [steal|fifo|priority|net|net-epoll|stats\
                      |router|router-epoll [N|port,port,...] [--ctl <token>]]\n\
                      net and net-epoll accept a connection-count sweep: \
                      --conns a,b,c,... (strictly increasing)\n\
@@ -286,135 +284,6 @@ fn net_mode(
         );
         println!("\nsnapshot counters balance: registry mirrors agree with the ledgers.");
     }
-}
-
-/// The `promise` mode: the in-process demo run twice, once per cache
-/// implementation (`ShardedMutex`, then `Promise` — the PR 9 lock-free
-/// promise-slot cache), with the same deterministic workload including
-/// cache-friendly `Life` requests. Prints one hit/miss row per
-/// implementation and asserts what E19 asserts structurally: the
-/// promise cache resolved **zero** lookups under a bucket lock, and
-/// both servers' ledgers balance after drain.
-fn promise_mode(clients: u64, per_client: u64) {
-    use serve::CacheImpl;
-
-    println!(
-        "serve_demo promise: {clients} clients x {per_client} requests against each cache \
-         implementation (4 workers, lock-free scheduler, queue 8)\n"
-    );
-    let life_request = |i: u64| Request::Life {
-        w: 16,
-        h: 16,
-        steps: 8,
-        seed: i % 4,
-    };
-    println!(
-        "{:<14} {:>8} {:>8} {:>7} {:>7} {:>10} {:>12}",
-        "cache", "served", "shed", "hits", "misses", "evictions", "locked-path"
-    );
-    for which in [CacheImpl::ShardedMutex, CacheImpl::Promise] {
-        let server = CourseServer::with_experiments(
-            ServerConfig {
-                workers: 4,
-                queue_capacity: 8,
-                scheduler: Scheduler::LockFree,
-                cache_impl: which,
-                ..ServerConfig::default()
-            },
-            vec![("e5".to_string(), bench::e5_tlb_eat as ExperimentFn)],
-        );
-        thread::scope(|s| {
-            let handles: Vec<_> = (0..clients)
-                .map(|client| {
-                    let server = &server;
-                    let life_request = &life_request;
-                    s.spawn(move || {
-                        for i in 0..per_client {
-                            // The rotating mix plus a Life lane: same
-                            // small key spaces, so both caches earn
-                            // their keep on every request kind.
-                            let req = if i % 5 == 4 {
-                                life_request(i)
-                            } else {
-                                request_for(client, i)
-                            };
-                            let ticket = loop {
-                                match server.submit(req.clone()) {
-                                    Ok(t) => break t,
-                                    Err(SubmitError::Busy(r)) => {
-                                        thread::sleep(Duration::from_millis(
-                                            r.retry_after_ms.max(1),
-                                        ));
-                                    }
-                                    Err(SubmitError::ShuttingDown(_)) => {
-                                        unreachable!("demo shuts down only after clients finish")
-                                    }
-                                }
-                            };
-                            let resp = ticket.wait();
-                            // Displacement by higher-class work is the
-                            // only acceptable failure; the server's own
-                            // shed ledger is printed below.
-                            assert!(
-                                resp.ok || resp.body.contains("shed under load"),
-                                "request failed: {}",
-                                resp.body
-                            );
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("client thread");
-            }
-        });
-        server.shutdown();
-
-        let st = server.stats();
-        let locked_path = match server.promise_cache_stats() {
-            // The structural counter: lookups resolved under a bucket
-            // lock. The lock-free hit path must keep this at zero.
-            Some(ps) => {
-                assert_eq!(
-                    ps.locked_hits, 0,
-                    "promise cache hit path took a bucket lock"
-                );
-                format!("{}", ps.locked_hits)
-            }
-            // Every sharded-mutex hit holds its shard's mutex.
-            None => format!("{} (=hits)", st.cache.hits),
-        };
-        println!(
-            "{:<14} {:>8} {:>8} {:>7} {:>7} {:>10} {:>12}",
-            match which {
-                CacheImpl::ShardedMutex => "sharded-mutex",
-                CacheImpl::Promise => "promise",
-            },
-            st.completed,
-            st.shed,
-            st.cache.hits,
-            st.cache.misses,
-            st.cache.evictions,
-            locked_path,
-        );
-        assert_eq!(
-            st.accepted,
-            st.completed + st.shed,
-            "drain must complete or shed every accepted request"
-        );
-        for c in &st.per_class {
-            assert_eq!(
-                c.admitted,
-                c.completed + c.shed,
-                "{} ledger must balance after drain",
-                c.class
-            );
-        }
-    }
-    println!(
-        "\nboth implementations served the identical workload; the promise cache's\n\
-         hit path acquired zero bucket locks (the E19 structural invariant, live)."
-    );
 }
 
 /// Hidden child mode (`serve_demo __backend <id> <port>`): one backend
@@ -923,7 +792,6 @@ fn main() {
         None | Some("steal") => Scheduler::WorkStealing,
         Some("fifo") => Scheduler::SharedFifo,
         Some("priority") => Scheduler::PriorityLanes,
-        Some("lockfree") => Scheduler::LockFree,
         Some("net") => {
             return net_mode(
                 clients,
@@ -945,7 +813,6 @@ fn main() {
         Some("stats") => {
             return net_mode(clients, per_client, true, net::server::Io::Blocking, None)
         }
-        Some("promise") => return promise_mode(clients, per_client),
         Some("router") => {
             let (spec, token) = parse_router_tail(&args[3..]);
             return router_mode(clients, per_client, spec, net::server::Io::Blocking, token);

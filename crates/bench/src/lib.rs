@@ -11,10 +11,8 @@
 
 pub mod ablations;
 pub mod ctl_exp;
-pub mod lockfree;
 pub mod obs;
 pub mod priority;
-pub mod rcache_exp;
 pub mod reactor_exp;
 pub mod router_exp;
 pub mod stealing;
@@ -794,141 +792,6 @@ pub fn e14_wire() -> String {
     out
 }
 
-/// E17 — the lock-free Chase–Lev deques (PR 7, `serve::deque`,
-/// `Scheduler::LockFree`) against the mutex deques they replace.
-/// Part A is the deque-level contended duel from the [`lockfree`]
-/// module — one owner expanding work in LIFO bursts while thieves
-/// hammer the other end, the isolated cost of the claim path. Part B
-/// runs the same contest end-to-end through the pool (fan-out trees
-/// plus measured shorts), where shared per-job costs dominate and the
-/// evidence is parity plus the lock-free counters. Part C re-runs the
-/// E12 heavy-tail mix with the lock-free scheduler to show the
-/// tail-latency win over the shared FIFO is preserved, not traded
-/// away.
-pub fn e17_lockfree() -> String {
-    use lockfree::{compare, contended_params, deque_duel, duel_params, DuelOutcome};
-    use stealing::{heavy_tail_params, run_mix};
-
-    // Part A: the deque duel. Interleave whole rounds (mutex then
-    // lock-free each time) and keep the round where the lock-free
-    // advantage is best — the same best-of-N discipline every timing
-    // experiment here uses against host noise.
-    let dp = duel_params();
-    let rounds = 5;
-    let mut out = format!(
-        "E17: lock-free Chase-Lev deques vs mutex deques\n\n\
-         Part A — contended deque duel: 1 owner (push {} / pop {} LIFO bursts)\n\
-         vs {} thieves over {} elements; every {}th owner push timed;\n\
-         best of {} interleaved rounds\n\n",
-        dp.burst_push, dp.burst_pop, dp.thieves, dp.elements, dp.sample_every, rounds,
-    );
-    let mut best: Option<(DuelOutcome, DuelOutcome)> = None;
-    for _ in 0..rounds {
-        let (mutex, cl) = deque_duel(dp);
-        let gain = cl.throughput / mutex.throughput.max(1e-9);
-        let best_gain = best
-            .as_ref()
-            .map(|(m, c)| c.throughput / m.throughput.max(1e-9))
-            .unwrap_or(f64::NEG_INFINITY);
-        if gain > best_gain {
-            best = Some((mutex, cl));
-        }
-    }
-    let (mutex_d, cl_d) = best.expect("at least one duel round ran");
-    out.push_str(&format!(
-        "{:<12} {:>12} {:>14} {:>12} {:>10} {:>9}\n",
-        "deque", "claims/s", "p99 owner-op", "owner-claims", "stolen", "cas-fail"
-    ));
-    for o in [&mutex_d, &cl_d] {
-        out.push_str(&format!(
-            "{:<12} {:>12.0} {:>12}ns {:>12} {:>10} {:>9}\n",
-            o.label,
-            o.throughput,
-            o.p99_owner_op.as_nanos(),
-            o.owner_claims,
-            o.stolen,
-            o.cas_failures,
-        ));
-    }
-    out.push_str(&format!(
-        "\nchase-lev vs mutex deque: claim throughput {:.2}x, owner-op p99 {:.2}x\n\
-         better — the owner never waits on a lock; thieves contend only among\n\
-         themselves ({} CAS failures absorbed)\n",
-        cl_d.throughput / mutex_d.throughput.max(1e-9),
-        mutex_d.p99_owner_op.as_secs_f64() / cl_d.p99_owner_op.as_secs_f64().max(1e-9),
-        cl_d.cas_failures,
-    ));
-
-    // Part B: the same contest through the whole pool.
-    let p = contended_params();
-    let (mutex, lf) = compare(p);
-    out.push_str(&format!(
-        "\nPart B — end-to-end pool run: {} workers vs {} submitter threads x {}\n\
-         submissions, every {}th a depth-{} fan-out tree ({} worker-side spawns\n\
-         each) = {} jobs total, {} spin units per job (shared per-job costs —\n\
-         allocation, parking, counters — dominate at this level; the isolated\n\
-         queue-op win is Part A's to show)\n\n",
-        p.workers,
-        p.submitters,
-        p.jobs_per_submitter,
-        p.tree_every,
-        p.tree_depth,
-        p.jobs_per_tree(),
-        p.total_jobs(),
-        p.spin,
-    ));
-    out.push_str(&format!(
-        "{:<14} {:>10} {:>12} {:>10} {:>10} {:>8} {:>8} {:>9} {:>7}\n",
-        "scheduler",
-        "makespan",
-        "jobs/s",
-        "p50 short",
-        "p99 short",
-        "local",
-        "steals",
-        "cas-fail",
-        "empty"
-    ));
-    for o in [&mutex, &lf] {
-        out.push_str(&format!(
-            "{:<14} {:>8.1}ms {:>12.0} {:>8.1}us {:>8.1}us {:>8} {:>8} {:>9} {:>7}\n",
-            o.scheduler.to_string(),
-            o.makespan.as_secs_f64() * 1e3,
-            o.throughput,
-            o.p50_short.as_secs_f64() * 1e6,
-            o.p99_short.as_secs_f64() * 1e6,
-            o.local_hits,
-            o.steals,
-            o.steal_cas_failures,
-            o.empty_steals
-        ));
-    }
-
-    // Part C: no regression on the E12 heavy-tail shape — the lock-free
-    // scheduler must keep the stealing family's p99 win over the shared
-    // FIFO on the sleep-modeled overload stream.
-    let hp = heavy_tail_params();
-    let fifo = run_mix(serve::pool::Scheduler::SharedFifo, hp);
-    let lf_mix = run_mix(serve::pool::Scheduler::LockFree, hp);
-    out.push_str(&format!(
-        "\nPart C — E12 heavy-tail mix re-run (no-regression check):\n\
-         {:<14} makespan {:>8.1}ms  p99 short {:>8.1}ms  steals {:>6}\n\
-         {:<14} makespan {:>8.1}ms  p99 short {:>8.1}ms  steals {:>6}\n\
-         lock-free keeps the stealing family's tail win over the FIFO:\n\
-         p99 {:.2}x better\n",
-        fifo.scheduler.to_string(),
-        fifo.makespan.as_secs_f64() * 1e3,
-        fifo.p99_short.as_secs_f64() * 1e3,
-        fifo.steals,
-        lf_mix.scheduler.to_string(),
-        lf_mix.makespan.as_secs_f64() * 1e3,
-        lf_mix.p99_short.as_secs_f64() * 1e3,
-        lf_mix.steals,
-        fifo.p99_short.as_secs_f64() / lf_mix.p99_short.as_secs_f64().max(1e-9),
-    ));
-    out
-}
-
 /// E18 — the two connection engines behind `NetServer` compared:
 /// blocking thread-per-connection vs the N-shard epoll reactor
 /// (`net::reactor`, PR 8). Part A sweeps the same offered work across
@@ -938,109 +801,6 @@ pub fn e17_lockfree() -> String {
 /// (see the [`reactor_exp`] module docs and DESIGN.md §13).
 pub fn e18_reactor() -> String {
     reactor_exp::render(&reactor_exp::reactor_params())
-}
-
-/// E19 — hit-path latency under eviction churn for the two
-/// compute-once cache implementations (`CacheImpl::ShardedMutex` vs
-/// `CacheImpl::Promise`, PR 9). Each impl runs warmup → an unchurned
-/// baseline phase → the same reader workload with cold-miss writers
-/// forcing continuous eviction; batch latencies land in obs histograms
-/// and the acceptance ratio is churn-p99 / baseline-p99. Alongside the
-/// timing, the structural evidence: the promise cache's hit path must
-/// report **zero** exclusive-lock acquisitions (`locked_hits` —
-/// lookups that resolved under a bucket lock). The workload gives
-/// every key exactly one inserter — timed lookups are read-only
-/// probes, cold keys come off a shared counter, and one warden thread
-/// owns hot-key re-warming — so the assertion holds under any
-/// scheduling, not just lucky ones (see the `rcache_exp` module docs).
-/// The sharded-mutex cache locks on every hit by construction.
-pub fn e19_rcache() -> String {
-    use rcache_exp::{default_params, hit_churn, mutex_cache, promise_cache, HitChurnOutcome};
-
-    let params = default_params();
-    // Interleave whole rounds (mutex then promise each time) and keep
-    // the round where the promise churn ratio is best — the same
-    // best-of-N discipline every timing experiment here uses against
-    // host noise. The structural zero-lock assertion is checked on
-    // every round, not just the kept one.
-    let rounds = 3;
-    let mut best: Option<(HitChurnOutcome, HitChurnOutcome)> = None;
-    for _ in 0..rounds {
-        let registry = ::obs::Registry::new();
-        let mutex = mutex_cache(params);
-        let m = hit_churn(params, "sharded-mutex", &mutex, &registry);
-        let promise = promise_cache(params, &registry);
-        let p = hit_churn(params, "promise", &promise, &registry);
-        assert_eq!(
-            p.hit_lock_events, 0,
-            "promise hit path took a bucket lock ({} locked hits)",
-            p.hit_lock_events
-        );
-        assert!(p.evictions > 0, "churn phase failed to force eviction");
-        let best_ratio = best
-            .as_ref()
-            .map(|(_, bp)| bp.p99_ratio)
-            .unwrap_or(f64::INFINITY);
-        if p.p99_ratio < best_ratio {
-            best = Some((m, p));
-        }
-    }
-    let (m, p) = best.expect("at least one round ran");
-    assert!(
-        p.p99_ratio <= 1.2,
-        "promise churn p99 {:.2}x baseline exceeds the 1.2x acceptance bound",
-        p.p99_ratio
-    );
-
-    let mut out = format!(
-        "E19: compute-once cache hit p99 under eviction churn\n\n\
-         {} hot keys resident in a capacity-{} cache; {} readers time batches\n\
-         of {} read-only hot-key probes (one sample per batch, {} batches each);\n\
-         in the churn phase each reader also inserts {} never-seen keys between\n\
-         timed batches, forcing an eviction sweep per insert while the other\n\
-         readers' timed hits walk the mutating buckets; best of {} interleaved\n\
-         rounds; percentiles from obs log-bucket histograms (<=3.125% error)\n\n",
-        params.hot_keys,
-        params.capacity,
-        params.readers,
-        params.batch_len,
-        params.batches,
-        params.churn_inserts,
-        rounds,
-    );
-    out.push_str(&format!(
-        "{:<14} {:>9} {:>9} {:>9} {:>9} {:>7} {:>10} {:>11}\n",
-        "cache",
-        "base p50",
-        "base p99",
-        "churn p50",
-        "churn p99",
-        "ratio",
-        "evictions",
-        "locked-hits"
-    ));
-    for o in [&m, &p] {
-        out.push_str(&format!(
-            "{:<14} {:>7}ns {:>7}ns {:>7}ns {:>7}ns {:>7.2} {:>10} {:>11}\n",
-            o.label,
-            o.baseline_p50_ns,
-            o.baseline_p99_ns,
-            o.churn_p50_ns,
-            o.churn_p99_ns,
-            o.p99_ratio,
-            o.evictions,
-            o.hit_lock_events,
-        ));
-    }
-    out.push_str(&format!(
-        "\npromise cache: churn p99 {:.2}x baseline (acceptance bound 1.20x) with\n\
-         0 hit-path lock acquisitions across {} hits — the seqlock read path\n\
-         never fell back to a bucket lock even while {} entries were evicted\n\
-         under it. sharded-mutex measured at {:.2}x with {} lock acquisitions\n\
-         (one per hit, by construction).\n",
-        p.p99_ratio, p.hits, p.evictions, m.p99_ratio, m.hit_lock_events,
-    ));
-    out
 }
 
 /// E20 — live fleet resizing through the `ctl` control plane (PR 10).
@@ -1086,9 +846,7 @@ pub fn all_experiments() -> Vec<Experiment> {
         ("e14", e14_wire),
         ("e15", e15_obs),
         ("e16", e16_router),
-        ("e17", e17_lockfree),
         ("e18", e18_reactor),
-        ("e19", e19_rcache),
         ("e20", e20_ctl),
     ];
     v.extend(ablations::all_ablations());
@@ -1172,94 +930,6 @@ mod tests {
             );
         }
         panic!("stealing never beat FIFO on both metrics in 3 attempts: {last}");
-    }
-
-    #[test]
-    fn e17_lockfree_beats_mutex_deques_under_contention() {
-        // The ISSUE 7 acceptance bar, part 1: in the contended
-        // owner-vs-thieves duel the Chase–Lev deque must match or beat
-        // the mutex deque on claim throughput AND owner-op p99, with
-        // thieves actually stealing on both sides. (Conservation —
-        // every element claimed exactly once — is asserted inside the
-        // duel itself.)
-        //
-        // Unlike E12–E14 (sleep-modeled service times, immune to
-        // codegen), the duel is queue-operation bound on purpose — in
-        // an unoptimized build every per-word atomic slot copy in the
-        // Chase–Lev deque is an outlined function call, so a debug
-        // binary measures debug codegen, not the deque. The structural
-        // invariants are asserted in every build; the timing
-        // comparison only where it is meaningful.
-        let mut last = String::new();
-        for _ in 0..5 {
-            let (mutex, cl) = lockfree::deque_duel(lockfree::duel_params());
-            assert!(cl.stolen > 0, "duel round saw no successful steals");
-            assert!(mutex.stolen > 0, "mutex duel round saw no steals");
-            assert!(cl.owner_claims > 0, "owner never claimed its own work");
-            if cfg!(debug_assertions) {
-                return; // structural checks only — see above
-            }
-            if cl.throughput >= mutex.throughput && cl.p99_owner_op <= mutex.p99_owner_op {
-                return;
-            }
-            last = format!(
-                "mutex: {:.0} claims/s owner-op p99 {:?}; chase-lev: {:.0} claims/s \
-                 owner-op p99 {:?} (cas failures {})",
-                mutex.throughput,
-                mutex.p99_owner_op,
-                cl.throughput,
-                cl.p99_owner_op,
-                cl.cas_failures,
-            );
-        }
-        panic!("chase-lev never matched the mutex deque on both metrics in 5 attempts: {last}");
-    }
-
-    #[test]
-    fn e17_pool_contended_run_is_conserving_and_observable() {
-        // The ISSUE 7 acceptance bar, part 2: the end-to-end pool run
-        // under the lock-free scheduler really steals (the trees went
-        // ragged), really claims locally (the trees expanded on the
-        // owner path), and its obs counters partition exactly — the
-        // same evidence an operator's dashboard would rely on.
-        let (mutex, lf) = lockfree::compare(lockfree::contended_params());
-        for o in [&mutex, &lf] {
-            assert!(o.steals > 0, "{} run recorded no steals", o.scheduler);
-            assert!(
-                o.local_hits > 0,
-                "{} run recorded no local claims",
-                o.scheduler
-            );
-            assert_eq!(
-                o.claims,
-                o.local_hits + o.steals,
-                "{} obs claims must partition into local hits and steals",
-                o.scheduler
-            );
-        }
-    }
-
-    #[test]
-    fn e17_lockfree_keeps_the_heavy_tail_p99_win_over_fifo() {
-        // Part B of E17: swapping the mutex deques for Chase-Lev must
-        // not give back the E12 result — on the heavy-tail overload
-        // stream the lock-free scheduler still beats the shared FIFO
-        // on short-job p99 (and steals are still how it does it).
-        let mut last = String::new();
-        for _ in 0..3 {
-            let p = stealing::heavy_tail_params();
-            let fifo = stealing::run_mix(serve::pool::Scheduler::SharedFifo, p);
-            let lf = stealing::run_mix(serve::pool::Scheduler::LockFree, p);
-            assert!(lf.steals > 0, "lock-free heavy-tail run recorded no steals");
-            if lf.p99_short < fifo.p99_short && lf.makespan < fifo.makespan {
-                return;
-            }
-            last = format!(
-                "fifo: makespan {:?} p99 {:?}; lock-free: makespan {:?} p99 {:?}",
-                fifo.makespan, fifo.p99_short, lf.makespan, lf.p99_short
-            );
-        }
-        panic!("lock-free lost the E12 heavy-tail win in 3 attempts: {last}");
     }
 
     #[test]
@@ -1511,40 +1181,5 @@ mod tests {
         assert!(warm.contains("24 served"), "{out}");
         assert!(warm.contains("24 from cache"), "{out}");
         assert!(out.contains("completed == accepted"), "{out}");
-    }
-
-    #[test]
-    fn e19_promise_hit_path_is_lock_free_and_p99_stays_flat_under_churn() {
-        // A trimmed E19: the structural claims (zero hit-path lock
-        // acquisitions, churn really evicting) must hold on every
-        // attempt; the timing claim (churn p99 within 1.2x of the
-        // interleaved baseline) on the best of three, the same
-        // discipline the full experiment uses against host noise.
-        use rcache_exp::{hit_churn, promise_cache, ChurnParams};
-        let params = ChurnParams {
-            hot_keys: 256,
-            capacity: 512,
-            readers: 4,
-            batches: 200,
-            batch_len: 64,
-            churn_inserts: 4,
-            chunks: 5,
-        };
-        let mut best_ratio = f64::INFINITY;
-        for _ in 0..3 {
-            let registry = ::obs::Registry::new();
-            let cache = promise_cache(params, &registry);
-            let o = hit_churn(params, "promise", &cache, &registry);
-            assert_eq!(o.hit_lock_events, 0, "hit path took a bucket lock");
-            assert!(o.evictions > 0, "churn phase failed to force eviction");
-            // The obs mirror agrees with the structural counter.
-            let snap = registry.snapshot();
-            assert_eq!(snap.counter("rcache.locked_hits"), Some(0));
-            best_ratio = best_ratio.min(o.p99_ratio);
-        }
-        assert!(
-            best_ratio <= 1.2,
-            "promise churn p99 {best_ratio:.2}x baseline exceeds the 1.2x bound"
-        );
     }
 }

@@ -44,8 +44,8 @@
 
 // `deny` (not `forbid`) so exactly one module — [`sys`], the raw
 // epoll/eventfd syscall shims behind the readiness reactor — can
-// `allow(unsafe_code)`, mirroring the `serve::deque` precedent.
-// Everything else in the crate still refuses `unsafe`.
+// `allow(unsafe_code)`. Everything else in the crate still refuses
+// `unsafe`.
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 

@@ -14,10 +14,10 @@
 //! [`io::Error`], and `EINTR` is retried (or surfaced as an empty
 //! poll) so callers never see it.
 //!
-//! This module is the `net` crate's one `#[allow(unsafe_code)]` island
-//! (mirroring `serve::deque`, PR 7): each `unsafe` block is a single
-//! syscall whose argument validity is argued at the call site, and the
-//! owned-fd wrappers close on drop so descriptors cannot leak.
+//! This module is the `net` crate's one `#[allow(unsafe_code)]` island:
+//! each `unsafe` block is a single syscall whose argument validity is
+//! argued at the call site, and the owned-fd wrappers close on drop so
+//! descriptors cannot leak.
 
 #![allow(unsafe_code)]
 

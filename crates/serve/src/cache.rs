@@ -224,16 +224,6 @@ impl<K: Eq + Hash + Clone, V: Clone> Cache<K, V> {
                         let mut st = slot.state.lock().expect("cache slot poisoned");
                         *st = SlotState::Ready(value.clone());
                     }
-                    if let Some(plan) = &self.fault_plan {
-                        // Between publish and wakeup: a stall here
-                        // delays every waiter parked on this key. (Drop
-                        // schedules are honored by the `Promise`
-                        // implementation, whose waiters use timed
-                        // re-checks; this impl's condvar waiters would
-                        // hang, so only the stall/panic schedule is
-                        // consulted.)
-                        plan.fire(FaultPoint::CachePromiseWake);
-                    }
                     slot.ready.notify_all();
                     self.evict_if_over_capacity(shard);
                     value
@@ -274,9 +264,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Cache<K, V> {
     /// still-`Computing` or poisoned key returns `None`, counts nothing
     /// and never waits, so a caller that falls back to
     /// [`Cache::get_or_insert_with`] is counted exactly once. Either
-    /// way the probe takes the shard's map lock — the structural
-    /// contrast E19 draws against the promise cache's lock-free
-    /// [`rcache::Cache::get`].
+    /// way the probe takes the shard's map lock.
     pub fn get(&self, key: &K) -> Option<V> {
         let mut map = self
             .shard_for(key)
@@ -349,165 +337,35 @@ impl<K: Eq + Hash + Clone, V: Clone> Cache<K, V> {
     }
 }
 
-/// Which compute-once cache implementation backs the server.
-///
-/// Both satisfy the same contract (exactly-once per resident key, no
-/// cross-key blocking, panic containment, Computing never evicted);
-/// they differ in how the *hit* path scales:
-///
-/// * [`ShardedMutex`](CacheImpl::ShardedMutex) — this module's
-///   [`Cache`]: every hit takes its shard's mutex and splices the LRU
-///   clock. The seed behavior and the measured baseline.
-/// * [`Promise`](CacheImpl::Promise) — [`rcache::Cache`]: seqlock
-///   validated lock-free reads over a split-ordered bucket table with
-///   CLOCK second-chance eviction; a hit takes **no exclusive lock**
-///   (experiment E19 asserts the structural counter). See DESIGN.md
-///   §14.
+/// The one cache implementation, [`Cache`]. This enum, [`ServerCache`]
+/// and [`Cache::build`] exist only for perfbench: its ladder
+/// (`perfbench/src/ladder.rs`) builds a standalone cache through them.
+/// perfbench changes only together with the benchmark's definition;
+/// that change should call [`Cache::with_fault_plan`] and delete this
+/// shim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheImpl {
-    /// Sharded `Mutex<HashMap>` + per-shard LRU (the default).
+    /// The sharded-mutex compute-once [`Cache`].
     #[default]
     ShardedMutex,
-    /// `crates/rcache` promise-slot cache with a lock-free hit path.
-    Promise,
 }
 
-/// The server-facing cache: one of the two [`CacheImpl`]s behind a
-/// uniform `get_or_insert_with`, so `CourseServer`, the net tier, and
-/// the router run on either unchanged.
-pub enum ServerCache<K, V> {
-    /// The sharded-mutex [`Cache`].
-    ShardedMutex(Cache<K, V>),
-    /// The lock-free promise cache (boxed: its pin-slot array makes
-    /// the bare struct ~4 KiB, which would bloat the enum).
-    Promise(Box<rcache::Cache<K, V>>),
-}
+/// The server's cache type, kept as a name for perfbench (see
+/// [`CacheImpl`]).
+pub type ServerCache<K, V> = Cache<K, V>;
 
-impl<K, V> std::fmt::Debug for ServerCache<K, V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServerCache::ShardedMutex(c) => f.debug_tuple("ShardedMutex").field(c).finish(),
-            ServerCache::Promise(_) => f.debug_tuple("Promise").finish(),
-        }
-    }
-}
-
-impl<K, V> ServerCache<K, V>
-where
-    K: Eq + Hash + Clone + Send + Sync,
-    V: Clone + Send + Sync,
-{
-    /// Builds the selected implementation with equivalent sizing: the
-    /// `Promise` cache gets one pool of `shards * capacity_per_shard`
-    /// entries (it has no shard-local bounds), the same [`FaultPlan`]
-    /// seams, and the given registry for its `rcache.*` mirrors.
+impl<K: Eq + Hash + Clone, V: Clone> Cache<K, V> {
+    /// [`Cache::with_fault_plan`] under the signature perfbench calls
+    /// (see [`CacheImpl`]); the implementation choice and the registry
+    /// are ignored.
     pub fn build(
-        which: CacheImpl,
+        _which: CacheImpl,
         shards: usize,
         capacity_per_shard: usize,
         fault_plan: Option<FaultPlan>,
-        registry: &obs::Registry,
-    ) -> ServerCache<K, V> {
-        match which {
-            CacheImpl::ShardedMutex => ServerCache::ShardedMutex(Cache::with_fault_plan(
-                shards,
-                capacity_per_shard,
-                fault_plan,
-            )),
-            CacheImpl::Promise => {
-                let hooks = match fault_plan {
-                    None => rcache::Hooks::default(),
-                    Some(plan) => {
-                        let for_publish = plan.clone();
-                        let for_wake = plan;
-                        rcache::Hooks {
-                            before_publish: Some(Arc::new(move || {
-                                for_publish.fire(FaultPoint::CacheEvictDuringCompute);
-                            })),
-                            before_wake: Some(Arc::new(move || {
-                                for_wake.fire(FaultPoint::CachePromiseWake);
-                                if for_wake.should_drop(FaultPoint::CachePromiseWake) {
-                                    rcache::WakeFate::Drop
-                                } else {
-                                    rcache::WakeFate::Deliver
-                                }
-                            })),
-                        }
-                    }
-                };
-                ServerCache::Promise(Box::new(rcache::Cache::with_config(rcache::Config {
-                    capacity: shards.max(1) * capacity_per_shard.max(1),
-                    initial_buckets: shards.max(8),
-                    registry: registry.clone(),
-                    hooks,
-                })))
-            }
-        }
-    }
-
-    /// Dispatches to the selected implementation's
-    /// `get_or_insert_with`. The promise cache hands back `Arc<V>`;
-    /// this surface clones out of it so both impls return `V` to the
-    /// server.
-    pub fn get_or_insert_with<F: FnOnce(K) -> V>(&self, key: K, compute: F) -> V {
-        match self {
-            ServerCache::ShardedMutex(c) => c.get_or_insert_with(key, compute),
-            ServerCache::Promise(c) => (*c.get_or_insert_with(key, |k| compute(k.clone()))).clone(),
-        }
-    }
-
-    /// Dispatches to the selected implementation's ready-only probe:
-    /// `Some` (one hit counted) only for a resident `Ready` key; absent,
-    /// `Computing` and poisoned keys return `None`, count nothing and
-    /// never wait. The server answers such hits at admission.
-    pub fn get(&self, key: &K) -> Option<V> {
-        match self {
-            ServerCache::ShardedMutex(c) => c.get(key),
-            ServerCache::Promise(c) => c.get(key).map(|v| (*v).clone()),
-        }
-    }
-
-    /// Counter snapshot in the common [`CacheStats`] shape. For the
-    /// promise cache, CLOCK sweep removals map to `evictions` and
-    /// occupancy to `entries`; its extra counters (waits, retries,
-    /// locked hits) are on [`ServerCache::promise_stats`] and the
-    /// `rcache.*` obs mirrors.
-    pub fn stats(&self) -> CacheStats {
-        match self {
-            ServerCache::ShardedMutex(c) => c.stats(),
-            ServerCache::Promise(c) => {
-                let s = c.stats();
-                CacheStats {
-                    hits: s.hits,
-                    misses: s.misses,
-                    evictions: s.evictions,
-                    entries: s.occupancy,
-                }
-            }
-        }
-    }
-
-    /// The promise implementation's full counter set (including
-    /// `locked_hits`, the hit path's exclusive-lock counter), or `None`
-    /// on [`CacheImpl::ShardedMutex`].
-    pub fn promise_stats(&self) -> Option<rcache::Stats> {
-        match self {
-            ServerCache::ShardedMutex(_) => None,
-            ServerCache::Promise(c) => Some(c.stats()),
-        }
-    }
-
-    /// Resident entries.
-    pub fn len(&self) -> usize {
-        match self {
-            ServerCache::ShardedMutex(c) => c.len(),
-            ServerCache::Promise(c) => c.len(),
-        }
-    }
-
-    /// True when no entry is resident.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        _registry: &obs::Registry,
+    ) -> Cache<K, V> {
+        Cache::with_fault_plan(shards, capacity_per_shard, fault_plan)
     }
 }
 
@@ -595,6 +453,9 @@ mod tests {
             10,
             "closure reran for a cached key"
         );
+        let stats = cache.stats();
+        assert_eq!(stats.misses, 10, "one miss per distinct key");
+        assert_eq!(stats.hits, 12 * 50 - 10, "every other lookup is a hit");
     }
 
     #[test]

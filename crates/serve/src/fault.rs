@@ -56,16 +56,6 @@ pub enum FaultPoint {
     /// moment, proving in-progress (`Computing`) entries are never
     /// evicted out from under their waiters.
     CacheEvictDuringCompute,
-    /// In a compute owner, after its value is published but before
-    /// waiters parked on the key's promise slot are notified. A stall
-    /// here delays every waiter's wakeup; on the `Promise` cache
-    /// implementation a [`FaultKind::Drop`] schedule
-    /// (`FaultPlan::should_drop`) swallows the notification entirely —
-    /// waiters must still complete off their timed re-checks. (The
-    /// `ShardedMutex` implementation consults only the
-    /// stall/panic schedule here: its waiters block indefinitely on a
-    /// condvar, so attach drop schedules to `Promise` runs.)
-    CachePromiseWake,
     /// In the TCP front end's per-connection reader, after a request
     /// frame is parsed but before it is submitted: a stall here models
     /// a slow/stuck reader; a [`FaultKind::Drop`] here severs the

@@ -68,16 +68,11 @@
 //! recording site collapses to a never-taken branch; experiment E15
 //! measures that overhead.
 //!
-//! Since PR 7 the pool can schedule over real lock-free Chase–Lev
-//! deques ([`pool::Scheduler::LockFree`], backed by [`deque`]): owner
-//! LIFO push/pop with no lock on the fast path, CAS-only steals, the
-//! canonical SeqCst fence deciding the last-element race, and
-//! epoch/quiescence retirement of grown buffers. This is the crate's
-//! first deliberate `unsafe` (confined to [`deque`]; the rest of the
-//! crate still denies it), landed with the DESIGN.md §12 ordering
-//! argument, adversarial stress/parity tests, and a ThreadSanitizer
-//! harness (`scripts/tsan.sh`). Experiment E17 measures the win over
-//! the mutex deques under a contended submit/claim/steal workload.
+//! The crate is safe Rust throughout (`forbid(unsafe_code)`): every
+//! queue, cache slot and parking protocol is built from `Mutex`,
+//! `Condvar` and atomics — the primitives of the course's own pthreads
+//! module. Lock-free deques and a lock-free cache showed no end-to-end
+//! win on the real request path (DESIGN.md §12, §14).
 //!
 //! ```
 //! use serve::server::{CourseServer, Request, ServerConfig};
@@ -91,19 +86,16 @@
 //! server.shutdown();
 //! ```
 
-// `deny`, not `forbid`: the `deque` module opts back in (scoped
-// `allow`) for the Chase–Lev slot copies — everything else stays safe.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod cache;
-pub mod deque;
 pub mod fault;
 pub mod par;
 pub mod pool;
 pub mod server;
 
-pub use cache::{Cache, CacheImpl, ServerCache};
+pub use cache::Cache;
 pub use fault::{FaultPlan, FaultPoint};
 pub use pool::{JobClass, JobMeta, Scheduler, ThreadPool};
 pub use server::{

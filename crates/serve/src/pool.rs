@@ -62,52 +62,11 @@
 //! the measured baseline the `serve_stealing`/E12 and E13 experiments
 //! compare against.
 //!
-//! ## Lock-free deques (`Scheduler::LockFree`)
-//!
-//! The same topology as `WorkStealing`, with the `Mutex<VecDeque>`s
-//! replaced where it matters: every worker owns a Chase–Lev deque
-//! ([`crate::deque`]) — lock-free LIFO pop on the owner's fast path,
-//! CAS-only FIFO steals from thieves. This is the same service order
-//! the mutex scheduler already uses (its owner pops the back, thieves
-//! the front); here the owner's side costs no lock. The mutex queues
-//! survive as per-worker **inboxes** for *external* submissions only
-//! (an external thread has no owner handle, so it cannot push a
-//! Chase–Lev deque — the same reason crossbeam and tokio pair their
-//! lock-free worker queues with an injector):
-//!
-//! * **push** from a worker of this pool: lock-free push onto its own
-//!   deque. External submissions round-robin into the inboxes.
-//! * **claim**: own deque pop first (lock-free — a worker grinding a
-//!   divide-and-conquer expansion touches no mutex at all), then the
-//!   *newest* job from the own inbox (the empty-inbox probe is one
-//!   atomic load, no lock), then a rotation steal sweep over the
-//!   other workers' deques, then a rotation batch-stealing sweep over
-//!   the other workers' inboxes taking the *oldest* (their owners are
-//!   too blocked to drain them — the rescue path for stranded work).
-//!   Owner-newest/thief-oldest is the exact service order the mutex
-//!   scheduler's single deque gives both sides (`claim_stealing` pops
-//!   the back, thieves the front), so E12's heavy-tail behaviour
-//!   carries over unchanged.
-//! * **batched steals** keep their spirit as *repeated-steal loops*: a
-//!   thief that steals from a deep victim keeps CASing jobs out —
-//!   relocating up to half the victim's backlog into its own deque —
-//!   so a deep backlog still rebalances in one sweep. (A true
-//!   multi-element single-CAS batch is unsound against concurrent
-//!   owner pops, which re-take the bottom without a CAS; see
-//!   DESIGN.md §12.)
-//! * two new counters make the lock-free contention visible:
-//!   [`WorkerStats::steal_cas_failures`] (a thief lost a CAS race) and
-//!   [`WorkerStats::empty_steals`] (a steal attempt found the victim
-//!   empty), mirrored as `pool.steal_cas_failures` /
-//!   `pool.empty_steals` in the obs registry.
-//!
-//! The parking protocol below is unchanged — with one accounting
-//! twist: a lock-free worker pushing to its own deque increments
-//! `queued` *before* the push (a thief can observe a pushed job and
-//! decrement within nanoseconds, so incrementing after could
-//! transiently underflow the counter). A sweeper that sees `queued >
-//! 0` but no job yet simply retries instead of parking — the same
-//! in-transit rule batched steals already rely on.
+//! The deques are mutex-guarded on purpose, not lock-free Chase–Lev
+//! deques: every server job is submitted from a thread outside the
+//! pool, which a Chase–Lev deque can only accept through a mutex inbox
+//! anyway, and the claim path is not where a request's time goes
+//! (DESIGN.md §12).
 //!
 //! ## Why the parking protocol is lost-wakeup-free
 //!
@@ -125,8 +84,7 @@
 //! so a concurrently-sweeping worker re-checks and retries instead of
 //! parking — no job is ever hidden from a sleeping pool.)
 
-use crate::deque;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -221,12 +179,6 @@ pub const AGING_PERIOD: u64 = 8;
 /// half the deque in one sweep (a *batched steal*) instead of one job.
 pub const BATCH_STEAL_DEPTH: usize = 4;
 
-/// Under [`Scheduler::LockFree`], how many lost CAS races against one
-/// victim a thief absorbs before moving to the next victim in its
-/// sweep. A lost race means the victim is non-empty but contended;
-/// bounded retries claim it without letting a sweep livelock.
-pub const STEAL_RETRY_LIMIT: u32 = 4;
-
 /// Scheduling metadata carried by every job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobMeta {
@@ -293,12 +245,6 @@ pub enum Scheduler {
     /// [`AGING_PERIOD`] anti-starvation rule. The scheduler the
     /// class-aware server admission is designed for.
     PriorityLanes,
-    /// The work-stealing topology over lock-free Chase–Lev deques
-    /// ([`crate::deque`]): no lock on the owner's push/pop fast path,
-    /// CAS-only steals, per-worker mutex inboxes only for external
-    /// submissions. Measured against [`Scheduler::WorkStealing`] in
-    /// experiment E17.
-    LockFree,
 }
 
 impl std::fmt::Display for Scheduler {
@@ -307,7 +253,6 @@ impl std::fmt::Display for Scheduler {
             Scheduler::SharedFifo => f.write_str("shared-fifo"),
             Scheduler::WorkStealing => f.write_str("work-stealing"),
             Scheduler::PriorityLanes => f.write_str("priority-lanes"),
-            Scheduler::LockFree => f.write_str("lock-free"),
         }
     }
 }
@@ -322,8 +267,6 @@ struct WorkerCounters {
     steals: AtomicU64,
     stolen_from: AtomicU64,
     batch_steals: AtomicU64,
-    steal_cas_failures: AtomicU64,
-    empty_steals: AtomicU64,
     deque_high_water: AtomicUsize,
 }
 
@@ -348,13 +291,6 @@ pub struct WorkerStats {
     pub stolen_from: u64,
     /// Steals that took half of a deep victim's deque in one sweep.
     pub batch_steals: u64,
-    /// Steal attempts by this worker that lost a CAS race to the
-    /// victim's owner or another thief ([`Scheduler::LockFree`] only —
-    /// a mutex steal can't fail, it just waits).
-    pub steal_cas_failures: u64,
-    /// Steal attempts by this worker that found the victim's deque
-    /// empty ([`Scheduler::LockFree`] only).
-    pub empty_steals: u64,
     /// Deepest this worker's own deque has ever been (always 0 under
     /// the shared-FIFO and priority-lane schedulers, which have no
     /// per-worker deques).
@@ -414,12 +350,6 @@ pub struct PoolStats {
     pub steals: u64,
     /// Batched-steal events across all workers.
     pub batch_steals: u64,
-    /// CAS races lost while stealing, across all workers (lock-free
-    /// scheduler only; the contention signal E17 reports).
-    pub steal_cas_failures: u64,
-    /// Steal attempts that found an empty victim, across all workers
-    /// (lock-free scheduler only).
-    pub empty_steals: u64,
     /// Deepest the total queued backlog has ever been
     /// (admission-pressure signal, summed across deques).
     pub queue_high_water: usize,
@@ -432,35 +362,10 @@ pub struct PoolStats {
     pub per_class: Vec<ClassStats>,
 }
 
-/// The lock-free scheduler's thread-local half: the worker's own
-/// Chase–Lev handle plus one stealer per peer deque. `deque::Worker`
-/// and `deque::Stealer` are deliberately `!Sync`, so they cannot live
-/// in the shared [`PoolInner`] — each worker thread picks its handles
-/// up from the construction-time handoff and stashes them here.
-struct LfCtx {
-    own: deque::Worker<Job>,
-    /// Indexed by worker id; `stealers[own_id]` exists but is never
-    /// used (a worker pops its own deque instead of stealing from it).
-    stealers: Vec<deque::Stealer<Job>>,
-}
-
-/// Construction-time handoff of lock-free deque handles to worker
-/// threads (empty under every other scheduler). Locked once per worker
-/// at startup, never on a job path.
-#[derive(Default)]
-struct LfHandoff {
-    workers: Vec<Option<deque::Worker<Job>>>,
-    stealers: Vec<deque::Stealer<Job>>,
-}
-
 thread_local! {
     /// `(pool token, worker id)` for pool worker threads, so a job that
     /// submits into its own pool pushes onto its own deque.
     static WORKER_IDENTITY: Cell<Option<(usize, usize)>> = const { Cell::new(None) };
-
-    /// This worker thread's lock-free deque handles (see [`LfCtx`]).
-    /// `None` on external threads and under the mutex schedulers.
-    static LF_CTX: RefCell<Option<LfCtx>> = const { RefCell::new(None) };
 
     /// The meta of the job currently executing on this thread (set by
     /// the worker loop around each job, and by [`with_meta`]). This is
@@ -505,12 +410,6 @@ struct PoolObs {
     /// Steals that relocated half a deep victim deque
     /// (`pool.batch_steals`).
     batch_steals: obs::Counter,
-    /// Steal CAS races lost (`pool.steal_cas_failures`, lock-free
-    /// scheduler only).
-    steal_cas_failures: obs::Counter,
-    /// Steal attempts that found an empty victim
-    /// (`pool.empty_steals`, lock-free scheduler only).
-    empty_steals: obs::Counter,
     /// Instantaneous queued-but-unclaimed jobs (`pool.queue_depth`).
     queue_depth: obs::Gauge,
 }
@@ -522,8 +421,6 @@ impl PoolObs {
             local_hits: registry.counter("pool.local_hits"),
             steals: registry.counter("pool.steals"),
             batch_steals: registry.counter("pool.batch_steals"),
-            steal_cas_failures: registry.counter("pool.steal_cas_failures"),
-            empty_steals: registry.counter("pool.empty_steals"),
             queue_depth: registry.gauge("pool.queue_depth"),
         }
     }
@@ -554,15 +451,6 @@ struct PoolInner {
     pending: Mutex<usize>,
     /// Round-robin placement cursor for external submissions.
     next_deque: AtomicUsize,
-    /// Lock-free deque handles awaiting pickup by their worker threads
-    /// (see [`LfHandoff`]; empty under the mutex schedulers).
-    lf: Mutex<LfHandoff>,
-    /// Under [`Scheduler::LockFree`], the length of each inbox in
-    /// `deques`, maintained inside the inbox critical sections but
-    /// readable without the lock — a worker probing its own (or a
-    /// victim's) inbox must not pay a lock just to learn it is empty.
-    /// (Unused under the mutex schedulers.)
-    inbox_len: Vec<AtomicUsize>,
     /// Monotonic claim counter driving the priority-lane aging rule.
     claim_tick: AtomicU64,
     submitted: AtomicU64,
@@ -618,36 +506,6 @@ impl PoolInner {
                     self.next_deque.fetch_add(1, Ordering::Relaxed) % self.deques.len()
                 })
             }
-            Scheduler::LockFree => {
-                if let Some(id) = self.own_worker_id() {
-                    // The lock-free fast path: push onto this worker's
-                    // own Chase–Lev deque, no lock anywhere. `queued`
-                    // moves *before* the push — a thief can claim the
-                    // job (and decrement) the instant it is published,
-                    // so incrementing afterwards could underflow. A
-                    // sweeper that sees `queued > 0` before the push
-                    // lands just retries (module docs).
-                    let total = self.queued.fetch_add(1, Ordering::SeqCst) + 1;
-                    LF_CTX.with(|ctx| {
-                        let ctx = ctx.borrow();
-                        let ctx = ctx
-                            .as_ref()
-                            .expect("lock-free worker without deque handles");
-                        ctx.own.push(job);
-                        self.per_worker[id]
-                            .deque_high_water
-                            .fetch_max(ctx.own.len(), Ordering::Relaxed);
-                    });
-                    self.queue_high_water.fetch_max(total, Ordering::Relaxed);
-                    self.obs.queue_depth.add(1);
-                    self.wake_one();
-                    return;
-                }
-                // External submissions round-robin into the mutex
-                // inboxes; owners claim them newest-first, thieves
-                // oldest-first, like the mutex deques.
-                self.next_deque.fetch_add(1, Ordering::Relaxed) % self.deques.len()
-            }
         };
         let urgent =
             self.scheduler == Scheduler::PriorityLanes && job.meta.priority >= URGENT_PRIORITY;
@@ -664,15 +522,9 @@ impl PoolInner {
             } else {
                 q.push_back(job);
             }
-            if self.scheduler == Scheduler::LockFree {
-                self.inbox_len[target].fetch_add(1, Ordering::Release);
-            }
             (q.len(), self.queued.fetch_add(1, Ordering::SeqCst) + 1)
         };
-        if matches!(
-            self.scheduler,
-            Scheduler::WorkStealing | Scheduler::LockFree
-        ) {
+        if self.scheduler == Scheduler::WorkStealing {
             self.per_worker[target]
                 .deque_high_water
                 .fetch_max(depth, Ordering::Relaxed);
@@ -712,11 +564,6 @@ impl PoolInner {
             }
             Scheduler::PriorityLanes => self.claim_lanes(id),
             Scheduler::WorkStealing => self.claim_stealing(id),
-            Scheduler::LockFree => LF_CTX.with(|ctx| {
-                let ctx = ctx.borrow();
-                let ctx = ctx.as_ref().expect("lock-free claim off a worker thread");
-                self.claim_lockfree(id, ctx)
-            }),
         }
     }
 
@@ -838,200 +685,6 @@ impl PoolInner {
         }
         None
     }
-
-    /// Bookkeeping for a claim satisfied from the worker's own deque
-    /// or inbox under the lock-free scheduler.
-    fn count_local_hit(&self, id: usize) {
-        self.queued.fetch_sub(1, Ordering::SeqCst);
-        self.obs.queue_depth.add(-1);
-        self.per_worker[id]
-            .local_hits
-            .fetch_add(1, Ordering::Relaxed);
-        self.obs.claims.inc();
-        self.obs.local_hits.inc();
-    }
-
-    /// Lock-free claim: own Chase–Lev deque first (the nested-work
-    /// fast path — no lock at all), then the newest job from the own
-    /// external-submission inbox, then a rotation steal sweep over the
-    /// peers' deques (with the repeated-steal relocation loop standing
-    /// in for batched steals), then a batch-stealing sweep over the
-    /// peers' inboxes.
-    fn claim_lockfree(&self, id: usize, ctx: &LfCtx) -> Option<Job> {
-        let counters = &self.per_worker[id];
-        // 1. Newest-first from our own deque — no lock, no CAS unless
-        //    it is the last element. Worker-side (nested) submissions
-        //    live only here, so divide-and-conquer expansion runs
-        //    entirely on the lock-free path.
-        if let Some(job) = ctx.own.pop() {
-            self.count_local_hit(id);
-            return Some(job);
-        }
-        // 2. Newest-first from our own inbox. External submissions
-        //    stay in the inbox until claimed, so the owner's LIFO
-        //    `pop_back` here and the thieves' FIFO `pop_front` (stage
-        //    4) preserve exactly the order the mutex scheduler's
-        //    single deque gives both sides. The empty-inbox probe is
-        //    one atomic load — a worker spinning down toward parking
-        //    takes no lock.
-        if self.inbox_len[id].load(Ordering::Acquire) != 0 {
-            let job = {
-                let mut q = self.deques[id].lock().expect("pool mutex poisoned");
-                let job = q.pop_back();
-                if job.is_some() {
-                    self.inbox_len[id].fetch_sub(1, Ordering::Release);
-                }
-                job
-            };
-            if let Some(job) = job {
-                self.count_local_hit(id);
-                return Some(job);
-            }
-        }
-        // 3. Steal sweep, oldest-first from each victim's deque by
-        //    rotation. `Retry` means we lost a CAS race — the victim
-        //    is contended but non-empty, so try it again (bounded)
-        //    before moving on.
-        let n = self.per_worker.len();
-        for k in 1..n {
-            let victim = (id + k) % n;
-            let st = &ctx.stealers[victim];
-            let mut attempts = 0;
-            loop {
-                match st.steal() {
-                    deque::Steal::Success(job) => {
-                        self.queued.fetch_sub(1, Ordering::SeqCst);
-                        self.obs.queue_depth.add(-1);
-                        self.lf_relocate_from(id, ctx, victim);
-                        counters.steals.fetch_add(1, Ordering::Relaxed);
-                        self.per_worker[victim]
-                            .stolen_from
-                            .fetch_add(1, Ordering::Relaxed);
-                        self.obs.claims.inc();
-                        self.obs.steals.inc();
-                        return Some(job);
-                    }
-                    deque::Steal::Retry => {
-                        counters.steal_cas_failures.fetch_add(1, Ordering::Relaxed);
-                        self.obs.steal_cas_failures.inc();
-                        attempts += 1;
-                        if attempts >= STEAL_RETRY_LIMIT {
-                            break;
-                        }
-                    }
-                    deque::Steal::Empty => {
-                        counters.empty_steals.fetch_add(1, Ordering::Relaxed);
-                        self.obs.empty_steals.inc();
-                        break;
-                    }
-                }
-            }
-        }
-        // 4. Last resort: the peers' inboxes (their owners are too
-        //    busy — or too blocked — to drain them). Oldest-first,
-        //    with the mutex scheduler's batch-steal rule: from a deep
-        //    inbox, relocate up to half the backlog onto our own deque
-        //    (oldest-first, so later thieves of *our* deque still see
-        //    the oldest at the stealable end).
-        for k in 1..n {
-            let victim = (id + k) % n;
-            if self.inbox_len[victim].load(Ordering::Acquire) == 0 {
-                continue;
-            }
-            let (job, relocated) = {
-                let mut q = self.deques[victim].lock().expect("pool mutex poisoned");
-                match q.pop_front() {
-                    None => (None, 0usize),
-                    Some(job) => {
-                        let depth_before = q.len() + 1;
-                        let mut relocated = 0usize;
-                        if depth_before >= BATCH_STEAL_DEPTH {
-                            // Take half the victim's backlog (the job
-                            // being returned counts toward the half).
-                            // `ctx.own.push` takes no inbox lock, so
-                            // pushing while holding the victim's lock
-                            // cannot deadlock a ring of thieves.
-                            for _ in 0..depth_before / 2 - 1 {
-                                match q.pop_front() {
-                                    Some(j) => {
-                                        ctx.own.push(j);
-                                        relocated += 1;
-                                    }
-                                    None => break,
-                                }
-                            }
-                        }
-                        self.inbox_len[victim].fetch_sub(relocated + 1, Ordering::Release);
-                        (Some(job), relocated)
-                    }
-                }
-            };
-            if let Some(job) = job {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                self.obs.queue_depth.add(-1);
-                if relocated > 0 {
-                    counters
-                        .deque_high_water
-                        .fetch_max(ctx.own.len(), Ordering::Relaxed);
-                    counters.batch_steals.fetch_add(1, Ordering::Relaxed);
-                    self.obs.batch_steals.inc();
-                }
-                counters.steals.fetch_add(1, Ordering::Relaxed);
-                self.per_worker[victim]
-                    .stolen_from
-                    .fetch_add(1, Ordering::Relaxed);
-                self.obs.claims.inc();
-                self.obs.steals.inc();
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    /// The repeated-steal loop that preserves batched steals' spirit:
-    /// after a successful steal from a deep victim, keep CASing jobs
-    /// across into our own deque — up to half the victim's backlog —
-    /// so one sweep rebalances the whole pile. Relocated jobs stay in
-    /// `queued` and count as our `local_hits` when later claimed,
-    /// exactly like the mutex scheduler's batch relocation.
-    fn lf_relocate_from(&self, id: usize, ctx: &LfCtx, victim: usize) {
-        let st = &ctx.stealers[victim];
-        let remaining = st.len();
-        if remaining + 1 < BATCH_STEAL_DEPTH {
-            return;
-        }
-        let target = remaining.div_ceil(2) - 1;
-        let counters = &self.per_worker[id];
-        // Steals come oldest-first and are pushed in that order, so
-        // the haul keeps the deque-wide invariant: thieves of *our*
-        // deque still find the oldest at the stealable end, and our
-        // own LIFO pop prefers the newest — exactly how the mutex
-        // scheduler's relocated batch behaves in its deque.
-        let mut relocated = 0usize;
-        while relocated < target {
-            match st.steal() {
-                deque::Steal::Success(job) => {
-                    ctx.own.push(job);
-                    relocated += 1;
-                }
-                deque::Steal::Retry => {
-                    // Another thief is on this victim — let them have
-                    // the rest rather than fight for every job.
-                    counters.steal_cas_failures.fetch_add(1, Ordering::Relaxed);
-                    self.obs.steal_cas_failures.inc();
-                    break;
-                }
-                deque::Steal::Empty => break,
-            }
-        }
-        if relocated > 0 {
-            counters
-                .deque_high_water
-                .fetch_max(ctx.own.len(), Ordering::Relaxed);
-            counters.batch_steals.fetch_add(1, Ordering::Relaxed);
-            self.obs.batch_steals.inc();
-        }
-    }
 }
 
 /// A fixed-size pool of long-lived worker threads executing submitted
@@ -1104,22 +757,8 @@ impl ThreadPool {
         assert!(workers > 0, "thread pool needs at least one worker");
         let deque_count = match scheduler {
             Scheduler::SharedFifo => 1,
-            // Per-worker deques; under LockFree these mutex queues are
-            // the external-submission inboxes beside the Chase–Lev
-            // deques.
-            Scheduler::WorkStealing | Scheduler::LockFree => workers,
+            Scheduler::WorkStealing => workers,
             Scheduler::PriorityLanes => JobClass::COUNT,
-        };
-        let lf = if scheduler == Scheduler::LockFree {
-            let mut handoff = LfHandoff::default();
-            for _ in 0..workers {
-                let (worker, stealer) = deque::deque::<Job>();
-                handoff.workers.push(Some(worker));
-                handoff.stealers.push(stealer);
-            }
-            handoff
-        } else {
-            LfHandoff::default()
         };
         let inner = Arc::new(PoolInner {
             scheduler,
@@ -1134,8 +773,6 @@ impl ThreadPool {
             empty: Condvar::new(),
             pending: Mutex::new(0),
             next_deque: AtomicUsize::new(0),
-            lf: Mutex::new(lf),
-            inbox_len: (0..deque_count).map(|_| AtomicUsize::new(0)).collect(),
             claim_tick: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
             queue_high_water: AtomicUsize::new(0),
@@ -1235,8 +872,6 @@ impl ThreadPool {
                 steals: w.steals.load(Ordering::Relaxed),
                 stolen_from: w.stolen_from.load(Ordering::Relaxed),
                 batch_steals: w.batch_steals.load(Ordering::Relaxed),
-                steal_cas_failures: w.steal_cas_failures.load(Ordering::Relaxed),
-                empty_steals: w.empty_steals.load(Ordering::Relaxed),
                 queue_high_water: w.deque_high_water.load(Ordering::Relaxed),
             })
             .collect();
@@ -1264,8 +899,6 @@ impl ThreadPool {
             local_hits: per_worker.iter().map(|w| w.local_hits).sum(),
             steals: per_worker.iter().map(|w| w.steals).sum(),
             batch_steals: per_worker.iter().map(|w| w.batch_steals).sum(),
-            steal_cas_failures: per_worker.iter().map(|w| w.steal_cas_failures).sum(),
-            empty_steals: per_worker.iter().map(|w| w.empty_steals).sum(),
             queue_high_water: self.inner.queue_high_water.load(Ordering::Relaxed),
             queue_depth: self.inner.queued.load(Ordering::SeqCst),
             per_worker,
@@ -1298,19 +931,6 @@ impl Drop for ThreadPool {
 /// closed *and* every deque is drained.
 fn worker_loop(id: usize, inner: &Arc<PoolInner>) {
     WORKER_IDENTITY.with(|w| w.set(Some((inner.token(), id))));
-    if inner.scheduler == Scheduler::LockFree {
-        // Pick up this worker's Chase–Lev handles from the handoff.
-        // Cloning a stealer mints a fresh pin slot, so every worker
-        // thread pins independently during buffer reclamation.
-        let ctx = {
-            let mut lf = inner.lf.lock().expect("pool mutex poisoned");
-            LfCtx {
-                own: lf.workers[id].take().expect("worker handle claimed twice"),
-                stealers: lf.stealers.iter().map(Clone::clone).collect(),
-            }
-        };
-        LF_CTX.with(|c| *c.borrow_mut() = Some(ctx));
-    }
     let counters = &inner.per_worker[id];
     loop {
         match inner.claim(id) {
@@ -1350,10 +970,11 @@ fn worker_loop(id: usize, inner: &Arc<PoolInner>) {
                     inner.sleepers.fetch_sub(1, Ordering::SeqCst);
                     drop(guard);
                     // A job is in transit (counted but not yet visible
-                    // to the sweep — the lock-free push counts *before*
-                    // publishing). Donate the timeslice instead of
-                    // re-running the full sweep against a publisher
-                    // that may be preempted mid-push.
+                    // to the sweep — a batched steal's relocated jobs
+                    // sit outside every deque until the thief pushes
+                    // them). Donate the timeslice instead of re-running
+                    // the full sweep against a thief that may be
+                    // preempted mid-relocation.
                     std::thread::yield_now();
                     continue;
                 }
@@ -1374,11 +995,10 @@ mod tests {
     use std::sync::atomic::AtomicU64;
     use std::time::{Duration, Instant};
 
-    const ALL_SCHEDULERS: [Scheduler; 4] = [
+    const ALL_SCHEDULERS: [Scheduler; 3] = [
         Scheduler::SharedFifo,
         Scheduler::WorkStealing,
         Scheduler::PriorityLanes,
-        Scheduler::LockFree,
     ];
 
     #[test]
@@ -1442,16 +1062,6 @@ mod tests {
             assert_eq!(
                 snap.counter("pool.batch_steals"),
                 Some(stats.batch_steals),
-                "{scheduler}"
-            );
-            assert_eq!(
-                snap.counter("pool.steal_cas_failures"),
-                Some(stats.steal_cas_failures),
-                "{scheduler}"
-            );
-            assert_eq!(
-                snap.counter("pool.empty_steals"),
-                Some(stats.empty_steals),
                 "{scheduler}"
             );
             assert_eq!(snap.gauge("pool.queue_depth"), Some(0), "{scheduler}");
@@ -1611,91 +1221,6 @@ mod tests {
         release.store(true, Ordering::SeqCst);
         pool.wait_empty();
         assert_eq!(pool.stats().finished, 13);
-    }
-
-    #[test]
-    fn lockfree_thieves_relieve_a_blocked_worker() {
-        // The LockFree twin of the stealing tests above: one worker
-        // blocks with a backlog on its own Chase–Lev deque (pushed by
-        // its job, so they are *not* in any inbox), and the other
-        // worker can only make progress via CAS steals — with the
-        // repeated-steal relocation kicking in on the deep victim.
-        let pool = Arc::new(ThreadPool::with_scheduler(2, Scheduler::LockFree));
-        let release = Arc::new(AtomicBool::new(false));
-        let done = Arc::new(AtomicU64::new(0));
-        {
-            let release = Arc::clone(&release);
-            let done = Arc::clone(&done);
-            let handle = Arc::clone(&pool);
-            pool.execute(move || {
-                for _ in 0..12 {
-                    let done = Arc::clone(&done);
-                    handle
-                        .execute(move || {
-                            std::thread::sleep(Duration::from_millis(1));
-                            done.fetch_add(1, Ordering::SeqCst);
-                        })
-                        .expect("pool is open");
-                }
-                while !release.load(Ordering::SeqCst) {
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-            })
-            .unwrap();
-        }
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while done.load(Ordering::SeqCst) < 12 {
-            assert!(
-                Instant::now() < deadline,
-                "shorts stuck behind the blocked owner"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let stats = pool.stats();
-        assert!(stats.steals > 0, "thief never stole: {stats:?}");
-        assert!(
-            stats.batch_steals >= 1,
-            "deep victim never triggered the relocation loop: {stats:?}"
-        );
-        assert_eq!(
-            stats.per_worker.iter().map(|w| w.stolen_from).sum::<u64>(),
-            stats.steals,
-            "every steal has a victim"
-        );
-        release.store(true, Ordering::SeqCst);
-        pool.wait_empty();
-        assert_eq!(pool.stats().finished, 13);
-        assert_eq!(pool.stats().queue_depth, 0, "queued balanced to zero");
-    }
-
-    #[test]
-    fn lockfree_nested_submissions_use_the_workers_own_deque() {
-        let pool = Arc::new(ThreadPool::with_scheduler(2, Scheduler::LockFree));
-        let order = Arc::new(Mutex::new(Vec::new()));
-        {
-            let pool2 = Arc::clone(&pool);
-            let order = Arc::clone(&order);
-            pool.execute(move || {
-                order.lock().unwrap().push("parent");
-                let order = Arc::clone(&order);
-                pool2
-                    .execute(move || {
-                        order.lock().unwrap().push("child");
-                    })
-                    .expect("pool is open");
-            })
-            .unwrap();
-        }
-        pool.wait_empty();
-        assert_eq!(*order.lock().unwrap(), vec!["parent", "child"]);
-        let stats = pool.stats();
-        assert_eq!(stats.finished, 2);
-        // The parent's push went to its own deque, whose high-water
-        // mark must have registered it.
-        assert!(
-            stats.per_worker.iter().any(|w| w.queue_high_water >= 1),
-            "own-deque push left no high-water trace: {stats:?}"
-        );
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //! deadline-missed) are kept on both the server and the pool, so the
 //! scheduling win is *measured*, not asserted — see experiment E13.
 
-use crate::cache::{CacheImpl, CacheStats, ServerCache};
+use crate::cache::{Cache, CacheStats};
 use crate::fault::{FaultPlan, FaultPoint};
 use crate::pool::{JobClass, JobMeta, PoolStats, Scheduler, ThreadPool};
 use cs31::autograde;
@@ -395,12 +395,6 @@ pub struct ServerConfig {
     pub cache_shards: usize,
     /// LRU capacity per cache shard.
     pub cache_capacity_per_shard: usize,
-    /// Which compute-once cache implementation to run
-    /// ([`CacheImpl::ShardedMutex`], the default, or
-    /// [`CacheImpl::Promise`] for the lock-free-hit-path
-    /// `crates/rcache`). The `Promise` cache is sized to the same total
-    /// budget, `cache_shards * cache_capacity_per_shard`.
-    pub cache_impl: CacheImpl,
     /// Queue topology for the worker pool. Defaults to
     /// [`Scheduler::WorkStealing`]; use [`Scheduler::PriorityLanes`] to
     /// let the admission classes drive scheduling order, or
@@ -432,7 +426,6 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             cache_shards: 8,
             cache_capacity_per_shard: 32,
-            cache_impl: CacheImpl::default(),
             scheduler: Scheduler::default(),
             admission: Arc::new(ClassAwareAdmission),
             fault_plan: None,
@@ -657,7 +650,7 @@ impl ServeObs {
 }
 
 struct ServerInner {
-    cache: ServerCache<Request, Response>,
+    cache: Cache<Request, Response>,
     experiments: Vec<(String, ExperimentFn)>,
     fault_plan: Option<FaultPlan>,
     policy: Arc<dyn AdmissionPolicy>,
@@ -1090,12 +1083,10 @@ impl CourseServer {
             "server needs queue capacity >= 1"
         );
         let inner = Arc::new(ServerInner {
-            cache: ServerCache::build(
-                config.cache_impl,
+            cache: Cache::with_fault_plan(
                 config.cache_shards,
                 config.cache_capacity_per_shard,
                 config.fault_plan.clone(),
-                &config.registry,
             ),
             experiments,
             fault_plan: config.fault_plan,
@@ -1357,13 +1348,6 @@ impl CourseServer {
     /// responses, which carry no [`Rejected`] of their own.
     pub fn retry_hint(&self, meta: &JobMeta) -> u64 {
         self.inner.busy(meta).retry_after_ms
-    }
-
-    /// The promise cache's full counter set (waits, retries, and
-    /// `locked_hits` — the hit path's exclusive-lock counter), or
-    /// `None` when the server runs [`CacheImpl::ShardedMutex`].
-    pub fn promise_cache_stats(&self) -> Option<rcache::Stats> {
-        self.inner.cache.promise_stats()
     }
 
     /// A snapshot of request, cache, and pool counters.
@@ -2093,53 +2077,45 @@ mod tests {
     fn ready_hits_are_answered_at_admission_without_a_pool_job() {
         const REPEATS: u64 = 8;
         let band = JobClass::Interactive.band();
-        for cache_impl in [CacheImpl::ShardedMutex, CacheImpl::Promise] {
-            let server = CourseServer::new(ServerConfig {
-                cache_impl,
-                ..ServerConfig::default()
-            });
-            let req = Request::Grade {
-                submission: GOOD_SUBMISSION.to_string(),
-            };
-            let computed = server.submit(req.clone()).expect("accepted").wait();
-            assert!(!computed.cached);
-            for _ in 0..REPEATS {
-                let hit = server
-                    .submit(req.clone())
-                    .expect("accepted")
-                    .try_get()
-                    .expect("a Ready hit resolves at admission");
-                assert!(hit.cached, "{cache_impl:?}");
-                assert_eq!(hit.body, computed.body);
-            }
-            let st = server.stats();
-            let row = st.per_class[band];
-            assert_eq!(row.inline_hits, REPEATS, "{cache_impl:?}");
-            assert_eq!(
-                (st.cache.hits, st.cache.misses),
-                (REPEATS, 1),
-                "{cache_impl:?}: one count per lookup"
-            );
-            assert_eq!(pool_claims(&server), 1, "{cache_impl:?}: hits took jobs");
-            assert_eq!(
-                st.pool.per_class[band].submitted + row.inline_hits,
-                row.admitted
-            );
-            assert_eq!(row.admitted, REPEATS + 1);
-            assert_eq!(row.admitted, row.completed + row.shed);
-            // Span 0 is the computed request; the hits never queued.
-            let hits: Vec<obs::SpanRecord> = server
-                .tracer()
-                .recent(2 * REPEATS as usize)
-                .into_iter()
-                .filter(|s| s.id > 0)
-                .collect();
-            assert_eq!(hits.len() as u64, REPEATS);
-            assert!(hits.iter().all(|s| s.queue_us == 0), "{hits:?}");
-            if let Some(promise) = server.promise_cache_stats() {
-                assert_eq!(promise.locked_hits, 0);
-            }
+        let server = CourseServer::new(ServerConfig::default());
+        let req = Request::Grade {
+            submission: GOOD_SUBMISSION.to_string(),
+        };
+        let computed = server.submit(req.clone()).expect("accepted").wait();
+        assert!(!computed.cached);
+        for _ in 0..REPEATS {
+            let hit = server
+                .submit(req.clone())
+                .expect("accepted")
+                .try_get()
+                .expect("a Ready hit resolves at admission");
+            assert!(hit.cached);
+            assert_eq!(hit.body, computed.body);
         }
+        let st = server.stats();
+        let row = st.per_class[band];
+        assert_eq!(row.inline_hits, REPEATS);
+        assert_eq!(
+            (st.cache.hits, st.cache.misses),
+            (REPEATS, 1),
+            "one count per lookup"
+        );
+        assert_eq!(pool_claims(&server), 1, "hits took jobs");
+        assert_eq!(
+            st.pool.per_class[band].submitted + row.inline_hits,
+            row.admitted
+        );
+        assert_eq!(row.admitted, REPEATS + 1);
+        assert_eq!(row.admitted, row.completed + row.shed);
+        // Span 0 is the computed request; the hits never queued.
+        let hits: Vec<obs::SpanRecord> = server
+            .tracer()
+            .recent(2 * REPEATS as usize)
+            .into_iter()
+            .filter(|s| s.id > 0)
+            .collect();
+        assert_eq!(hits.len() as u64, REPEATS);
+        assert!(hits.iter().all(|s| s.queue_us == 0), "{hits:?}");
     }
 
     /// Holds `gated_experiment` inside its compute until opened.
@@ -2160,36 +2136,31 @@ mod tests {
 
     #[test]
     fn computing_keys_are_not_answered_at_admission() {
-        for cache_impl in [CacheImpl::ShardedMutex, CacheImpl::Promise] {
-            set_gate(false);
-            let server = CourseServer::with_experiments(
-                ServerConfig {
-                    cache_impl,
-                    ..ServerConfig::default()
-                },
-                vec![("gated".to_string(), gated_experiment as ExperimentFn)],
-            );
-            let req = Request::Reproduce { id: "gated".into() };
-            let first = server.submit(req.clone()).expect("accepted");
-            // The cache counts the miss when it inserts the `Computing`
-            // slot, before the owner enters the (gated) compute.
-            while server.stats().cache.misses == 0 {
-                std::thread::yield_now();
-            }
-            let second = server.submit(req).expect("accepted");
-            let second_early = second.try_get();
-            set_gate(true);
-            let (a, b) = (first.wait(), second.wait());
-            server.shutdown();
-            assert!(
-                second_early.is_none(),
-                "{cache_impl:?}: a Computing key was answered at admission"
-            );
-            assert!(!a.cached && b.cached && a.body == b.body, "{cache_impl:?}");
-            let st = server.stats();
-            assert_eq!((st.cache.hits, st.cache.misses), (1, 1), "{cache_impl:?}");
-            assert_eq!(st.per_class[JobClass::Bulk.band()].inline_hits, 0);
-            assert_eq!(pool_claims(&server), 2, "{cache_impl:?}");
+        set_gate(false);
+        let server = CourseServer::with_experiments(
+            ServerConfig::default(),
+            vec![("gated".to_string(), gated_experiment as ExperimentFn)],
+        );
+        let req = Request::Reproduce { id: "gated".into() };
+        let first = server.submit(req.clone()).expect("accepted");
+        // The cache counts the miss when it inserts the `Computing`
+        // slot, before the owner enters the (gated) compute.
+        while server.stats().cache.misses == 0 {
+            std::thread::yield_now();
         }
+        let second = server.submit(req).expect("accepted");
+        let second_early = second.try_get();
+        set_gate(true);
+        let (a, b) = (first.wait(), second.wait());
+        server.shutdown();
+        assert!(
+            second_early.is_none(),
+            "a Computing key was answered at admission"
+        );
+        assert!(!a.cached && b.cached && a.body == b.body);
+        let st = server.stats();
+        assert_eq!((st.cache.hits, st.cache.misses), (1, 1));
+        assert_eq!(st.per_class[JobClass::Bulk.band()].inline_hits, 0);
+        assert_eq!(pool_claims(&server), 2);
     }
 }

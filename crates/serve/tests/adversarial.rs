@@ -47,11 +47,7 @@ fn homework(seed: u64) -> Request {
 
 #[test]
 fn every_ticket_resolves_when_handlers_panic_before_handle() {
-    for scheduler in [
-        Scheduler::SharedFifo,
-        Scheduler::WorkStealing,
-        Scheduler::LockFree,
-    ] {
+    for scheduler in [Scheduler::SharedFifo, Scheduler::WorkStealing] {
         let plan = FaultPlan::new(0xDEAD_BEEF).panic_at(FaultPoint::BeforeHandle, 1, 3);
         let server = CourseServer::new(config(scheduler, &plan));
         let tickets: Vec<Ticket> = (0..120)
@@ -115,7 +111,6 @@ fn shutdown_drains_everything_even_with_stalls_and_panics_in_flight() {
         Scheduler::SharedFifo,
         Scheduler::WorkStealing,
         Scheduler::PriorityLanes,
-        Scheduler::LockFree,
     ] {
         let plan = FaultPlan::new(7)
             .stall_at(FaultPoint::BeforeHandle, Duration::from_millis(3), 1, 2)

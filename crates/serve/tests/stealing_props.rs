@@ -1,8 +1,8 @@
 //! Property tests: the pool-backed `serve::par` entry points agree
 //! with serial evaluation and with the course's scoped `parallel::par`
-//! functions, for random sizes, worker counts, grains, and all four
-//! queue topologies (shared FIFO, work stealing, priority lanes,
-//! lock-free Chase–Lev). Scheduling must only reorder work, never
+//! functions, for random sizes, worker counts, grains, and all three
+//! queue topologies (shared FIFO, work stealing, priority lanes).
+//! Scheduling must only reorder work, never
 //! change answers — and under priority lanes the aging rule must keep
 //! low-class work from starving no matter the mix.
 
@@ -10,12 +10,11 @@ use proptest::prelude::*;
 use serve::pool::{JobClass, JobMeta, Scheduler, ThreadPool};
 use serve::{par, Cache};
 
-fn pools(workers: usize) -> [ThreadPool; 4] {
+fn pools(workers: usize) -> [ThreadPool; 3] {
     [
         ThreadPool::with_scheduler(workers, Scheduler::SharedFifo),
         ThreadPool::with_scheduler(workers, Scheduler::WorkStealing),
         ThreadPool::with_scheduler(workers, Scheduler::PriorityLanes),
-        ThreadPool::with_scheduler(workers, Scheduler::LockFree),
     ]
 }
 
@@ -127,17 +126,16 @@ proptest! {
     }
 
     #[test]
-    fn prop_lockfree_and_mutex_deques_claim_every_job_exactly_once(
+    fn prop_stealing_deques_claim_every_job_exactly_once(
         values in proptest::collection::vec(1u64..1_000_000, 1..200),
         workers in 1usize..6,
         nested_mask in any::<u64>(),
         spin_mask in any::<u64>(),
     ) {
-        // The scheduler-parity property the Chase–Lev deque must
-        // uphold: for a random mix of external submissions, nested
+        // For a random mix of external submissions, nested
         // (worker-side, own-deque) submissions, and job durations —
-        // i.e. random push/pop/steal interleavings — both the mutex
-        // deques and the lock-free deques claim every job exactly
+        // i.e. random push/pop/steal interleavings, batched steals
+        // included — the work-stealing deques claim every job exactly
         // once. A double-claim would double-count its value; a lost
         // job would hang wait_empty or drop its value. The checksum
         // catches both.
@@ -145,43 +143,41 @@ proptest! {
         use std::sync::atomic::{AtomicU64, Ordering};
 
         let want: u64 = values.iter().sum();
-        for scheduler in [Scheduler::WorkStealing, Scheduler::LockFree] {
-            let pool = Arc::new(ThreadPool::with_scheduler(workers, scheduler));
-            let sum = Arc::new(AtomicU64::new(0));
-            let claims = Arc::new(AtomicU64::new(0));
-            for (i, &v) in values.iter().enumerate() {
-                let sum = Arc::clone(&sum);
-                let claims = Arc::clone(&claims);
-                let spin = spin_mask & (1 << (i % 64)) != 0;
-                let body = move || {
-                    if spin {
-                        std::thread::sleep(std::time::Duration::from_micros(20));
-                    }
-                    sum.fetch_add(v, Ordering::Relaxed);
-                    claims.fetch_add(1, Ordering::Relaxed);
-                };
-                if nested_mask & (1 << (i % 64)) != 0 {
-                    // Submit from inside a job: exercises the
-                    // owner-side (lock-free) push path and LIFO pop.
-                    let pool2 = Arc::clone(&pool);
-                    pool.execute(move || {
-                        pool2.execute(body).expect("pool is open");
-                    }).unwrap();
-                } else {
-                    pool.execute(body).unwrap();
+        let pool = Arc::new(ThreadPool::with_scheduler(workers, Scheduler::WorkStealing));
+        let sum = Arc::new(AtomicU64::new(0));
+        let claims = Arc::new(AtomicU64::new(0));
+        for (i, &v) in values.iter().enumerate() {
+            let sum = Arc::clone(&sum);
+            let claims = Arc::clone(&claims);
+            let spin = spin_mask & (1 << (i % 64)) != 0;
+            let body = move || {
+                if spin {
+                    std::thread::sleep(std::time::Duration::from_micros(20));
                 }
+                sum.fetch_add(v, Ordering::Relaxed);
+                claims.fetch_add(1, Ordering::Relaxed);
+            };
+            if nested_mask & (1 << (i % 64)) != 0 {
+                // Submit from inside a job: exercises the
+                // owner-side push path and LIFO pop.
+                let pool2 = Arc::clone(&pool);
+                pool.execute(move || {
+                    pool2.execute(body).expect("pool is open");
+                }).unwrap();
+            } else {
+                pool.execute(body).unwrap();
             }
-            pool.wait_empty();
-            prop_assert_eq!(sum.load(Ordering::Relaxed), want,
-                            "{} lost or double-claimed a job", scheduler);
-            prop_assert_eq!(claims.load(Ordering::Relaxed), values.len() as u64,
-                            "{} claim count off", scheduler);
-            let stats = pool.stats();
-            prop_assert_eq!(stats.local_hits + stats.steals,
-                            stats.submitted,
-                            "{} claims must partition into hits and steals", scheduler);
-            prop_assert_eq!(stats.queue_depth, 0);
         }
+        pool.wait_empty();
+        prop_assert_eq!(sum.load(Ordering::Relaxed), want,
+                        "lost or double-claimed a job");
+        prop_assert_eq!(claims.load(Ordering::Relaxed), values.len() as u64,
+                        "claim count off");
+        let stats = pool.stats();
+        prop_assert_eq!(stats.local_hits + stats.steals,
+                        stats.submitted,
+                        "claims must partition into hits and steals");
+        prop_assert_eq!(stats.queue_depth, 0);
     }
 
     #[test]

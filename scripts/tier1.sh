@@ -30,15 +30,11 @@ cargo test -q -p obs
 cargo run --release -q -p bench --bin reproduce -- e15 > /dev/null
 cargo run --release -q -p bench --bin serve_demo -- 4 24 stats > /dev/null
 
-# E17 smoke: the lock-free Chase-Lev deque tier — the serve suite
-# (deque unit tests, the adversarial deque stress, the scheduler
-# parity proptests), the contended deque duel + pool run + heavy-tail
-# no-regression via the reproduce runner, and the live server on the
-# lock-free scheduler (serve_demo asserts its ledgers balance after
-# drain). scripts/tsan.sh adds the sanitizer pass when nightly exists.
+# Pool tier: the serve suite (scheduler unit tests, the adversarial
+# fault-plan tests, the scheduler parity and no-starvation proptests,
+# the cache's compute-once and eviction tests). scripts/tsan.sh adds
+# the sanitizer pass over ctl::swap when nightly exists.
 cargo test -q -p serve
-cargo run --release -q -p bench --bin reproduce -- e17 > /dev/null
-cargo run --release -q -p bench --bin serve_demo -- 16 48 lockfree > /dev/null
 
 # Router tier: the router unit/property/e2e suites, the E16 smoke
 # (1-vs-3 backend scaling + mid-run backend kill, ledger-balanced),
@@ -61,19 +57,6 @@ cargo test -q -p net
 cargo run --release -q -p bench --bin reproduce -- e18 > /dev/null
 cargo run --release -q -p bench --bin serve_demo -- 4 24 net-epoll > /dev/null
 cargo run --release -q -p bench --bin serve_demo -- 4 24 router-epoll 2 > /dev/null
-
-# Promise-cache tier (E19): the rcache suite (unit tests plus the
-# churn/compute-once/wake-drop stress file), the workspace parity and
-# fault-point tests (both cache impls x three schedulers agree;
-# Computing never evicted; dropped wakeups only delay), the E19 smoke
-# (hit p99 flat under eviction churn, locked-hit counter asserted
-# zero), and the live server on both implementations (serve_demo
-# prints the per-impl hit/miss table and asserts the promise cache
-# took zero bucket locks). scripts/tsan.sh adds the sanitizer pass.
-cargo test -q -p rcache
-cargo test -q --test rcache_subsystem
-cargo run --release -q -p bench --bin reproduce -- e19 > /dev/null
-cargo run --release -q -p bench --bin serve_demo -- 4 24 promise > /dev/null
 
 # Control-plane tier (E20): the ctl crate's membership state machine,
 # the router's churn E2E + interleaving proptests (already inside

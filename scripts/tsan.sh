@@ -1,22 +1,13 @@
 #!/usr/bin/env sh
-# ThreadSanitizer gate for the lock-free crates: the Chase-Lev deque
-# (PR 7, serve::deque) and the promise-slot cache (PR 9, rcache).
+# ThreadSanitizer gate for the repo's one hand-written atomic-pointer
+# publication: ctl::swap::ViewCell, the membership view the router's
+# hot path loads without a lock.
 #
-# Runs the serve crate's bare-deque stress tests — many thieves vs one
-# owner, the last-element pop-vs-steal race, buffer growth with
-# thieves pinned mid-steal — under TSan. The deque's cross-thread slot
-# traffic is per-word atomic precisely so this build is meaningful: a
-# missing fence or a buffer freed under a pinned thief is loud here
-# and silent (usually) in a normal run.
-#
-# Then the rcache stress suite: concurrent readers racing eviction
-# churn, exactly-one-compute contention, dropped waiter wakeups, and
-# forced sweeps during computes. rcache was built for this gate the
-# same way: every cross-thread data edge (bucket chains, seqlock
-# generations, value publication, the retired list) goes through
-# in-crate atomics or spinlocks TSan can see; the only std sync is the
-# per-node Condvar gate, which carries no data (waiters re-check the
-# atomic state under 2ms timed waits).
+# Runs the ctl crate's swap:: unit tests under TSan — readers racing a
+# stream of publishes, old views outliving later swaps. ViewCell::load
+# is an Acquire pointer load plus a refcount bump on an Arc the cell
+# retains; a publish that made the pointer visible before its retainer
+# was in place would be loud here and silent (usually) in a normal run.
 #
 # Scope and caveats:
 # * Needs a nightly toolchain (-Zsanitizer is unstable). Skips cleanly
@@ -24,13 +15,11 @@
 # * std ships precompiled without instrumentation and this image has
 #   no rust-src to -Zbuild-std it, so -Cunsafe-allow-abi-mismatch
 #   links the uninstrumented std in. Consequence: synchronization
-#   *inside* std (Mutex critical sections, Arc refcount fences) is
-#   invisible to TSan, which is exactly why the pool-level stress test
-#   (mutex inboxes) is skipped here — its locked VecDeque traffic
-#   false-positives. The Chase-Lev deque itself synchronizes with
-#   atomics compiled into the instrumented crate, so its races report
-#   truthfully. scripts/tsan.supp tolerates the one known libtest
-#   harness artifact.
+#   *inside* std (Mutex critical sections, Arc refcount fences, the
+#   libtest harness) is invisible to TSan. scripts/tsan.supp tolerates
+#   the known reports of that kind; the cell's own pointer store and
+#   load are compiled into the instrumented crate, so a race between
+#   them still reports.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -39,24 +28,14 @@ if ! rustup run nightly rustc --version >/dev/null 2>&1; then
     exit 0
 fi
 
-# The stress suite's full-fat iteration counts are sized for an
-# uninstrumented binary; TSan explores interleavings, not counts, so
-# trim them. A separate target dir keeps instrumented artifacts from
-# poisoning the normal build cache.
+# A separate target dir keeps instrumented artifacts from poisoning the
+# normal build cache.
 export RUSTFLAGS="-Zsanitizer=thread -Cunsafe-allow-abi-mismatch=sanitizer ${RUSTFLAGS:-}"
 export CARGO_TARGET_DIR="target/tsan"
-export DEQUE_STRESS_ITERS="${DEQUE_STRESS_ITERS:-5000}"
-export RCACHE_STRESS_ITERS="${RCACHE_STRESS_ITERS:-64}"
 export TSAN_OPTIONS="suppressions=$(pwd)/scripts/tsan.supp ${TSAN_OPTIONS:-}"
 
 rustup run nightly cargo test \
     --target x86_64-unknown-linux-gnu \
-    -p serve --test deque_stress -- --test-threads=1 --skip lockfree_pool
+    -p ctl --lib swap::
 
-echo "tsan: deque stress suite clean"
-
-rustup run nightly cargo test \
-    --target x86_64-unknown-linux-gnu \
-    -p rcache --test stress -- --test-threads=1
-
-echo "tsan: rcache stress suite clean"
+echo "tsan: ctl::swap suite clean"

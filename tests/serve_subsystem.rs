@@ -1,8 +1,11 @@
 //! Integration: the `serve` subsystem end to end — concurrent clients
 //! against the full server stack (pool + cache + admission), the
-//! compute-once guarantee observed from outside the crate, and the
+//! compute-once guarantee observed from outside the crate, answers
+//! and cache counts that do not depend on the scheduler, and the
 //! graceful-shutdown contract that no accepted request is ever dropped.
 
+use proptest::prelude::*;
+use serve::pool::Scheduler;
 use serve::server::SubmitError;
 use serve::{CourseServer, Request, ServerConfig, ThreadPool};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -162,4 +165,93 @@ fn server_grades_like_the_autograder_itself() {
         .wait();
     assert!(via_server.ok);
     assert_eq!(via_server.body, direct);
+}
+
+/// The request pool the scheduler-parity stream draws from: small
+/// deterministic key spaces across three request kinds, so streams
+/// repeat keys often enough that compute-once is what gets compared.
+fn request_from(code: u8) -> Request {
+    match code % 9 {
+        s @ 0..=3 => Request::Homework {
+            generator: "binary_arithmetic".into(),
+            seed: u64::from(s),
+        },
+        s @ 4..=6 => Request::Homework {
+            generator: "fork_puzzle".into(),
+            seed: u64::from(s - 4),
+        },
+        s => Request::Life {
+            w: 8,
+            h: 8,
+            steps: 4,
+            seed: u64::from(s - 7),
+        },
+    }
+}
+
+/// Runs one request stream against a fresh server and returns the
+/// response bodies (in stream order) plus the cache's (hits, misses).
+fn run_stream(stream: &[u8], scheduler: Scheduler) -> (Vec<String>, u64, u64) {
+    let server = CourseServer::new(ServerConfig {
+        workers: 2,
+        queue_capacity: 256,
+        scheduler,
+        ..ServerConfig::default()
+    });
+    let tickets: Vec<_> = stream
+        .iter()
+        .map(|&c| {
+            server
+                .submit(request_from(c))
+                .expect("queue sized for stream")
+        })
+        .collect();
+    let bodies: Vec<String> = tickets
+        .into_iter()
+        .map(|t| {
+            let resp = t.wait();
+            assert!(resp.ok, "{}", resp.body);
+            resp.body
+        })
+        .collect();
+    server.shutdown();
+    let st = server.stats();
+    (bodies, st.cache.hits, st.cache.misses)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// For any request stream, the work-stealing and priority-lane
+    /// servers produce identical response bodies, one compute per
+    /// distinct key (misses == distinct keys), and one hit per repeat.
+    #[test]
+    fn bodies_and_cache_counts_agree_under_every_server_scheduler(
+        stream in prop::collection::vec(any::<u8>(), 1..24)
+    ) {
+        let distinct = {
+            let mut keys: Vec<Request> = stream.iter().map(|&c| request_from(c)).collect();
+            keys.sort_by_key(|r| format!("{r:?}"));
+            keys.dedup();
+            keys.len() as u64
+        };
+        let mut reference: Option<Vec<String>> = None;
+        for scheduler in [Scheduler::WorkStealing, Scheduler::PriorityLanes] {
+            let (bodies, hits, misses) = run_stream(&stream, scheduler);
+            prop_assert_eq!(
+                misses, distinct,
+                "{}: each distinct request computes exactly once",
+                scheduler
+            );
+            prop_assert_eq!(hits, stream.len() as u64 - distinct);
+            match &reference {
+                None => reference = Some(bodies),
+                Some(expect) => prop_assert_eq!(
+                    &bodies, expect,
+                    "{} diverged from the reference bodies",
+                    scheduler
+                ),
+            }
+        }
+    }
 }
