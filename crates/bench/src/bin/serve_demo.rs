@@ -6,12 +6,10 @@
 //! cargo run -p bench --bin serve_demo -- 4 100 fifo      # shared-FIFO baseline pool
 //! cargo run -p bench --bin serve_demo -- 4 100 priority  # class-aware priority lanes
 //! cargo run -p bench --bin serve_demo -- 4 100 net       # over TCP: server + loadgen
-//! cargo run -p bench --bin serve_demo -- 4 100 net-epoll # same, epoll reactor front end
-//! cargo run -p bench --bin serve_demo -- 4 100 net-epoll --conns 2,8,32  # sweep mode
+//! cargo run -p bench --bin serve_demo -- 4 100 net --conns 2,8,32  # sweep mode
 //! cargo run -p bench --bin serve_demo -- 4 100 stats     # net mode + Op::Stats snapshot
 //! cargo run -p bench --bin serve_demo -- 4 100 router 3  # 3 backend *processes* + router
 //! cargo run -p bench --bin serve_demo -- 4 100 router 7401,7402  # explicit backend ports
-//! cargo run -p bench --bin serve_demo -- 4 100 router-epoll 3    # pooled reactor links
 //! cargo run -p bench --bin serve_demo -- 4 100 router 2 --ctl secret  # + live-resize loop
 //! cargo run -p bench --bin serve_demo -- ctl 127.0.0.1:7400 secret view  # one-shot admin op
 //! ```
@@ -54,11 +52,11 @@ done:
 ";
 
 const USAGE: &str = "usage: serve_demo [clients] [requests] \
-                     [steal|fifo|priority|net|net-epoll|stats\
-                     |router|router-epoll [N|port,port,...] [--ctl <token>]]\n\
-                     net and net-epoll accept a connection-count sweep: \
+                     [steal|fifo|priority|net|stats\
+                     |router [N|port,port,...] [--ctl <token>]]\n\
+                     net accepts a connection-count sweep: \
                      --conns a,b,c,... (strictly increasing)\n\
-                     router modes with --ctl read resize commands from stdin: \
+                     router with --ctl reads resize commands from stdin: \
                      join <port> | drain <id> | remove <id> | view | load | quit\n\
                      or: serve_demo ctl <router-addr> <token> \
                      view|join <addr>|drain <id>|remove <id>";
@@ -105,21 +103,12 @@ fn snapshot_counter(snapshot: &str, name: &str) -> u64 {
 /// heavy-tail class mix. With `stats`, the demo additionally asks the
 /// live server for its metrics snapshot over the wire (`Op::Stats`)
 /// and cross-checks the registry mirrors against the bespoke ledgers.
-/// `net-epoll` runs the identical demo with the socket front end on
-/// the 2-shard readiness reactor instead of blocking thread pairs —
-/// same ledgers, same assertions, different engine. With
-/// `--conns a,b,c,...` the single burst becomes a connection-count
+/// With `--conns a,b,c,...` the single burst becomes a connection-count
 /// sweep ([`net::loadgen::sweep`]): total work is held constant while
 /// the connection count walks the list, one wall-clock row per point.
-fn net_mode(
-    connections: u64,
-    per_connection: u64,
-    stats: bool,
-    io: net::server::Io,
-    sweep: Option<Vec<usize>>,
-) {
+fn net_mode(connections: u64, per_connection: u64, stats: bool, sweep: Option<Vec<usize>>) {
     use net::loadgen::{self, LoadConfig, Mode};
-    use net::server::{Io, NetConfig, NetServer};
+    use net::server::{NetConfig, NetServer};
 
     let course = CourseServer::with_experiments(
         ServerConfig {
@@ -130,10 +119,7 @@ fn net_mode(
         },
         vec![("e5".to_string(), bench::e5_tlb_eat as ExperimentFn)],
     );
-    let mut config = NetConfig {
-        io,
-        ..NetConfig::default()
-    };
+    let mut config = NetConfig::default();
     if let Some(conns) = &sweep {
         // Size the admission cap to the widest sweep point, so the
         // sweep measures the engine, not connection refusals.
@@ -141,16 +127,12 @@ fn net_mode(
     }
     let srv = NetServer::bind("127.0.0.1:0", course, config)
         .unwrap_or_else(|e| bail(&format!("cannot bind a loopback socket: {e}")));
-    let mode_name = match (stats, io) {
-        (true, _) => "stats",
-        (false, Io::Blocking) => "net",
-        (false, Io::Readiness { .. }) => "net-epoll",
-    };
+    let mode_name = if stats { "stats" } else { "net" };
 
     if let Some(conns) = sweep {
         println!(
             "serve_demo {mode_name}: sweeping connections {conns:?} at constant total work \
-             ({} requests) against {} ({io:?} sockets)\n",
+             ({} requests) against {}\n",
             connections * per_connection,
             srv.local_addr()
         );
@@ -208,7 +190,7 @@ fn net_mode(
 
     println!(
         "serve_demo {mode_name}: {connections} connections x {per_connection} requests against \
-         {} (4 workers, priority lanes, queue 8, {io:?} sockets)\n",
+         {} (4 workers, priority lanes, queue 8)\n",
         srv.local_addr()
     );
     let report = loadgen::run(
@@ -466,7 +448,7 @@ fn parse_backend_spec(arg: Option<&String>) -> BackendSpec {
     }
 }
 
-/// Parses everything after `router`/`router-epoll`: an optional
+/// Parses everything after `router`: an optional
 /// backend spec, then an optional `--ctl <token>` enabling the admin
 /// surface and the stdin resize loop. Anything else is a usage error.
 fn parse_router_tail(tail: &[String]) -> (BackendSpec, Option<String>) {
@@ -501,20 +483,15 @@ fn parse_router_tail(tail: &[String]) -> (BackendSpec, Option<String>) {
 /// consistent-hashing the default class mix across them, and a loadgen
 /// burst through the front door. Afterwards the merged `Op::Stats`
 /// snapshot is fetched through the router and the fleet-wide admission
-/// ledgers are checked for balance. `router-epoll` runs the same
-/// topology with the router's backend links on the readiness reactor,
-/// two pooled connections per backend — same ledger assertions. With
-/// `ctl_token`, the burst is followed by a stdin resize loop driving
-/// the control plane live.
+/// ledgers are checked for balance. With `ctl_token`, the burst is
+/// followed by a stdin resize loop driving the control plane live.
 fn router_mode(
     connections: u64,
     per_connection: u64,
     spec: BackendSpec,
-    io: net::server::Io,
     ctl_token: Option<String>,
 ) {
     use net::loadgen::{self, call_once, LoadConfig, Mode};
-    use net::server::Io;
     use net::wire::{
         encode_ctl_drain, encode_ctl_join, encode_ctl_remove, encode_ctl_view, RespStatus,
         ROUTER_BACKEND_ID,
@@ -538,28 +515,18 @@ fn router_mode(
         children.push(child);
     }
 
-    let pool_size = match io {
-        Io::Blocking => 1,
-        Io::Readiness { .. } => 2,
-    };
     let rt = Router::bind(
         "127.0.0.1:0",
         &addrs,
         RouterConfig {
-            io,
-            pool_size,
             ctl_token: ctl_token.clone(),
             ..RouterConfig::default()
         },
     )
     .unwrap_or_else(|e| bail(&format!("cannot bind the router: {e}")));
     println!(
-        "serve_demo {}: {connections} connections x {per_connection} requests through \
-         {} over {} backend processes {addrs:?} ({io:?} links x{pool_size})\n",
-        match io {
-            Io::Blocking => "router",
-            Io::Readiness { .. } => "router-epoll",
-        },
+        "serve_demo router: {connections} connections x {per_connection} requests through \
+         {} over {} backend processes {addrs:?}\n",
         rt.local_addr(),
         addrs.len(),
     );
@@ -750,9 +717,8 @@ fn main() {
         ctl_mode(&args[1..]);
     }
     let sweep_conns: Option<Vec<usize>> = if args.get(3).map(String::as_str) == Some("--conns") {
-        match args.get(2).map(String::as_str) {
-            Some("net") | Some("net-epoll") => {}
-            _ => bail("--conns applies only to the net and net-epoll modes"),
+        if args.get(2).map(String::as_str) != Some("net") {
+            bail("--conns applies only to the net mode");
         }
         let list = args
             .get(4)
@@ -761,11 +727,8 @@ fn main() {
     } else {
         None
     };
-    let is_router = matches!(
-        args.get(2).map(String::as_str),
-        Some("router") | Some("router-epoll")
-    );
-    // Router modes validate their own tail (spec + --ctl) in
+    let is_router = args.get(2).map(String::as_str) == Some("router");
+    // The router mode validates its own tail (spec + --ctl) in
     // parse_router_tail; everything else is positional.
     let max_args = if sweep_conns.is_some() {
         5
@@ -792,40 +755,11 @@ fn main() {
         None | Some("steal") => Scheduler::WorkStealing,
         Some("fifo") => Scheduler::SharedFifo,
         Some("priority") => Scheduler::PriorityLanes,
-        Some("net") => {
-            return net_mode(
-                clients,
-                per_client,
-                false,
-                net::server::Io::Blocking,
-                sweep_conns,
-            )
-        }
-        Some("net-epoll") => {
-            return net_mode(
-                clients,
-                per_client,
-                false,
-                net::server::Io::Readiness { shards: 2 },
-                sweep_conns,
-            )
-        }
-        Some("stats") => {
-            return net_mode(clients, per_client, true, net::server::Io::Blocking, None)
-        }
+        Some("net") => return net_mode(clients, per_client, false, sweep_conns),
+        Some("stats") => return net_mode(clients, per_client, true, None),
         Some("router") => {
             let (spec, token) = parse_router_tail(&args[3..]);
-            return router_mode(clients, per_client, spec, net::server::Io::Blocking, token);
-        }
-        Some("router-epoll") => {
-            let (spec, token) = parse_router_tail(&args[3..]);
-            return router_mode(
-                clients,
-                per_client,
-                spec,
-                net::server::Io::Readiness { shards: 1 },
-                token,
-            );
+            return router_mode(clients, per_client, spec, token);
         }
         Some(other) => bail(&format!("unknown mode {other:?}")),
     };

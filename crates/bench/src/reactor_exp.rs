@@ -1,31 +1,23 @@
-//! E18 — the connection engines compared: blocking thread-per-
-//! connection vs the N-shard epoll reactor (`net::reactor`, PR 8).
+//! E18 — the connection engine at scale: the N-shard epoll reactor
+//! (`net::reactor`) behind `NetServer`.
 //!
 //! Two questions, answered separately because they fail differently:
 //!
 //! * **Part A — the throughput sweep.** The same offered work
 //!   ([`loadgen::sweep`] holds total fresh requests constant) driven
-//!   at a growing connection count against two otherwise-identical
-//!   servers, one per [`Io`] engine. At low concurrency the blocking
-//!   engine's dedicated reader/writer pair is the cheaper path (no
-//!   shared event loop between a socket and its bytes); as
-//!   connections multiply, the blocking engine pays two OS threads
-//!   per socket while the reactor's thread count stays at `shards` —
-//!   the crossover EXPERIMENTS.md publishes. Wall-clock rows on a
-//!   shared host are noisy, so the sweep asserts only conservation
-//!   (every request answered); the *structural* claim lives in
-//!   Part B.
+//!   at a growing connection count against one server. Wall-clock rows
+//!   on a shared host are noisy, so the sweep asserts only
+//!   conservation (every request answered, no broken connection); the
+//!   *structural* claim lives in Part B.
 //!
 //! * **Part B — the idle-connection soak.** Thread count is read from
 //!   `/proc/self/status` before bind and after N idle connections are
-//!   established. The blocking engine's growth is linear by
-//!   construction (`2·conns + acceptor`); the reactor holds 10× the
-//!   connections at `shards + acceptor` threads, flat in N. This is
-//!   the claim the readiness engine exists for, and it is asserted
-//!   exactly, not statistically.
+//!   established. The reactor holds 1000 connections at
+//!   `shards + acceptor` threads, flat in N. This is the claim the
+//!   engine exists for, and it is asserted exactly, not statistically.
 
 use net::loadgen::{self, ClassLoad, LoadConfig, LoadReport, Mode, OpTemplate};
-use net::server::{Io, NetConfig, NetServer};
+use net::server::{NetConfig, NetServer};
 use serve::pool::JobClass;
 use serve::server::{CourseServer, ExperimentFn, ServerConfig};
 use std::net::TcpStream;
@@ -38,7 +30,7 @@ pub struct ReactorParams {
     pub workers: usize,
     /// Admission capacity (queued + running).
     pub queue_capacity: usize,
-    /// Reactor shard count for the readiness engine.
+    /// Reactor shard count.
     pub shards: usize,
     /// Connection counts swept in Part A (strictly increasing).
     pub sweep_conns: Vec<usize>,
@@ -50,18 +42,15 @@ pub struct ReactorParams {
     pub service: Duration,
     /// Experiment-id variants (cache-busting).
     pub variants: u64,
-    /// Idle connections the blocking engine soaks in Part B.
-    pub soak_blocking_conns: usize,
-    /// Idle connections the readiness engine soaks in Part B (the
-    /// ≥10× claim is against `soak_blocking_conns`).
-    pub soak_readiness_conns: usize,
+    /// Idle connections soaked in Part B.
+    pub soak_conns: usize,
     /// Loadgen seed.
     pub seed: u64,
 }
 
 /// The published E18 configuration: 4 workers behind a queue of 32,
 /// a 2-shard reactor, 384 requests of 500µs work swept across
-/// 2→128 connections, and a 100-vs-1000 idle-connection soak.
+/// 2→128 connections, and a 1000-idle-connection soak.
 pub fn reactor_params() -> ReactorParams {
     ReactorParams {
         workers: 4,
@@ -72,8 +61,7 @@ pub fn reactor_params() -> ReactorParams {
         pipeline: 4,
         service: Duration::from_micros(500),
         variants: 512,
-        soak_blocking_conns: 100,
-        soak_readiness_conns: 1000,
+        soak_conns: 1000,
         seed: 0xE18,
     }
 }
@@ -83,21 +71,19 @@ fn sleep_500us() -> String {
     "r".to_string()
 }
 
-/// One sweep point's outcome under one engine.
+/// One sweep point's outcome.
 #[derive(Debug)]
 pub struct SweepRow {
-    /// The engine measured.
-    pub io: Io,
     /// Connection count for this point.
     pub conns: usize,
     /// The client-side report.
     pub report: LoadReport,
 }
 
-/// Runs the Part A sweep under `io` and returns one row per
-/// connection count, all against a single server instance (the
-/// engine's cost structure, not bind/teardown, is what is swept).
-pub fn run_sweep(io: Io, p: &ReactorParams) -> Vec<SweepRow> {
+/// Runs the Part A sweep and returns one row per connection count, all
+/// against a single server instance (the engine's cost structure, not
+/// bind/teardown, is what is swept).
+pub fn run_sweep(p: &ReactorParams) -> Vec<SweepRow> {
     let max_conns = p.sweep_conns.iter().copied().max().unwrap_or(1);
     let mut experiments: Vec<(String, ExperimentFn)> = Vec::new();
     for k in 0..p.variants {
@@ -116,7 +102,7 @@ pub fn run_sweep(io: Io, p: &ReactorParams) -> Vec<SweepRow> {
         course,
         NetConfig {
             max_connections: max_conns + 8,
-            io,
+            shards: p.shards,
             ..NetConfig::default()
         },
     )
@@ -144,7 +130,7 @@ pub fn run_sweep(io: Io, p: &ReactorParams) -> Vec<SweepRow> {
     };
     let rows = loadgen::sweep(srv.local_addr(), &base, &p.sweep_conns)
         .into_iter()
-        .map(|(conns, report)| SweepRow { io, conns, report })
+        .map(|(conns, report)| SweepRow { conns, report })
         .collect();
     srv.shutdown();
     rows
@@ -154,8 +140,6 @@ pub fn run_sweep(io: Io, p: &ReactorParams) -> Vec<SweepRow> {
 /// connections.
 #[derive(Debug, Clone, Copy)]
 pub struct SoakOutcome {
-    /// The engine soaked.
-    pub io: Io,
     /// Idle connections held open.
     pub conns: usize,
     /// `/proc/self/status` thread count before the server was bound.
@@ -182,11 +166,11 @@ pub fn thread_count() -> usize {
         .expect("Threads: line in /proc/self/status")
 }
 
-/// Opens `conns` idle connections against a fresh server under `io`,
-/// waits until the server has accepted every one, and reports the
-/// thread-count growth. Read timeouts are set generously so idle
-/// connections are not reaped mid-measurement.
-pub fn idle_soak(io: Io, conns: usize, p: &ReactorParams) -> SoakOutcome {
+/// Opens `conns` idle connections against a fresh server, waits until
+/// the server has accepted every one, and reports the thread-count
+/// growth. The idle bound is set generously so idle connections are
+/// not reaped mid-measurement.
+pub fn idle_soak(conns: usize, p: &ReactorParams) -> SoakOutcome {
     let course = CourseServer::with_experiments(
         ServerConfig {
             workers: p.workers,
@@ -202,7 +186,7 @@ pub fn idle_soak(io: Io, conns: usize, p: &ReactorParams) -> SoakOutcome {
         NetConfig {
             max_connections: conns + 8,
             read_timeout: Duration::from_secs(120),
-            io,
+            shards: p.shards,
             ..NetConfig::default()
         },
     )
@@ -212,8 +196,8 @@ pub fn idle_soak(io: Io, conns: usize, p: &ReactorParams) -> SoakOutcome {
     for _ in 0..conns {
         held.push(TcpStream::connect(addr).expect("idle connection"));
     }
-    // Accepts (and, under Io::Blocking, the thread spawns) race this
-    // thread; wait for the server's own ledger to reach N.
+    // Accepts race this thread; wait for the server's own ledger to
+    // reach N.
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let st = srv.net_stats();
@@ -232,17 +216,9 @@ pub fn idle_soak(io: Io, conns: usize, p: &ReactorParams) -> SoakOutcome {
     drop(held);
     srv.shutdown();
     SoakOutcome {
-        io,
         conns,
         threads_before,
         threads_at_peak,
-    }
-}
-
-fn engine_name(io: Io) -> &'static str {
-    match io {
-        Io::Blocking => "blocking",
-        Io::Readiness { .. } => "readiness",
     }
 }
 
@@ -259,70 +235,58 @@ pub fn sent(r: &LoadReport) -> u64 {
 /// Runs both parts of E18 and renders the published tables.
 pub fn render(p: &ReactorParams) -> String {
     let mut out = format!(
-        "E18: connection engines — blocking thread-per-connection vs the\n\
-         {}-shard epoll reactor ({} workers, queue {}; {} requests of\n\
-         {:?} sleep-modeled work per sweep point, closed loop window {})\n\n\
+        "E18: the connection engine at scale — the {}-shard epoll reactor\n\
+         ({} workers, queue {}; {} requests of {:?} sleep-modeled work per\n\
+         sweep point, closed loop window {})\n\n\
          Part A — equal offered work across a growing connection count:\n\n",
         p.shards, p.workers, p.queue_capacity, p.total_requests, p.service, p.pipeline,
     );
     out.push_str(&format!(
-        "{:>6} {:<11} {:>9} {:>10} {:>9} {:>9} {:>9}\n",
-        "conns", "engine", "wall", "reqs/s", "p50", "p99", "answered"
+        "{:>6} {:>9} {:>10} {:>9} {:>9} {:>9}\n",
+        "conns", "wall", "reqs/s", "p50", "p99", "answered"
     ));
-    let readiness = Io::Readiness { shards: p.shards };
-    let blocking_rows = run_sweep(Io::Blocking, p);
-    let readiness_rows = run_sweep(readiness, p);
-    for (b, r) in blocking_rows.iter().zip(&readiness_rows) {
-        for row in [b, r] {
-            let done = completed(&row.report);
-            let cls = row.report.class(JobClass::Interactive);
-            out.push_str(&format!(
-                "{:>6} {:<11} {:>7.2}s {:>10.0} {:>7}us {:>7}us {:>4}/{:<4}\n",
-                row.conns,
-                engine_name(row.io),
-                row.report.elapsed.as_secs_f64(),
-                done as f64 / row.report.elapsed.as_secs_f64().max(1e-9),
-                cls.p50_us,
-                cls.p99_us,
-                done,
-                sent(&row.report),
-            ));
-        }
-    }
-    out.push_str(
-        "\n(equal work, conserved at every point: answered == sent under\n\
-         both engines. Wall-clock rows are published as measured and not\n\
-         asserted — on a single-CPU host thread-scheduling jitter outweighs\n\
-         the engines' own costs and the ranking can trade places run to\n\
-         run; the structural difference between the engines is Part B's)\n",
-    );
-
-    let soak_b = idle_soak(Io::Blocking, p.soak_blocking_conns, p);
-    let soak_r = idle_soak(readiness, p.soak_readiness_conns, p);
-    out.push_str(&format!(
-        "\nPart B — idle-connection soak (threads from /proc/self/status):\n\n\
-         {:>10} {:>7} {:>15} {:>13} {:>13}\n",
-        "engine", "conns", "threads before", "at peak", "added"
-    ));
-    for s in [&soak_b, &soak_r] {
+    for row in run_sweep(p) {
+        let done = completed(&row.report);
+        let cls = row.report.class(JobClass::Interactive);
         out.push_str(&format!(
-            "{:>10} {:>7} {:>15} {:>13} {:>13}\n",
-            engine_name(s.io),
-            s.conns,
-            s.threads_before,
-            s.threads_at_peak,
-            s.delta(),
+            "{:>6} {:>7.2}s {:>10.0} {:>7}us {:>7}us {:>4}/{:<4}\n",
+            row.conns,
+            row.report.elapsed.as_secs_f64(),
+            done as f64 / row.report.elapsed.as_secs_f64().max(1e-9),
+            cls.p50_us,
+            cls.p99_us,
+            done,
+            sent(&row.report),
         ));
     }
+    out.push_str(
+        "\n(equal work, conserved at every point: answered == sent.\n\
+         Wall-clock rows are published as measured and not asserted — on\n\
+         a shared host thread-scheduling jitter outweighs the engine's own\n\
+         costs; the structural claim is Part B's)\n",
+    );
+
+    let soak = idle_soak(p.soak_conns, p);
     out.push_str(&format!(
-        "\nreadiness held {}x the blocking engine's connections on {} added\n\
-         threads vs {} — per-connection thread cost {:.3} vs {:.2}; the\n\
-         reactor's thread count is `shards`, flat in connection count\n",
-        soak_r.conns / soak_b.conns.max(1),
-        soak_r.delta(),
-        soak_b.delta(),
-        soak_r.delta() as f64 / soak_r.conns as f64,
-        soak_b.delta() as f64 / soak_b.conns as f64,
+        "\nPart B — idle-connection soak (threads from /proc/self/status):\n\n\
+         {:>7} {:>15} {:>13} {:>13}\n\
+         {:>7} {:>15} {:>13} {:>13}\n",
+        "conns",
+        "threads before",
+        "at peak",
+        "added",
+        soak.conns,
+        soak.threads_before,
+        soak.threads_at_peak,
+        soak.delta(),
+    ));
+    out.push_str(&format!(
+        "\nthe reactor held {} idle connections on {} added threads —\n\
+         per-connection thread cost {:.3}; its thread count is `shards` +\n\
+         the acceptor, flat in connection count\n",
+        soak.conns,
+        soak.delta(),
+        soak.delta() as f64 / soak.conns as f64,
     ));
     out
 }

@@ -203,7 +203,7 @@ pub fn run_kill_one(p: &RouterParams) -> KillOutcome {
         "127.0.0.1:0",
         &addrs,
         RouterConfig {
-            backend_read_timeout: Duration::from_millis(500),
+            stall_timeout: Duration::from_millis(500),
             ..RouterConfig::default()
         },
     )

@@ -12,17 +12,21 @@
 //!   instead of dying at the process boundary. Decoding is total:
 //!   corrupt or truncated frames return typed [`wire::WireError`]s,
 //!   never panic (property-tested in `tests/wire_props.rs`).
-//! * [`server`] — a blocking `std::net` front end: one acceptor, a
-//!   reader and a writer thread per connection. The reader submits
-//!   and never waits; completions flow through
-//!   `serve::server::Ticket::on_ready` callbacks into the writer's
-//!   outbound queue, so pipelined requests complete **out of order by
-//!   id** and a slow bulk job cannot convoy an interactive response.
-//!   Connection-cap shedding at accept time, read/write timeouts, and
-//!   a stop-accept → drain → FIN shutdown that loses no admitted
-//!   request — even under injected wire faults
-//!   (`serve::fault::FaultPoint::NetReadFrame` /
+//! * [`server`] — the front end: one acceptor and the [`reactor`]'s
+//!   epoll shards, so thread count is fixed however many connections
+//!   are open. A shard decodes and submits and never waits;
+//!   completions flow through `serve::server::Ticket::on_ready`
+//!   callbacks into the connection's send queue, so pipelined
+//!   requests complete **out of order by id** and a slow bulk job
+//!   cannot convoy an interactive response. Connection-cap shedding
+//!   at accept time, idle and flush bounds, and a stop-accept → drain
+//!   → FIN shutdown that loses no admitted request — even under
+//!   injected wire faults (`serve::fault::FaultPoint::NetReadFrame` /
 //!   `NetWriteFrame` stalls and drops).
+//! * [`reactor`] — the connection engine under both the front end and
+//!   the router: N shard threads over nonblocking sockets, with
+//!   per-connection send queues, backpressure, and the GoAway/drain/
+//!   FIN contract.
 //! * [`loadgen`] — a multi-connection client driving open- or
 //!   closed-loop load with a heavy-tail class mix, honoring retry
 //!   hints, and reporting per-class p50/p99/max latency: the tool
@@ -43,7 +47,7 @@
 //! ```
 
 // `deny` (not `forbid`) so exactly one module — [`sys`], the raw
-// epoll/eventfd syscall shims behind the readiness reactor — can
+// epoll/eventfd syscall shims behind the reactor — can
 // `allow(unsafe_code)`. Everything else in the crate still refuses
 // `unsafe`.
 #![deny(unsafe_code)]
@@ -56,5 +60,5 @@ pub mod sys;
 pub mod wire;
 
 pub use loadgen::{ClassLoad, LoadConfig, LoadReport, Mode, OpTemplate};
-pub use server::{Io, NetConfig, NetServer, NetStats};
+pub use server::{NetConfig, NetServer, NetStats};
 pub use wire::{Frame, RequestFrame, RespStatus, ResponseFrame, WireError};

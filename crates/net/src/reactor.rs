@@ -1,6 +1,6 @@
-//! The readiness engine: N shard threads, each running an epoll loop
-//! over nonblocking sockets, replacing the two-blocking-threads-per-
-//! connection anatomy that caps realistic connection counts.
+//! The connection engine: N shard threads, each running an epoll loop
+//! over nonblocking sockets, so thread count is `shards` however many
+//! connections are open.
 //!
 //! One shard owns each connection for its whole life, so all handler
 //! callbacks for a connection run on one thread and need no locking of
@@ -10,7 +10,8 @@
 //!   `TcpStream`, a streaming [`FrameAssembler`] for incremental frame
 //!   reassembly (a 1-byte trickle is fine), a partially-written
 //!   outbound frame with resume offset, and the epoll interest mask
-//!   currently armed.
+//!   currently armed. Reads land in one buffer per shard, reused for
+//!   every readable event.
 //! * **Outbound queue with backpressure**: completions enqueue
 //!   pre-encoded frames from any thread via [`ConnHandle::send`]; the
 //!   shard drains them to the socket, re-arming `EPOLLOUT` only on a
@@ -23,23 +24,20 @@
 //!   mailbox entry and signal it. A per-connection `notified` flag
 //!   coalesces storms; sends *from the shard thread itself* skip the
 //!   signal entirely, because the loop re-checks its mailbox before
-//!   sleeping.
-//! * **Drain ordering** (same GoAway/drain/FIN contract as the
-//!   blocking front end): `in_flight` opens before a completion
-//!   callback registers, so "reads done ∧ in_flight == 0 ∧ queue and
-//!   write buffer empty" is only observable when every admitted
-//!   request's response has hit the socket — then the shard half-closes
-//!   with FIN. [`Reactor::sever_reads`] is the readiness analogue of
-//!   `shutdown(Read)`-ing every connection; [`Reactor::wait_drained`]
-//!   blocks until the last FIN.
+//!   sleeping. Connections that talk to each other (a router's client
+//!   and its backend links) therefore hand frames over for free when
+//!   they share a shard.
+//! * **Drain ordering** (the GoAway/drain/FIN contract): `in_flight`
+//!   opens before a completion callback registers, so "reads done ∧
+//!   in_flight == 0 ∧ queue and write buffer empty" is only observable
+//!   when every admitted request's response has hit the socket — then
+//!   the shard half-closes with FIN. [`ConnHandle::close_after_flush`]
+//!   stops one connection's reads; [`Reactor::sever_reads`] does it
+//!   for every connection at once; [`Reactor::wait_drained`] blocks
+//!   until the last FIN.
 //!
 //! The epoll/eventfd syscalls live in [`crate::sys`]; this module is
 //! safe code. DESIGN.md §13 carries the full state-machine argument.
-//!
-//! This module also hosts [`Outbound`], the blocking reader→writer
-//! handoff that `net::server` and `router` previously each owned a
-//! copy of — the blocking baseline and the reactor share one
-//! drain-condition definition, so the shutdown proofs transfer.
 
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::wire::{FrameAssembler, WireError};
@@ -55,8 +53,8 @@ use std::time::{Duration, Instant};
 /// Token reserved for each shard's eventfd waker in its epoll set.
 const WAKER_TOKEN: u64 = u64::MAX;
 
-/// Per-`read` chunk size. 64 KiB covers many coalesced frames per
-/// syscall without a per-connection standing buffer.
+/// Size of each shard's read buffer. 64 KiB covers many coalesced
+/// frames per syscall; one buffer per shard, not per connection.
 const READ_CHUNK: usize = 64 * 1024;
 
 /// Sizing knobs for [`Reactor::new`].
@@ -136,7 +134,7 @@ struct ConnQueue {
     /// Pre-encoded response frames awaiting the socket.
     queue: VecDeque<Vec<u8>>,
     /// Completions registered but not yet enqueued/discarded — the
-    /// same drain guard as the blocking [`Outbound`].
+    /// drain guard.
     in_flight: usize,
     /// No further frames will be dispatched from this connection
     /// (EOF, framing error, handler-requested close, or sever_reads).
@@ -146,7 +144,7 @@ struct ConnQueue {
 }
 
 /// What the shard should do next for a connection, decided under the
-/// queue lock (nonblocking sibling of [`WriterStep`]).
+/// queue lock.
 enum NextOut {
     Frame(Vec<u8>),
     Drained,
@@ -200,7 +198,7 @@ impl ConnHandle {
     /// [`open_in_flight`](ConnHandle::open_in_flight) slot — pass
     /// `true` from completion callbacks so the drain condition stays
     /// honest. Returns `false` if the connection is already dead (the
-    /// frame is discarded, exactly like the blocking writer would).
+    /// frame is discarded).
     pub fn send(&self, bytes: Vec<u8>, completes_in_flight: bool) -> bool {
         let alive = {
             let mut st = self.shared.state.lock().expect("conn queue poisoned");
@@ -390,6 +388,7 @@ impl Reactor {
                             reactor: shard_shared,
                             obs: shard_obs,
                             conns: HashMap::new(),
+                            rbuf: vec![0; READ_CHUNK],
                         };
                         shard
                             .handle
@@ -541,6 +540,9 @@ struct Shard {
     reactor: Arc<ReactorShared>,
     obs: ReactorObs,
     conns: HashMap<u64, Conn>,
+    /// Every readable event on this shard reads into this buffer; the
+    /// assembler copies out what it keeps.
+    rbuf: Vec<u8>,
 }
 
 /// Outcome of one `process_conn` pass.
@@ -686,7 +688,14 @@ impl Shard {
                 // Clear before looking so a send racing this pass
                 // re-notifies rather than being swallowed.
                 conn.shared.notified.store(false, Ordering::Release);
-                drive_conn(conn, &self.epoll, &self.obs, readable, notified)
+                drive_conn(
+                    conn,
+                    &self.epoll,
+                    &self.obs,
+                    &mut self.rbuf,
+                    readable,
+                    notified,
+                )
             }
             None => return, // torn down earlier in this pass
         };
@@ -727,6 +736,7 @@ fn drive_conn(
     conn: &mut Conn,
     epoll: &Epoll,
     obs: &ReactorObs,
+    rbuf: &mut [u8],
     readable: bool,
     notified: bool,
 ) -> Verdict {
@@ -734,7 +744,7 @@ fn drive_conn(
     let mut progress = false;
 
     if readable && conn.read_open {
-        match read_and_dispatch(conn, high_water) {
+        match read_and_dispatch(conn, rbuf, high_water) {
             ReadOutcome::Ok(any) => progress |= any,
             ReadOutcome::Sever => return Verdict::Close(false),
         }
@@ -816,121 +826,6 @@ fn drive_conn(
     Verdict::Keep
 }
 
-/// The blocking reader→writer handoff for one connection — the
-/// baseline (`Io::Blocking`) counterpart of a reactor connection's
-/// queue, shared by `net::server` and `router` (which used to carry
-/// duplicate copies). Same drain contract as the reactor:
-/// `reader_done ∧ in_flight == 0 ∧ queue empty` ⇒ flush and FIN.
-pub struct Outbound {
-    state: Mutex<OutState>,
-    wake: Condvar,
-}
-
-struct OutState {
-    /// Pre-encoded response frames awaiting the socket.
-    queue: VecDeque<Vec<u8>>,
-    /// Tickets submitted whose callbacks have not yet enqueued (or
-    /// discarded) a response.
-    in_flight: usize,
-    /// The reader will submit no further requests.
-    reader_done: bool,
-    /// The connection was severed; discard instead of enqueue.
-    dead: bool,
-}
-
-/// What a blocking writer thread should do next, as decided by
-/// [`Outbound::next_step`].
-pub enum WriterStep {
-    /// Write this frame to the socket.
-    Write(Vec<u8>),
-    /// Reader done, nothing in flight, queue empty: flush and FIN.
-    Drained,
-    /// Connection severed elsewhere.
-    Dead,
-}
-
-impl Outbound {
-    /// A fresh handoff with nothing queued or in flight.
-    pub fn new() -> Arc<Outbound> {
-        Arc::new(Outbound {
-            state: Mutex::new(OutState {
-                queue: VecDeque::new(),
-                in_flight: 0,
-                reader_done: false,
-                dead: false,
-            }),
-            wake: Condvar::new(),
-        })
-    }
-
-    /// Enqueues a frame for the writer (dropped silently if the
-    /// connection is dead — the course-side ledgers already counted
-    /// the request; the response simply has nowhere to go). With
-    /// `completes_in_flight`, also closes an
-    /// [`open_in_flight`](Outbound::open_in_flight) slot.
-    pub fn push(&self, bytes: Vec<u8>, completes_in_flight: bool) {
-        let mut st = self.state.lock().expect("outbound mutex poisoned");
-        if completes_in_flight {
-            st.in_flight -= 1;
-        }
-        if !st.dead {
-            st.queue.push_back(bytes);
-        }
-        drop(st);
-        self.wake.notify_all();
-    }
-
-    /// Declares a completion that will later [`push`](Outbound::push)
-    /// (or discard) a response. Call *before* registering the
-    /// callback, so the writer can never observe "reader done, nothing
-    /// in flight" in the registration gap.
-    pub fn open_in_flight(&self) {
-        self.state
-            .lock()
-            .expect("outbound mutex poisoned")
-            .in_flight += 1;
-    }
-
-    /// The reader will submit no further requests; the writer may FIN
-    /// once in-flight completions resolve and the queue drains.
-    pub fn reader_done(&self) {
-        self.state
-            .lock()
-            .expect("outbound mutex poisoned")
-            .reader_done = true;
-        self.wake.notify_all();
-    }
-
-    /// Severs the connection: queued and future frames are discarded.
-    pub fn mark_dead(&self) {
-        self.state.lock().expect("outbound mutex poisoned").dead = true;
-        self.wake.notify_all();
-    }
-
-    /// Whether the connection has been severed.
-    pub fn is_dead(&self) -> bool {
-        self.state.lock().expect("outbound mutex poisoned").dead
-    }
-
-    /// Blocks until there is a frame to write, the connection has
-    /// drained, or it has died — the writer thread's whole wait loop.
-    pub fn next_step(&self) -> WriterStep {
-        let mut st = self.state.lock().expect("outbound mutex poisoned");
-        loop {
-            if st.dead {
-                return WriterStep::Dead;
-            }
-            if let Some(bytes) = st.queue.pop_front() {
-                return WriterStep::Write(bytes);
-            }
-            if st.reader_done && st.in_flight == 0 {
-                return WriterStep::Drained;
-            }
-            st = self.wake.wait(st).expect("outbound mutex poisoned");
-        }
-    }
-}
-
 enum ReadOutcome {
     /// Read side survived; `bool` = any bytes or frames moved.
     Ok(bool),
@@ -938,17 +833,15 @@ enum ReadOutcome {
     Sever,
 }
 
-fn read_and_dispatch(conn: &mut Conn, high_water: usize) -> ReadOutcome {
-    let mut buf = vec![0u8; READ_CHUNK];
+fn read_and_dispatch(conn: &mut Conn, buf: &mut [u8], high_water: usize) -> ReadOutcome {
     let mut progress = false;
     loop {
-        match (&conn.stream).read(&mut buf) {
+        match (&conn.stream).read(buf) {
             Ok(0) => {
                 // EOF. At a frame boundary this is the client's clean
                 // "no more requests"; mid-frame it is a truncation —
                 // either way reads are done and the drain condition
-                // takes over (matching the blocking reader, which
-                // breaks without an error frame on both).
+                // takes over, without an error frame in either case.
                 conn.read_open = false;
                 conn.shared.mark_read_done();
                 return ReadOutcome::Ok(true);

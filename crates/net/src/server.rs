@@ -1,80 +1,54 @@
-//! The blocking TCP front end around a [`CourseServer`].
+//! The TCP front end around a [`CourseServer`].
 //!
-//! Three kinds of thread, all plain `std::net` blocking I/O:
+//! Two kinds of thread:
 //!
 //! * **one acceptor** — accepts sockets, enforces the connection cap
 //!   at accept time (over cap → a single `GoAway` frame with a retry
 //!   hint, then close: shedding at the socket layer, mirroring what
-//!   admission does at the queue layer), and spawns the per-connection
-//!   pair;
-//! * **a reader per connection** — parses request frames, pins each
-//!   frame's deadline budget to the local clock, and submits to the
-//!   course server. Admission rejections become `RETRY` frames
-//!   *immediately* — backpressure travels the wire instead of blocking
-//!   the socket;
-//! * **a writer per connection** — drains an outbound queue fed by
-//!   [`Ticket::on_ready`] callbacks, so pipelined requests complete
-//!   **out of order by request id**: the reader never waits on a
-//!   ticket, and a slow bulk job cannot convoy a fast grade lookup's
-//!   response.
+//!   admission does at the queue layer), and registers every other
+//!   socket on the reactor;
+//! * **[`NetConfig::shards`] reactor shards** ([`crate::reactor`]) —
+//!   each connection's protocol logic runs as callbacks on its shard:
+//!   parse request frames, pin each frame's deadline budget to the
+//!   local clock, and submit to the course server. Admission
+//!   rejections become `RETRY` frames *immediately* — backpressure
+//!   travels the wire instead of blocking the socket. Completions flow
+//!   back through `serve::server::Ticket::on_ready` callbacks into the
+//!   connection's send queue, so pipelined requests complete **out of
+//!   order by request id**: the shard never waits on a ticket, and a
+//!   slow bulk job cannot convoy a fast grade lookup's response. A
+//!   ready cache hit is answered at admission, on the shard itself.
 //!
-//! The reader→writer contract is the `in_flight` count in
-//! [`Outbound`]: the reader increments it *before* registering the
-//! callback, the callback decrements it when it enqueues (or, on a
-//! dead connection, discards) the response, and the writer only
-//! treats the connection as drained when the reader is done **and**
-//! `in_flight` is zero **and** the queue is empty. That ordering is
-//! why graceful shutdown cannot lose an admitted request: responses
-//! are either written before the FIN or the connection was severed by
-//! a fault — and in both cases the course server's per-class ledgers
-//! still balance (`admitted == completed + shed`), which the
-//! integration tests assert under [`FaultPlan`] wire faults.
+//! The drain contract is the connection's `in_flight` count: the
+//! shard opens it *before* registering the callback, the callback
+//! closes it when it enqueues (or, on a dead connection, discards) the
+//! response, and the connection only FINs once its reads are done
+//! **and** `in_flight` is zero **and** its queue is flushed. That
+//! ordering is why graceful shutdown cannot lose an admitted request:
+//! responses are either written before the FIN or the connection was
+//! severed by a fault — and in both cases the course server's
+//! per-class ledgers still balance (`admitted == completed + shed`),
+//! which the integration tests assert under [`FaultPlan`] wire faults.
 //!
 //! Shutdown ordering (see `DESIGN.md` §9 for the full argument):
-//! stop accepting → wake and join the acceptor → `shutdown(Read)`
-//! every connection (readers see clean EOF and stop submitting) →
-//! drain the course server (every admitted ticket resolves, every
-//! callback fires) → wait for the last writer to flush and FIN.
-//!
-//! That is [`Io::Blocking`], the measurable baseline. Under
-//! [`Io::Readiness`] the same protocol logic — decode, submit,
-//! backpressure frames, out-of-order completion, the GoAway/drain/FIN
-//! shutdown — runs instead as a [`crate::reactor::ConnHandler`] on an
-//! N-shard epoll loop, so thread count stays fixed while connection
-//! count grows (E18 measures the crossover; DESIGN.md §13 has the
-//! state machine). The acceptor, the connection cap, and the course
-//! server integration are shared verbatim between the two modes; the
-//! E2E suite runs its ledger-balance and graceful-drain tests under
-//! both.
+//! stop accepting → wake and join the acceptor → stop reading every
+//! connection ([`Reactor::sever_reads`]) → drain the course server
+//! (every admitted ticket resolves, every callback fires) → wait for
+//! the last connection to flush and FIN → stop the shards.
 
-use crate::reactor::{ConnHandle, ConnHandler, Outbound, Reactor, ReactorConfig, WriterStep};
+use crate::reactor::{ConnHandle, ConnHandler, Reactor, ReactorConfig};
 use crate::wire::{
-    decode_payload, encode_response, read_frame, write_frame, Frame, RequestFrame, RespStatus,
-    ResponseFrame, WireError,
+    decode_payload, encode_response, write_frame, Frame, RequestFrame, RespStatus, ResponseFrame,
+    WireError,
 };
 use serve::fault::{FaultPlan, FaultPoint};
 use serve::server::{CourseServer, SubmitError, SHED_BODY_PREFIX};
-use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufWriter};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How the front end does socket I/O.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Io {
-    /// Two blocking threads (reader + writer) per connection — the
-    /// baseline whose thread count grows linearly with connections.
-    Blocking,
-    /// An N-shard epoll reactor ([`crate::reactor`]): thread count is
-    /// `shards` regardless of connection count.
-    Readiness {
-        /// Event-loop shard count (each is one thread).
-        shards: usize,
-    },
-}
 
 /// Sizing and policy knobs for [`NetServer::bind`].
 #[derive(Debug, Clone)]
@@ -82,13 +56,13 @@ pub struct NetConfig {
     /// Connection cap. Accepts past the cap are shed at the socket:
     /// one `GoAway` frame with a retry hint, then close.
     pub max_connections: usize,
-    /// Per-connection read bound. A reader blocked longer than this
-    /// with no bytes arriving treats the connection as idle-dead and
-    /// closes its half (responses still in flight are still written).
+    /// Per-connection idle bound. A connection with no frame arriving
+    /// for longer than this stops being read and closes once its
+    /// in-flight responses are written.
     pub read_timeout: Duration,
-    /// Per-connection write bound. A writer blocked longer than this
-    /// on one frame (a client that stopped draining) severs the
-    /// connection rather than hold the thread hostage.
+    /// Per-connection flush bound. A connection asked to close whose
+    /// queued responses are still unwritten after this long (a client
+    /// that stopped draining) is severed rather than kept forever.
     pub write_timeout: Duration,
     /// Suggested client backoff on accept-time `GoAway` frames, in ms.
     pub goaway_retry_ms: u64,
@@ -98,17 +72,11 @@ pub struct NetConfig {
     pub backend_id: u32,
     /// Optional seeded wire faults ([`FaultPoint::NetReadFrame`],
     /// [`FaultPoint::NetWriteFrame`]): stalls slow a connection's
-    /// reader/writer, drops sever the socket mid-traffic.
+    /// reads/writes, drops sever the socket mid-traffic.
     pub fault_plan: Option<FaultPlan>,
-    /// Socket I/O engine: blocking thread pairs (default) or the
-    /// N-shard epoll reactor.
-    pub io: Io,
-    /// Shared admin token for the control-plane ops (7–10). `None`
-    /// disables them entirely. A plain backend never acts on ctl ops
-    /// regardless — membership is a router concept and the backend
-    /// answers them with an `Error` pointing there — but the router
-    /// reads this field from *its* config to authenticate operators.
-    pub ctl_token: Option<String>,
+    /// Reactor shard count: each shard is one event-loop thread,
+    /// whatever the number of connections.
+    pub shards: usize,
 }
 
 impl Default for NetConfig {
@@ -120,8 +88,7 @@ impl Default for NetConfig {
             goaway_retry_ms: 100,
             backend_id: 0,
             fault_plan: None,
-            io: Io::Blocking,
-            ctl_token: None,
+            shards: 1,
         }
     }
 }
@@ -194,48 +161,10 @@ impl NetObs {
     }
 }
 
-/// Where a connection's response frames go — the one seam between the
-/// shared protocol logic ([`submit_frame`], [`answer_stats`]) and the
-/// two I/O engines: the blocking writer's [`Outbound`] queue, or a
-/// reactor [`ConnHandle`]. Both already implement the in-flight drain
-/// guard; this trait just erases which one is behind the callback.
-trait RespSink: Clone + Send + 'static {
-    fn push(&self, bytes: Vec<u8>, completes_in_flight: bool);
-    fn open_in_flight(&self);
-}
-
-impl RespSink for Arc<Outbound> {
-    fn push(&self, bytes: Vec<u8>, completes_in_flight: bool) {
-        Outbound::push(self, bytes, completes_in_flight);
-    }
-
-    fn open_in_flight(&self) {
-        Outbound::open_in_flight(self);
-    }
-}
-
-impl RespSink for ConnHandle {
-    fn push(&self, bytes: Vec<u8>, completes_in_flight: bool) {
-        // A dead connection discards, same as the blocking queue.
-        let _ = self.send(bytes, completes_in_flight);
-    }
-
-    fn open_in_flight(&self) {
-        ConnHandle::open_in_flight(self);
-    }
-}
-
 struct Shared {
     course: CourseServer,
     config: NetConfig,
     accepting: AtomicBool,
-    /// Connections whose writer has not yet exited.
-    live: Mutex<usize>,
-    all_closed: Condvar,
-    /// Read-half clones of live sockets, for shutdown(Read) at drain
-    /// time. Writers remove their entry on exit.
-    conns: Mutex<HashMap<u64, TcpStream>>,
-    next_conn_id: AtomicU64,
     accepted_conns: AtomicU64,
     refused_conns: AtomicU64,
     requests: AtomicU64,
@@ -252,8 +181,8 @@ pub struct NetServer {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
     acceptor: Mutex<Option<JoinHandle<()>>>,
-    /// Present under [`Io::Readiness`]; owns the shard threads.
-    reactor: Option<Arc<Reactor>>,
+    /// Owns the shard threads; shared with the acceptor.
+    reactor: Arc<Reactor>,
     shut: AtomicBool,
 }
 
@@ -273,24 +202,17 @@ impl NetServer {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let obs = NetObs::new(course.registry());
-        let reactor = match config.io {
-            Io::Blocking => None,
-            Io::Readiness { shards } => Some(Arc::new(Reactor::new(
-                ReactorConfig {
-                    shards: shards.max(1),
-                    ..ReactorConfig::default()
-                },
-                course.registry(),
-            )?)),
-        };
+        let reactor = Arc::new(Reactor::new(
+            ReactorConfig {
+                shards: config.shards.max(1),
+                ..ReactorConfig::default()
+            },
+            course.registry(),
+        )?);
         let shared = Arc::new(Shared {
             course,
             config,
             accepting: AtomicBool::new(true),
-            live: Mutex::new(0),
-            all_closed: Condvar::new(),
-            conns: Mutex::new(HashMap::new()),
-            next_conn_id: AtomicU64::new(0),
             accepted_conns: AtomicU64::new(0),
             refused_conns: AtomicU64::new(0),
             requests: AtomicU64::new(0),
@@ -300,10 +222,10 @@ impl NetServer {
             obs,
         });
         let accept_shared = Arc::clone(&shared);
-        let accept_reactor = reactor.clone();
+        let accept_reactor = Arc::clone(&reactor);
         let acceptor = std::thread::Builder::new()
             .name("net-acceptor".to_string())
-            .spawn(move || accept_loop(&listener, &accept_shared, accept_reactor.as_deref()))
+            .spawn(move || accept_loop(&listener, &accept_shared, &accept_reactor))
             .expect("spawn acceptor");
         Ok(NetServer {
             shared,
@@ -341,11 +263,12 @@ impl NetServer {
     ///
     /// 1. stop accepting and join the acceptor (woken by a loopback
     ///    connect, since blocking `accept` has no timeout);
-    /// 2. `shutdown(Read)` every live connection — readers see a clean
-    ///    EOF at a frame boundary and stop submitting;
+    /// 2. stop reading every live connection — no further frame is
+    ///    dispatched, so nothing new is submitted;
     /// 3. drain the course server: every admitted ticket resolves,
     ///    every `on_ready` callback delivers its response frame;
-    /// 4. wait for every writer to flush its queue and send FIN.
+    /// 4. wait for every connection to flush its queue and send FIN,
+    ///    then stop the shard threads.
     ///
     /// Idempotent; also runs on drop.
     pub fn shutdown(&self) {
@@ -364,30 +287,12 @@ impl NetServer {
         {
             let _ = handle.join();
         }
-        match &self.reactor {
-            None => {
-                let conns = self.shared.conns.lock().expect("conn table poisoned");
-                for stream in conns.values() {
-                    let _ = stream.shutdown(Shutdown::Read);
-                }
-            }
-            Some(reactor) => reactor.sever_reads(),
-        }
+        self.reactor.sever_reads();
         self.shared.course.shutdown();
-        let mut live = self.shared.live.lock().expect("live counter poisoned");
-        while *live > 0 {
-            live = self
-                .shared
-                .all_closed
-                .wait(live)
-                .expect("live counter poisoned");
-        }
-        drop(live);
-        if let Some(reactor) = &self.reactor {
-            // Every connection is gone (live == 0), so this only stops
-            // and joins the shard threads.
-            reactor.shutdown();
-        }
+        self.reactor.wait_drained();
+        // Every connection is gone, so this only stops and joins the
+        // shard threads.
+        self.reactor.shutdown();
     }
 }
 
@@ -397,7 +302,7 @@ impl Drop for NetServer {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, reactor: Option<&Reactor>) {
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, reactor: &Reactor) {
     loop {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
@@ -412,193 +317,47 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, reactor: Option<&Re
             return;
         }
         let _ = stream.set_nodelay(true);
-        if reactor.is_none() {
-            // Socket timeouts only make sense for blocking I/O; the
-            // reactor enforces idle/write bounds in its tick handler.
-            let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
-            let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-        }
 
         // Connection cap: shed at the socket with an honest GoAway
-        // instead of letting the backlog grow unbounded.
-        {
-            let mut live = shared.live.lock().expect("live counter poisoned");
-            if *live >= shared.config.max_connections {
-                drop(live);
-                shared.refused_conns.fetch_add(1, Ordering::Relaxed);
-                shared.obs.conns_refused.inc();
-                let mut w = BufWriter::new(&stream);
-                let frame = ResponseFrame {
-                    id: 0,
-                    status: RespStatus::GoAway,
-                    retry_after_ms: shared.config.goaway_retry_ms,
-                    backend: shared.config.backend_id,
-                    body: format!(
-                        "connection cap ({}) reached; reconnect later",
-                        shared.config.max_connections
-                    ),
-                };
-                let _ = write_frame(&mut w, &encode_response(&frame));
-                let _ = stream.shutdown(Shutdown::Both);
-                continue;
-            }
-            *live += 1;
+        // instead of letting the backlog grow unbounded. Only this
+        // thread registers connections, so the count cannot race past
+        // the cap.
+        if reactor.conns_live() >= shared.config.max_connections {
+            shared.refused_conns.fetch_add(1, Ordering::Relaxed);
+            shared.obs.conns_refused.inc();
+            let mut w = BufWriter::new(&stream);
+            let frame = ResponseFrame {
+                id: 0,
+                status: RespStatus::GoAway,
+                retry_after_ms: shared.config.goaway_retry_ms,
+                backend: shared.config.backend_id,
+                body: format!(
+                    "connection cap ({}) reached; reconnect later",
+                    shared.config.max_connections
+                ),
+            };
+            let _ = write_frame(&mut w, &encode_response(&frame));
+            let _ = stream.shutdown(Shutdown::Both);
+            continue;
         }
         shared.accepted_conns.fetch_add(1, Ordering::Relaxed);
         shared.obs.conns_accepted.inc();
         shared.obs.conns_live.add(1);
-        match reactor {
-            None => spawn_connection(stream, shared),
-            Some(reactor) => register_connection(stream, shared, reactor),
-        }
-    }
-}
-
-/// Readiness-mode accept path: hand the socket to the reactor with a
-/// [`ServerConnHandler`] owning its protocol logic. The blocking-mode
-/// `conns` table is not used — shutdown severs reads through the
-/// reactor instead.
-fn register_connection(stream: TcpStream, shared: &Arc<Shared>, reactor: &Reactor) {
-    let handler = ServerConnHandler {
-        shared: Arc::clone(shared),
-        last_activity: Instant::now(),
-        closing_since: None,
-    };
-    if reactor.register(stream, Box::new(handler)).is_err() {
-        // Could not switch the socket nonblocking; undo the accept
-        // accounting exactly like the blocking clone-failure path.
-        // (An epoll registration failure on the shard side reports
-        // through on_close(false) instead and needs no undo here.)
-        let mut live = shared.live.lock().expect("live counter poisoned");
-        *live -= 1;
-        drop(live);
-        shared.all_closed.notify_all();
-        shared.accepted_conns.fetch_sub(1, Ordering::Relaxed);
-        shared.dropped_conns.fetch_add(1, Ordering::Relaxed);
-        shared.obs.conns_live.add(-1);
-        shared.obs.conns_dropped.inc();
-    }
-}
-
-fn spawn_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
-    let outbound = Outbound::new();
-
-    let read_half = match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => {
-            // Cannot serve a connection we cannot clone; undo the
-            // accept accounting.
-            let mut live = shared.live.lock().expect("live counter poisoned");
-            *live -= 1;
-            drop(live);
-            shared.all_closed.notify_all();
+        let handler = ServerConnHandler {
+            shared: Arc::clone(shared),
+            last_activity: Instant::now(),
+            closing_since: None,
+        };
+        if reactor.register(stream, Box::new(handler)).is_err() {
+            // Could not switch the socket nonblocking; undo the accept
+            // accounting. (An epoll registration failure on the shard
+            // side reports through on_close(false) instead.)
             shared.accepted_conns.fetch_sub(1, Ordering::Relaxed);
             shared.dropped_conns.fetch_add(1, Ordering::Relaxed);
             shared.obs.conns_live.add(-1);
             shared.obs.conns_dropped.inc();
-            return;
-        }
-    };
-    if let Ok(register) = stream.try_clone() {
-        shared
-            .conns
-            .lock()
-            .expect("conn table poisoned")
-            .insert(conn_id, register);
-    }
-
-    let reader_shared = Arc::clone(shared);
-    let reader_out = Arc::clone(&outbound);
-    let _ = std::thread::Builder::new()
-        .name(format!("net-read-{conn_id}"))
-        .spawn(move || {
-            reader_loop(read_half, &reader_shared, &reader_out);
-        });
-
-    let writer_shared = Arc::clone(shared);
-    let _ = std::thread::Builder::new()
-        .name(format!("net-write-{conn_id}"))
-        .spawn(move || {
-            writer_loop(stream, conn_id, &writer_shared, &outbound);
-        });
-}
-
-/// Parses frames off the socket and submits them; never blocks on a
-/// ticket. Exits on clean EOF, idle timeout, malformed input, an
-/// injected drop, or server shutdown — always marking `reader_done`
-/// so the writer's drain condition can complete.
-fn reader_loop(read_half: TcpStream, shared: &Arc<Shared>, out: &Arc<Outbound>) {
-    let mut reader = BufReader::new(&read_half);
-    loop {
-        let payload = match read_frame(&mut reader) {
-            Ok(Some(payload)) => payload,
-            Ok(None) => break,
-            Err(_) => break,
-        };
-        if out.is_dead() {
-            break;
-        }
-        if let Some(plan) = &shared.config.fault_plan {
-            plan.fire(FaultPoint::NetReadFrame);
-            if plan.should_drop(FaultPoint::NetReadFrame) {
-                shared.dropped_conns.fetch_add(1, Ordering::Relaxed);
-                out.mark_dead();
-                let _ = read_half.shutdown(Shutdown::Both);
-                break;
-            }
-        }
-        let decode_start = Instant::now();
-        let decoded = decode_payload(&payload);
-        shared.obs.decode_us.record_micros(decode_start.elapsed());
-        let frame = match decoded {
-            Ok(Frame::Request(frame)) => frame,
-            Ok(Frame::Stats { id }) => {
-                answer_stats(id, false, shared, out);
-                continue;
-            }
-            Ok(Frame::StatsFull { id }) => {
-                answer_stats(id, true, shared, out);
-                continue;
-            }
-            Ok(
-                Frame::CtlJoin { id, .. }
-                | Frame::CtlDrain { id, .. }
-                | Frame::CtlRemove { id, .. }
-                | Frame::CtlView { id, .. },
-            ) => {
-                answer_ctl_misdirected(id, shared, out);
-                continue;
-            }
-            Ok(Frame::Response(_)) | Err(_) => {
-                // A framing error desynchronizes the byte stream; an
-                // Error frame explains, then the connection closes.
-                shared.malformed.fetch_add(1, Ordering::Relaxed);
-                shared.obs.malformed.inc();
-                let reason = match decode_payload(&payload) {
-                    Err(e) => format!("malformed frame: {e}"),
-                    _ => "protocol error: response frame sent to server".to_string(),
-                };
-                out.push(
-                    encode_response(&ResponseFrame {
-                        id: 0,
-                        status: RespStatus::Error,
-                        retry_after_ms: 0,
-                        backend: shared.config.backend_id,
-                        body: reason,
-                    }),
-                    false,
-                );
-                break;
-            }
-        };
-        shared.requests.fetch_add(1, Ordering::Relaxed);
-        shared.obs.requests.inc();
-        if !submit_frame(frame, shared, out) {
-            break;
         }
     }
-    out.reader_done();
 }
 
 /// Answers an op-3 (`Stats`) or op-4 (`StatsFull`) frame synchronously
@@ -606,7 +365,7 @@ fn reader_loop(read_half: TcpStream, shared: &Arc<Shared>, out: &Arc<Outbound>) 
 /// while the job server is saturated. The snapshot carries the trace
 /// ring's worst spans, so op 3 renders the forensics section and op 4
 /// ships them (with full histogram buckets) to a merging router.
-fn answer_stats<S: RespSink>(id: u64, full: bool, shared: &Arc<Shared>, out: &S) {
+fn answer_stats(id: u64, full: bool, shared: &Arc<Shared>, conn: &ConnHandle) {
     shared.obs.stats_requests.inc();
     let snap = shared
         .course
@@ -618,7 +377,7 @@ fn answer_stats<S: RespSink>(id: u64, full: bool, shared: &Arc<Shared>, out: &S)
     } else {
         snap.render()
     };
-    out.push(
+    conn.send(
         encode_response(&ResponseFrame {
             id,
             status: RespStatus::Ok,
@@ -635,8 +394,8 @@ fn answer_stats<S: RespSink>(id: u64, full: bool, shared: &Arc<Shared>, out: &S)
 /// tier; acting on a misdirected drain here would desynchronize the
 /// fleets. The connection stays open — this is a usage error, not a
 /// framing error.
-fn answer_ctl_misdirected<S: RespSink>(id: u64, shared: &Arc<Shared>, out: &S) {
-    out.push(
+fn answer_ctl_misdirected(id: u64, shared: &Arc<Shared>, conn: &ConnHandle) {
+    conn.send(
         encode_response(&ResponseFrame {
             id,
             status: RespStatus::Error,
@@ -649,18 +408,18 @@ fn answer_ctl_misdirected<S: RespSink>(id: u64, shared: &Arc<Shared>, out: &S) {
 }
 
 /// Hands one decoded request to admission and wires its completion to
-/// the outbound queue. Returns `false` when the connection should
-/// close (server shutting down).
-fn submit_frame<S: RespSink>(frame: RequestFrame, shared: &Arc<Shared>, out: &S) -> bool {
+/// the connection's send queue. Returns `false` when the connection
+/// should close (server shutting down).
+fn submit_frame(frame: RequestFrame, shared: &Arc<Shared>, conn: &ConnHandle) -> bool {
     let meta = frame.meta();
     let id = frame.id;
     match shared.course.submit_with_meta(meta, frame.req) {
         Ok(ticket) => {
-            // Open before registering: the writer must not observe
-            // "reader done, nothing in flight" between callback
+            // Open before registering: the shard must not observe
+            // "reads done, nothing in flight" between callback
             // registration and resolution.
-            out.open_in_flight();
-            let cb_out = out.clone();
+            conn.open_in_flight();
+            let cb_conn = conn.clone();
             let cb_shared = Arc::clone(shared);
             ticket.on_ready(move |resp| {
                 let status = if resp.cached {
@@ -692,12 +451,12 @@ fn submit_frame<S: RespSink>(frame: RequestFrame, shared: &Arc<Shared>, out: &S)
                     .obs
                     .encode_us
                     .record_micros(encode_start.elapsed());
-                cb_out.push(bytes, true);
+                cb_conn.send(bytes, true);
             });
             true
         }
         Err(SubmitError::Busy(rej)) => {
-            out.push(
+            conn.send(
                 encode_response(&ResponseFrame {
                     id,
                     status: RespStatus::Retry,
@@ -713,7 +472,7 @@ fn submit_frame<S: RespSink>(frame: RequestFrame, shared: &Arc<Shared>, out: &S)
             true
         }
         Err(SubmitError::ShuttingDown(_)) => {
-            out.push(
+            conn.send(
                 encode_response(&ResponseFrame {
                     id,
                     status: RespStatus::GoAway,
@@ -728,81 +487,19 @@ fn submit_frame<S: RespSink>(frame: RequestFrame, shared: &Arc<Shared>, out: &S)
     }
 }
 
-/// Drains the outbound queue onto the socket; the only thread that
-/// writes to it, so frames are never interleaved. Owns the connection's
-/// teardown: on exit (drained or severed) it closes the socket,
-/// unregisters it, and decrements the live count.
-fn writer_loop(stream: TcpStream, conn_id: u64, shared: &Arc<Shared>, out: &Arc<Outbound>) {
-    let mut graceful = true;
-    {
-        let mut writer = BufWriter::new(&stream);
-        loop {
-            match out.next_step() {
-                WriterStep::Dead => {
-                    graceful = false;
-                    break;
-                }
-                WriterStep::Drained => break,
-                WriterStep::Write(bytes) => {
-                    if let Some(plan) = &shared.config.fault_plan {
-                        plan.fire(FaultPoint::NetWriteFrame);
-                        if plan.should_drop(FaultPoint::NetWriteFrame) {
-                            shared.dropped_conns.fetch_add(1, Ordering::Relaxed);
-                            shared.obs.conns_dropped.inc();
-                            out.mark_dead();
-                            graceful = false;
-                            break;
-                        }
-                    }
-                    if write_frame(&mut writer, &bytes).is_err() {
-                        // Write timeout or peer reset: sever rather
-                        // than block the thread on a stuck client.
-                        shared.dropped_conns.fetch_add(1, Ordering::Relaxed);
-                        shared.obs.conns_dropped.inc();
-                        out.mark_dead();
-                        graceful = false;
-                        break;
-                    }
-                    shared.responses.fetch_add(1, Ordering::Relaxed);
-                    shared.obs.responses.inc();
-                }
-            }
-        }
-    }
-    if graceful {
-        // All responses written: half-close with FIN so the client
-        // reads a clean EOF after the last frame.
-        let _ = stream.shutdown(Shutdown::Write);
-    } else {
-        // Severed: also unblock our reader, which shares the socket.
-        let _ = stream.shutdown(Shutdown::Both);
-    }
-    shared
-        .conns
-        .lock()
-        .expect("conn table poisoned")
-        .remove(&conn_id);
-    let mut live = shared.live.lock().expect("live counter poisoned");
-    *live -= 1;
-    drop(live);
-    shared.obs.conns_live.add(-1);
-    shared.all_closed.notify_all();
-}
-
-/// Readiness-mode protocol logic for one client connection: the same
-/// decode → submit → backpressure-frame pipeline as [`reader_loop`],
-/// run as reactor callbacks on the connection's shard thread, with
-/// responses flowing back through the [`ConnHandle`] sink instead of a
-/// writer thread.
+/// The protocol logic for one client connection: decode → submit →
+/// backpressure frame, run as reactor callbacks on the connection's
+/// shard thread, with responses flowing back through its
+/// [`ConnHandle`].
 struct ServerConnHandler {
     shared: Arc<Shared>,
-    /// Last time a frame arrived; drives the idle close that the
-    /// blocking reader gets from its socket read timeout.
+    /// Last time a frame arrived; drives the idle close
+    /// ([`NetConfig::read_timeout`]).
     last_activity: Instant,
     /// When a graceful close was requested (idle, GoAway, malformed):
-    /// if the flush has not completed within the write timeout, the
-    /// client is not draining and the connection is severed — the
-    /// reactor analogue of the blocking writer's write timeout.
+    /// if the flush has not completed within
+    /// [`NetConfig::write_timeout`], the client is not draining and the
+    /// connection is severed.
     closing_since: Option<Instant>,
 }
 
@@ -898,7 +595,7 @@ impl ConnHandler for ServerConnHandler {
         self.shared.obs.requests.inc();
         if !submit_frame(frame, &self.shared, conn) {
             // Server shutting down: GoAway already queued; FIN after
-            // the flush, exactly like the blocking reader breaking.
+            // the flush.
             self.begin_close(conn);
         }
     }
@@ -928,8 +625,7 @@ impl ConnHandler for ServerConnHandler {
             }
         } else if self.last_activity.elapsed() > self.shared.config.read_timeout {
             // Idle past the read bound: stop reading; in-flight
-            // responses still flush before the FIN (the blocking
-            // reader's timeout semantics).
+            // responses still flush before the FIN.
             self.begin_close(conn);
         }
     }
@@ -939,10 +635,6 @@ impl ConnHandler for ServerConnHandler {
             self.shared.dropped_conns.fetch_add(1, Ordering::Relaxed);
             self.shared.obs.conns_dropped.inc();
         }
-        let mut live = self.shared.live.lock().expect("live counter poisoned");
-        *live -= 1;
-        drop(live);
         self.shared.obs.conns_live.add(-1);
-        self.shared.all_closed.notify_all();
     }
 }

@@ -44,8 +44,8 @@
 //!
 //! Ops 7–10 are the **control plane**: fleet-membership commands a
 //! router accepts from an operator (`crates/ctl` holds the state
-//! machine). Each carries a shared admin token — compared against
-//! [`crate::server::NetConfig::ctl_token`] — so a loadgen typo cannot
+//! machine). Each carries a shared admin token — compared against the
+//! router's `router::RouterConfig::ctl_token` — so a loadgen typo cannot
 //! drain a backend; a missing or wrong token gets an `Error` response,
 //! never a state change. `CtlView` returns the encoded
 //! `ctl::MembershipEpoch` so polling clients can watch a join be
@@ -288,7 +288,8 @@ pub enum Frame {
     CtlJoin {
         /// Correlation id, echoed on the response.
         id: u64,
-        /// Shared admin token; must match the server's `ctl_token`.
+        /// Shared admin token; must match the router's
+        /// `RouterConfig::ctl_token`.
         token: String,
         /// Address the new backend listens on, e.g. `127.0.0.1:7411`.
         addr: String,
@@ -298,7 +299,8 @@ pub enum Frame {
     CtlDrain {
         /// Correlation id, echoed on the response.
         id: u64,
-        /// Shared admin token; must match the server's `ctl_token`.
+        /// Shared admin token; must match the router's
+        /// `RouterConfig::ctl_token`.
         token: String,
         /// The backend id to drain.
         backend: u32,
@@ -308,7 +310,8 @@ pub enum Frame {
     CtlRemove {
         /// Correlation id, echoed on the response.
         id: u64,
-        /// Shared admin token; must match the server's `ctl_token`.
+        /// Shared admin token; must match the router's
+        /// `RouterConfig::ctl_token`.
         token: String,
         /// The backend id to remove.
         backend: u32,
@@ -319,7 +322,8 @@ pub enum Frame {
     CtlView {
         /// Correlation id, echoed on the response.
         id: u64,
-        /// Shared admin token; must match the server's `ctl_token`.
+        /// Shared admin token; must match the router's
+        /// `RouterConfig::ctl_token`.
         token: String,
     },
 }

@@ -3,7 +3,7 @@
 //! no-lost-requests shutdown invariant under injected wire faults.
 
 use net::loadgen::{self, ClassLoad, LoadConfig, Mode, OpTemplate};
-use net::server::{Io, NetConfig, NetServer};
+use net::server::{NetConfig, NetServer};
 use net::wire::{
     decode_payload, encode_request, read_frame, write_frame, Frame, RequestFrame, RespStatus,
     ResponseFrame,
@@ -57,7 +57,8 @@ fn next_response(reader: &mut BufReader<&TcpStream>) -> ResponseFrame {
     }
 }
 
-fn pipelined_requests_complete_out_of_order_by_id_under(io: Io) {
+#[test]
+fn pipelined_requests_complete_out_of_order_by_id() {
     let course = sleepy_server(
         ServerConfig {
             workers: 2,
@@ -71,7 +72,7 @@ fn pipelined_requests_complete_out_of_order_by_id_under(io: Io) {
         "127.0.0.1:0",
         course,
         NetConfig {
-            io,
+            shards: 2,
             ..NetConfig::default()
         },
     )
@@ -99,16 +100,6 @@ fn pipelined_requests_complete_out_of_order_by_id_under(io: Io) {
     assert_eq!(second.status, RespStatus::Ok);
     assert!(second.body.contains("slow done"));
     srv.shutdown();
-}
-
-#[test]
-fn pipelined_requests_complete_out_of_order_by_id() {
-    pipelined_requests_complete_out_of_order_by_id_under(Io::Blocking);
-}
-
-#[test]
-fn pipelined_requests_complete_out_of_order_by_id_readiness() {
-    pipelined_requests_complete_out_of_order_by_id_under(Io::Readiness { shards: 2 });
 }
 
 #[test]
@@ -174,7 +165,8 @@ fn overload_earns_retry_frames_with_usable_hints() {
     srv.shutdown();
 }
 
-fn connections_past_the_cap_are_shed_with_goaway_under(io: Io) {
+#[test]
+fn connections_past_the_cap_are_shed_with_goaway() {
     let course = sleepy_server(ServerConfig::default(), 1);
     let srv = NetServer::bind(
         "127.0.0.1:0",
@@ -182,7 +174,6 @@ fn connections_past_the_cap_are_shed_with_goaway_under(io: Io) {
         NetConfig {
             max_connections: 1,
             goaway_retry_ms: 7,
-            io,
             ..NetConfig::default()
         },
     )
@@ -214,26 +205,9 @@ fn connections_past_the_cap_are_shed_with_goaway_under(io: Io) {
 }
 
 #[test]
-fn connections_past_the_cap_are_shed_with_goaway() {
-    connections_past_the_cap_are_shed_with_goaway_under(Io::Blocking);
-}
-
-#[test]
-fn connections_past_the_cap_are_shed_with_goaway_readiness() {
-    connections_past_the_cap_are_shed_with_goaway_under(Io::Readiness { shards: 1 });
-}
-
-fn malformed_frames_get_a_typed_error_then_close_under(io: Io) {
+fn malformed_frames_get_a_typed_error_then_close() {
     let course = sleepy_server(ServerConfig::default(), 1);
-    let srv = NetServer::bind(
-        "127.0.0.1:0",
-        course,
-        NetConfig {
-            io,
-            ..NetConfig::default()
-        },
-    )
-    .unwrap();
+    let srv = NetServer::bind("127.0.0.1:0", course, NetConfig::default()).unwrap();
     let stream = TcpStream::connect(srv.local_addr()).unwrap();
     let mut writer = BufWriter::new(&stream);
     let mut reader = BufReader::new(&stream);
@@ -256,16 +230,7 @@ fn malformed_frames_get_a_typed_error_then_close_under(io: Io) {
 }
 
 #[test]
-fn malformed_frames_get_a_typed_error_then_close() {
-    malformed_frames_get_a_typed_error_then_close_under(Io::Blocking);
-}
-
-#[test]
-fn malformed_frames_get_a_typed_error_then_close_readiness() {
-    malformed_frames_get_a_typed_error_then_close_under(Io::Readiness { shards: 1 });
-}
-
-fn graceful_shutdown_under_wire_faults_loses_no_admitted_request_under(io: Io) {
+fn graceful_shutdown_under_wire_faults_loses_no_admitted_request() {
     // Drop a quarter of read-side frames' connections mid-request,
     // stall some writer frames: admitted work must still drain and the
     // per-class ledgers must still balance after shutdown.
@@ -286,7 +251,7 @@ fn graceful_shutdown_under_wire_faults_loses_no_admitted_request_under(io: Io) {
         course,
         NetConfig {
             fault_plan: Some(plan.clone()),
-            io,
+            shards: 2,
             ..NetConfig::default()
         },
     )
@@ -352,18 +317,7 @@ fn graceful_shutdown_under_wire_faults_loses_no_admitted_request_under(io: Io) {
 }
 
 #[test]
-fn graceful_shutdown_under_wire_faults_loses_no_admitted_request() {
-    graceful_shutdown_under_wire_faults_loses_no_admitted_request_under(Io::Blocking);
-}
-
-#[test]
-fn graceful_shutdown_under_wire_faults_loses_no_admitted_request_readiness() {
-    graceful_shutdown_under_wire_faults_loses_no_admitted_request_under(Io::Readiness {
-        shards: 2,
-    });
-}
-
-fn loadgen_default_mix_round_trips_end_to_end_under(io: Io) {
+fn loadgen_default_mix_round_trips_end_to_end() {
     let course = CourseServer::new(ServerConfig {
         workers: 4,
         queue_capacity: 32,
@@ -374,7 +328,7 @@ fn loadgen_default_mix_round_trips_end_to_end_under(io: Io) {
         "127.0.0.1:0",
         course,
         NetConfig {
-            io,
+            shards: 2,
             ..NetConfig::default()
         },
     )
@@ -418,16 +372,6 @@ fn loadgen_default_mix_round_trips_end_to_end_under(io: Io) {
     let net = srv.net_stats();
     assert_eq!(net.accepted_conns, 3);
     assert_eq!(net.malformed, 0);
-}
-
-#[test]
-fn loadgen_default_mix_round_trips_end_to_end() {
-    loadgen_default_mix_round_trips_end_to_end_under(Io::Blocking);
-}
-
-#[test]
-fn loadgen_default_mix_round_trips_end_to_end_readiness() {
-    loadgen_default_mix_round_trips_end_to_end_under(Io::Readiness { shards: 2 });
 }
 
 /// Pulls `counter NAME V` out of a rendered snapshot.
@@ -510,7 +454,8 @@ fn stats_op_returns_a_snapshot_whose_counters_balance_the_ledgers() {
     srv.shutdown();
 }
 
-fn requests_racing_shutdown_get_goaway_not_silence_under(io: Io) {
+#[test]
+fn requests_racing_shutdown_get_goaway_not_silence() {
     let course = sleepy_server(
         ServerConfig {
             workers: 1,
@@ -519,15 +464,7 @@ fn requests_racing_shutdown_get_goaway_not_silence_under(io: Io) {
         },
         8,
     );
-    let srv = NetServer::bind(
-        "127.0.0.1:0",
-        course,
-        NetConfig {
-            io,
-            ..NetConfig::default()
-        },
-    )
-    .unwrap();
+    let srv = NetServer::bind("127.0.0.1:0", course, NetConfig::default()).unwrap();
     let addr = srv.local_addr();
     let stream = TcpStream::connect(addr).unwrap();
     let mut writer = BufWriter::new(&stream);
@@ -565,14 +502,4 @@ fn requests_racing_shutdown_get_goaway_not_silence_under(io: Io) {
         "the admitted request's response must be written before the FIN"
     );
     shutter.join().unwrap();
-}
-
-#[test]
-fn requests_racing_shutdown_get_goaway_not_silence() {
-    requests_racing_shutdown_get_goaway_not_silence_under(Io::Blocking);
-}
-
-#[test]
-fn requests_racing_shutdown_get_goaway_not_silence_readiness() {
-    requests_racing_shutdown_get_goaway_not_silence_under(Io::Readiness { shards: 1 });
 }

@@ -14,7 +14,9 @@
 //!   tracking. Hard evidence (severed pool connection, read stall with
 //!   requests outstanding) downs a backend immediately; soft failures
 //!   accumulate to a threshold; only a successful probe re-admits.
-//! * [`server`] — the proxy: pooled backend connections, out-of-order
+//! * [`server`] — the proxy: client connections and pooled backend
+//!   links on one [`net::reactor`] shard, so a forward and its relay
+//!   never cross threads; out-of-order
 //!   response matching via router-assigned request ids patched into
 //!   the frame bytes, one-shot re-routing of a dead backend's pending
 //!   work to its ring successor (course jobs are idempotent

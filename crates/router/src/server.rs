@@ -2,44 +2,34 @@
 //!
 //! ## Thread anatomy
 //!
-//! * **one acceptor** — accepts client sockets. Under the default
-//!   blocking front door ([`RouterConfig::front_io`] =
-//!   `Io::Blocking`) it spawns the per-client reader/writer pair;
-//!   under `Io::Readiness` it registers the socket on a dedicated
-//!   front-door [`net::reactor::Reactor`] and the per-connection
-//!   protocol logic runs as shard callbacks — no per-client threads;
-//! * **a reader per client connection** (blocking front door) —
-//!   decodes request frames, consistent-hashes the cache key
-//!   ([`crate::ring::request_key`]), and forwards the frame to the
-//!   owning live backend over one of that backend's pooled
-//!   connections. Stats ops are answered in place by fanning out op-4
-//!   `StatsFull` to every live backend and merging; admin (`ctl`) ops
-//!   are answered in place from the membership state;
-//! * **a writer per client connection** (blocking front door) —
-//!   drains pre-encoded response frames, exactly the [`Outbound`]
-//!   contract from `net::reactor`: responses complete **out of order
-//!   by id**;
-//! * **the backend pool** — under [`Io::Blocking`], one pooled
-//!   connection per backend with a dedicated reader thread (the
-//!   original shape). Under [`Io::Readiness`], `pool_size` pooled
-//!   connections per backend all multiplexed on a shared backend
-//!   [`net::reactor::Reactor`] — the same epoll engine that runs the
-//!   backend front end — so the router's backend-facing thread count
-//!   stays flat no matter how wide the pool gets. Responses are
-//!   matched to the pending table by router-assigned id, the client's
-//!   id is patched back into the frame, and the frame is handed to
-//!   the right client writer. The front-door and backend reactors are
-//!   deliberately **separate** engines: graceful shutdown read-severs
-//!   every front-door connection at once
-//!   ([`net::reactor::Reactor::sever_reads`] is reactor-global), and
-//!   that sweep must not touch the backend links still draining
-//!   in-flight responses;
+//! * **one acceptor** — accepts client sockets and registers each on
+//!   the router's [`net::reactor::Reactor`];
+//! * **one reactor shard** — carries every client connection *and*
+//!   every pooled backend link. A client frame is decoded, its cache
+//!   key consistent-hashed ([`crate::ring::request_key`]), and the
+//!   frame forwarded to the owning live backend over one of that
+//!   backend's [`RouterConfig::pool_size`] links. The backend's
+//!   response is matched to the pending table by router-assigned id,
+//!   the client's id is patched back into the frame, and the frame is
+//!   queued on the client connection, so responses complete **out of
+//!   order by id**. Both ends live on the same shard, so a forward and
+//!   a relay are same-thread pushes: no eventfd signal and no
+//!   cross-thread wakeup. Stats ops fan op-4 `StatsFull` out to every
+//!   live backend and merge, on a short-lived thread because the
+//!   fan-out does blocking socket I/O; admin (`ctl`) ops are answered
+//!   in place from the membership state;
 //! * **one prober** — periodically pings `Down` backends (TCP connect +
 //!   op-3 stats) and re-admits them. The prober is also the control
 //!   plane's actuator: it admits `Joining` backends into the live set
 //!   after their first successful probe, and retires `Draining`
 //!   backends (severs their idle links) once their last in-flight
 //!   response has resolved.
+//!
+//! Graceful shutdown closes the client connections one at a time
+//! ([`ConnHandle::close_after_flush`] on each): a client's reads stop,
+//! its in-flight forwards still resolve over the backend links on the
+//! same shard, and it FINs once its last response is written. Only then
+//! are the backend links severed and the shard stopped.
 //!
 //! ## Live membership (the control plane)
 //!
@@ -83,7 +73,7 @@
 //! assigns every forwarded request a globally unique id from one
 //! counter and patches it into the frame bytes in place (the id sits at
 //! a fixed offset right after the tag). The pending table maps router
-//! id → `{client sink, client id, frame bytes, …}`; the response gets
+//! id → `{client connection, client id, frame bytes, …}`; the response gets
 //! the client id patched back before forwarding. Keeping the encoded
 //! bytes in the table is what makes **re-routing** one patch cheap:
 //! on a backend death the same bytes are resent to the ring successor.
@@ -94,11 +84,11 @@
 //! dead for routing purposes. The detector is one watermark per
 //! backend — the last time a response arrived (reset when the backend
 //! goes from idle to owing work) — and one bound,
-//! [`RouterConfig::stall_bound`]: requests outstanding with no
+//! [`RouterConfig::stall_timeout`]: requests outstanding with no
 //! response for longer than the bound severs the pool and fails the
-//! pending work over. Blocking mode checks the watermark on every
-//! socket-read timeout; readiness mode checks it in the reactor's
-//! `on_tick` sweep. The prober deliberately has no such bound — its
+//! pending work over. Each link checks the watermark in the reactor's
+//! `on_tick` sweep, which runs at a quarter of the bound (clamped to
+//! 5–200 ms). The prober deliberately has no such bound — its
 //! stats ping rides out a stall, which is exactly how a slow-but-alive
 //! backend gets re-admitted.
 //!
@@ -123,16 +113,14 @@ use crate::health::Health;
 use crate::ring::{request_key, Ring};
 use ctl::{BackendState, Membership, MembershipEpoch, ViewCell};
 use net::loadgen::{fetch_stats, fetch_stats_full};
-use net::reactor::{ConnHandle, ConnHandler, Outbound, Reactor, ReactorConfig, WriterStep};
-use net::server::Io;
+use net::reactor::{ConnHandle, ConnHandler, Reactor, ReactorConfig};
 use net::wire::{
-    decode_payload, encode_response, read_frame, write_frame, Frame, RespStatus, ResponseFrame,
-    WireError, ROUTER_BACKEND_ID,
+    decode_payload, encode_response, Frame, RespStatus, ResponseFrame, WireError, ROUTER_BACKEND_ID,
 };
 use serve::server::SHED_BODY_PREFIX;
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -153,39 +141,15 @@ pub struct RouterConfig {
     pub fail_threshold: u32,
     /// How often the prober re-checks `Down` backends.
     pub probe_interval: Duration,
-    /// Read bound on a pooled backend connection in blocking mode —
-    /// how often the reader wakes to run the stall check. Also the
-    /// default stall bound when [`RouterConfig::stall_timeout`] is
-    /// `None`.
-    pub backend_read_timeout: Duration,
     /// How long a backend may owe responses without delivering any
-    /// before its pool is severed and the pending work re-routed.
-    /// `None` inherits [`RouterConfig::backend_read_timeout`] (the
-    /// historical coupling); set it explicitly to let slow-but-alive
-    /// backends ride out pauses longer than the poll interval, or to
-    /// sever faster than it.
-    pub stall_timeout: Option<Duration>,
-    /// Write bound on backend and client sockets.
-    pub write_timeout: Duration,
-    /// Read bound on client sockets (idle clients hold a thread pair;
-    /// blocking front door only).
-    pub client_read_timeout: Duration,
+    /// before its pool is severed and the pending work re-routed. A
+    /// slow-but-alive backend rides out any pause shorter than this.
+    pub stall_timeout: Duration,
     /// Retry hint stamped on router-synthesized `SHED` responses, ms.
     pub shed_retry_ms: u64,
-    /// I/O engine for the backend connection pool. `Io::Blocking` is
-    /// the thread-per-connection original; `Io::Readiness` runs every
-    /// pooled connection on one shared epoll reactor.
-    pub io: Io,
-    /// I/O engine for the client-facing front door. `Io::Blocking`
-    /// spawns a reader/writer thread pair per client; `Io::Readiness`
-    /// multiplexes every client connection on a dedicated front-door
-    /// reactor (separate from the backend-pool reactor — see the
-    /// module docs for why shutdown needs them apart).
-    pub front_io: Io,
-    /// Pooled connections per backend under [`Io::Readiness`]
-    /// (blocking mode always uses exactly one). More connections mean
-    /// more frames in flight per backend without head-of-line blocking
-    /// on one socket's write queue.
+    /// Pooled connections per backend. More connections mean more
+    /// frames in flight per backend without head-of-line blocking on
+    /// one socket's write queue.
     pub pool_size: usize,
     /// Shared secret authenticating admin wire ops 7–10. `None`
     /// (default) disables the control surface entirely: every ctl op
@@ -199,31 +163,10 @@ impl Default for RouterConfig {
             vnodes: 64,
             fail_threshold: 2,
             probe_interval: Duration::from_millis(50),
-            backend_read_timeout: Duration::from_secs(2),
-            stall_timeout: None,
-            write_timeout: Duration::from_secs(5),
-            client_read_timeout: Duration::from_secs(30),
+            stall_timeout: Duration::from_secs(2),
             shed_retry_ms: 50,
-            io: Io::Blocking,
-            front_io: Io::Blocking,
             pool_size: 1,
             ctl_token: None,
-        }
-    }
-}
-
-impl RouterConfig {
-    /// The effective stall bound: [`RouterConfig::stall_timeout`] when
-    /// set, otherwise [`RouterConfig::backend_read_timeout`].
-    pub fn stall_bound(&self) -> Duration {
-        self.stall_timeout.unwrap_or(self.backend_read_timeout)
-    }
-
-    /// Pooled connections per backend under the configured engine.
-    fn pool(&self) -> usize {
-        match self.io {
-            Io::Blocking => 1,
-            Io::Readiness { .. } => self.pool_size.max(1),
         }
     }
 }
@@ -283,43 +226,10 @@ impl RouterObs {
     }
 }
 
-/// Where a client's response frames go — the front-door abstraction
-/// that lets every downstream path (relay, re-route, shed, stats, ctl)
-/// ignore which engine accepted the connection.
-#[derive(Clone)]
-enum ClientSink {
-    /// Blocking front door: the per-connection writer-thread queue.
-    Queue(Arc<Outbound>),
-    /// Readiness front door: the reactor connection's send queue.
-    Conn(ConnHandle),
-}
-
-impl ClientSink {
-    /// Enqueues one encoded response frame. A dead connection
-    /// discards — same contract in both engines.
-    fn push(&self, bytes: Vec<u8>, completes_in_flight: bool) {
-        match self {
-            ClientSink::Queue(out) => out.push(bytes, completes_in_flight),
-            ClientSink::Conn(handle) => {
-                let _ = handle.send(bytes, completes_in_flight);
-            }
-        }
-    }
-
-    /// Registers an in-flight completion (a forward whose response
-    /// arrives later) so drain/FIN waits for it.
-    fn open_in_flight(&self) {
-        match self {
-            ClientSink::Queue(out) => out.open_in_flight(),
-            ClientSink::Conn(handle) => handle.open_in_flight(),
-        }
-    }
-}
-
 /// A forwarded request awaiting its backend response.
 struct Pending {
-    /// The client connection's response sink.
-    client_out: ClientSink,
+    /// The client connection the response goes to.
+    client_out: ConnHandle,
     /// The id the client knows this request by.
     client_id: u64,
     /// Which backend currently holds the request.
@@ -335,49 +245,24 @@ struct Pending {
     sent_at: Instant,
 }
 
-/// One pooled connection to a backend, in whichever engine the router
-/// was configured with.
-enum Link {
-    /// Thread-per-connection: the writer half lives here (behind the
-    /// slot lock), the reader half in a dedicated thread.
-    Blocking {
-        stream: TcpStream,
-        writer: BufWriter<TcpStream>,
-        /// Monotonic per-slot counter so a stale reader can't sever
-        /// the connection the prober just re-established.
-        generation: u64,
-    },
-    /// Reactor-registered: sends enqueue on the connection's shard;
-    /// inbound frames arrive via [`BackendLink::on_frame`].
-    Ready { handle: ConnHandle, generation: u64 },
-}
-
-impl Link {
-    fn generation(&self) -> u64 {
-        match self {
-            Link::Blocking { generation, .. } | Link::Ready { generation, .. } => *generation,
-        }
-    }
-
-    fn sever(self) {
-        match self {
-            Link::Blocking { stream, .. } => {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-            Link::Ready { handle, .. } => handle.kill(),
-        }
-    }
+/// One pooled connection to a backend: sends enqueue on the reactor
+/// connection; inbound frames arrive via [`BackendLink::on_frame`].
+struct Link {
+    handle: ConnHandle,
+    /// Monotonic per-slot counter so a stale link's close callback
+    /// can't sever the connection the prober just re-established.
+    generation: u64,
 }
 
 /// One backend's connection pool, health, and stall watermark. Slots
 /// are shared via `Arc` between the published [`RouterView`]s and the
-/// per-link reader threads/handlers, so a view swap never invalidates
-/// a thread's slot reference.
+/// per-link handlers, so a view swap never invalidates a handler's
+/// slot reference.
 struct BackendSlot {
     id: u32,
     addr: SocketAddr,
     health: Health,
-    /// The connection pool: one slot per pooled link (`pool()` long).
+    /// The connection pool: one slot per pooled link (`pool_size` long).
     links: Vec<Mutex<Option<Link>>>,
     next_generation: AtomicU64,
     /// Round-robin cursor for picking a pool link per forward.
@@ -447,20 +332,17 @@ struct Shared {
     /// publish happen atomically with respect to other admin ops
     /// (data-path readers never take this).
     ctl_lock: Mutex<()>,
-    /// The shared epoll engine for the backend pool; `None` in
-    /// blocking mode.
-    reactor: Option<Reactor>,
-    /// The front-door epoll engine; `None` when the front door is
-    /// blocking. Kept separate from `reactor` so shutdown's global
-    /// read-sever touches only client connections.
-    front_reactor: Option<Reactor>,
+    /// The one-shard engine carrying client connections and backend
+    /// links alike.
+    reactor: Reactor,
     pending: Mutex<HashMap<u64, Pending>>,
     next_router_id: AtomicU64,
     accepting: AtomicBool,
     shutting_down: AtomicBool,
-    live: Mutex<usize>,
+    /// Open client connections by connection id; each removes itself
+    /// in [`RouterClient::on_close`] and signals `all_closed`.
+    conns: Mutex<HashMap<u64, ConnHandle>>,
     all_closed: Condvar,
-    conns: Mutex<HashMap<u64, TcpStream>>,
     next_conn_id: AtomicU64,
     /// Monotonic forward counter feeding [`Ring::route_balanced`]'s
     /// alternating spill hedge.
@@ -508,40 +390,25 @@ impl Router {
         let local_addr = listener.local_addr()?;
         let registry = obs::Registry::new();
         let robs = RouterObs::new(&registry);
-        let reactor = match config.io {
-            Io::Blocking => None,
-            Io::Readiness { shards } => {
-                // Tick fast enough that the on_tick stall check adds at
-                // most ~25% latency to the configured bound.
-                let tick = (config.stall_bound() / 4)
-                    .clamp(Duration::from_millis(5), Duration::from_millis(200));
-                Some(Reactor::new(
-                    ReactorConfig {
-                        shards: shards.max(1),
-                        tick,
-                        ..ReactorConfig::default()
-                    },
-                    &registry,
-                )?)
-            }
-        };
-        let front_reactor = match config.front_io {
-            Io::Blocking => None,
-            Io::Readiness { shards } => Some(Reactor::new(
-                ReactorConfig {
-                    shards: shards.max(1),
-                    ..ReactorConfig::default()
-                },
-                &registry,
-            )?),
-        };
+        // One shard, so a forward and its relay never cross threads.
+        // Tick fast enough that the on_tick stall check adds at most
+        // ~25% latency to the configured bound.
+        let reactor = Reactor::new(
+            ReactorConfig {
+                shards: 1,
+                tick: (config.stall_timeout / 4)
+                    .clamp(Duration::from_millis(5), Duration::from_millis(200)),
+                ..ReactorConfig::default()
+            },
+            &registry,
+        )?;
         let initial: Vec<(u32, SocketAddr)> = backend_addrs
             .iter()
             .enumerate()
             .map(|(i, &addr)| (i as u32, addr))
             .collect();
         let membership = Membership::new(&initial);
-        let pool = config.pool();
+        let pool = config.pool_size.max(1);
         let slots: Vec<Arc<BackendSlot>> = initial
             .iter()
             .map(|&(id, addr)| Arc::new(BackendSlot::new(id, addr, pool, config.fail_threshold)))
@@ -560,14 +427,12 @@ impl Router {
             view,
             ctl_lock: Mutex::new(()),
             reactor,
-            front_reactor,
             pending: Mutex::new(HashMap::new()),
             next_router_id: AtomicU64::new(1),
             accepting: AtomicBool::new(true),
             shutting_down: AtomicBool::new(false),
-            live: Mutex::new(0),
-            all_closed: Condvar::new(),
             conns: Mutex::new(HashMap::new()),
+            all_closed: Condvar::new(),
             next_conn_id: AtomicU64::new(0),
             spill_tick: AtomicU64::new(0),
             forwarded: AtomicU64::new(0),
@@ -671,12 +536,11 @@ impl Router {
         merged_snapshot(&self.shared)
     }
 
-    /// Graceful shutdown: stop accepting, half-close client reads
-    /// (thread pairs and front-reactor connections alike), let
-    /// in-flight forwards resolve (backend answers, re-routes, or
-    /// synthesized sheds), flush client writers, then tear down backend
-    /// connections, the prober, and the reactors. Idempotent; also runs
-    /// on drop.
+    /// Graceful shutdown: stop accepting, close each client connection
+    /// once its in-flight forwards resolve (backend answers, re-routes,
+    /// or synthesized sheds) and its responses are written, then tear
+    /// down the backend links, the prober, and the reactor. Idempotent;
+    /// also runs on drop.
     pub fn shutdown(&self) {
         if self.shut.swap(true, Ordering::SeqCst) {
             return;
@@ -687,29 +551,20 @@ impl Router {
         if let Some(handle) = self.acceptor.lock().expect("acceptor poisoned").take() {
             let _ = handle.join();
         }
-        {
-            let conns = self.shared.conns.lock().expect("conn table poisoned");
-            for stream in conns.values() {
-                let _ = stream.shutdown(Shutdown::Read);
-            }
+        // Per-connection close, not a reactor-wide read sever: the
+        // backend links share the shard and must keep draining.
+        let mut conns = self.shared.conns.lock().expect("conn table poisoned");
+        for conn in conns.values() {
+            conn.close_after_flush();
         }
-        if let Some(front) = &self.shared.front_reactor {
-            front.sever_reads();
-        }
-        let mut live = self.shared.live.lock().expect("live counter poisoned");
-        while *live > 0 {
-            live = self
+        while !conns.is_empty() {
+            conns = self
                 .shared
                 .all_closed
-                .wait(live)
-                .expect("live counter poisoned");
+                .wait(conns)
+                .expect("conn table poisoned");
         }
-        drop(live);
-        if let Some(front) = &self.shared.front_reactor {
-            // Client drain needs the backend links still up: every
-            // front connection FINs once its in-flight responses land.
-            front.wait_drained();
-        }
+        drop(conns);
         {
             let view = self.shared.view.load();
             for slot in &view.slots {
@@ -719,12 +574,7 @@ impl Router {
         if let Some(handle) = self.prober.lock().expect("prober poisoned").take() {
             let _ = handle.join();
         }
-        if let Some(reactor) = &self.shared.reactor {
-            reactor.shutdown();
-        }
-        if let Some(front) = &self.shared.front_reactor {
-            front.shutdown();
-        }
+        self.shared.reactor.shutdown();
     }
 }
 
@@ -734,60 +584,30 @@ impl Drop for Router {
     }
 }
 
-/// Establishes `slot`'s pooled connection(s). Blocking mode connects
-/// one socket and spawns its reader thread; readiness mode connects
-/// `pool_size` sockets and registers them all on the shared backend
-/// reactor. Does not change health state. A partial failure tears down
-/// whatever this call already established.
+/// Establishes `slot`'s `pool_size` pooled connections and registers
+/// them on the reactor. Does not change health state. A partial
+/// failure tears down whatever this call already established.
 fn connect_backend(shared: &Arc<Shared>, slot: &Arc<BackendSlot>) -> io::Result<()> {
     let generation = slot.next_generation.fetch_add(1, Ordering::Relaxed);
-    match &shared.reactor {
-        None => {
-            let stream = TcpStream::connect(slot.addr)?;
+    for li in 0..slot.links.len() {
+        let established = TcpStream::connect(slot.addr).and_then(|stream| {
             let _ = stream.set_nodelay(true);
-            // Wake at least once per stall bound so the watermark check
-            // can't be starved by a longer socket timeout.
-            let poll = shared
-                .config
-                .backend_read_timeout
-                .min(shared.config.stall_bound());
-            stream.set_read_timeout(Some(poll))?;
-            stream.set_write_timeout(Some(shared.config.write_timeout))?;
-            let read_half = stream.try_clone()?;
-            let writer_half = stream.try_clone()?;
-            *slot.links[0].lock().expect("backend link poisoned") = Some(Link::Blocking {
-                stream,
-                writer: BufWriter::new(writer_half),
+            let handler = Box::new(BackendLink {
+                shared: Arc::clone(shared),
+                slot: Arc::clone(slot),
+                li,
                 generation,
             });
-            let reader_shared = Arc::clone(shared);
-            let reader_slot = Arc::clone(slot);
-            let _ = std::thread::Builder::new()
-                .name(format!("router-backend-{}", slot.id))
-                .spawn(move || backend_reader(&reader_shared, &reader_slot, generation, read_half));
-        }
-        Some(reactor) => {
-            for li in 0..slot.links.len() {
-                let established = TcpStream::connect(slot.addr).and_then(|stream| {
-                    let _ = stream.set_nodelay(true);
-                    let handler = Box::new(BackendLink {
-                        shared: Arc::clone(shared),
-                        slot: Arc::clone(slot),
-                        li,
-                        generation,
-                    });
-                    reactor.register(stream, handler)
-                });
-                match established {
-                    Ok(handle) => {
-                        *slot.links[li].lock().expect("backend link poisoned") =
-                            Some(Link::Ready { handle, generation });
-                    }
-                    Err(e) => {
-                        sever_all(slot);
-                        return Err(e);
-                    }
-                }
+            shared.reactor.register(stream, handler)
+        });
+        match established {
+            Ok(handle) => {
+                *slot.links[li].lock().expect("backend link poisoned") =
+                    Some(Link { handle, generation });
+            }
+            Err(e) => {
+                sever_all(slot);
+                return Err(e);
             }
         }
     }
@@ -800,10 +620,10 @@ fn connect_backend(shared: &Arc<Shared>, slot: &Arc<BackendSlot>) -> io::Result<
 fn sever_link(slot: &BackendSlot, li: usize, generation: u64) -> bool {
     let mut guard = slot.links[li].lock().expect("backend link poisoned");
     match guard.as_ref() {
-        Some(link) if link.generation() == generation => {
+        Some(link) if link.generation == generation => {
             let link = guard.take().expect("checked above");
             drop(guard);
-            link.sever();
+            link.handle.kill();
             true
         }
         _ => false,
@@ -818,7 +638,7 @@ fn sever_all(slot: &BackendSlot) {
             .lock()
             .expect("backend link poisoned")
             .as_ref()
-            .map(Link::generation);
+            .map(|link| link.generation);
         if let Some(generation) = generation {
             sever_link(slot, li, generation);
         }
@@ -930,7 +750,7 @@ fn synthesize_shed(shared: &Arc<Shared>, p: Pending, dead: u32) {
         backend: ROUTER_BACKEND_ID,
         body: format!("{SHED_BODY_PREFIX}: backend {dead} down, rerouting exhausted"),
     };
-    p.client_out.push(encode_response(&frame), true);
+    p.client_out.send(encode_response(&frame), true);
 }
 
 /// Reads the router-assigned id back out of patched frame bytes.
@@ -942,53 +762,39 @@ fn router_id_of(bytes: &[u8]) -> u64 {
     )
 }
 
-/// Writes `bytes` on one of `slot`'s pooled connections, round-robin
-/// over live links. On failure the pool is severed and the backend's
-/// down-handling runs; returns whether the send succeeded (for a
-/// reactor link, "succeeded" means enqueued on a live connection — a
-/// later write failure resolves through the pending table like any
-/// other sever).
+/// Queues `bytes` on one of `slot`'s pooled connections, round-robin
+/// over live links. On failure (the chosen link is dead) the pool is
+/// severed and the backend's down-handling runs; returns whether the
+/// send succeeded — "succeeded" means enqueued on a live connection, and
+/// a later write failure resolves through the pending table like any
+/// other sever.
 fn send_to_backend(shared: &Arc<Shared>, slot: &Arc<BackendSlot>, bytes: &[u8]) -> bool {
     let n = slot.links.len();
     let start = slot.next_link.fetch_add(1, Ordering::Relaxed) as usize;
     for k in 0..n {
         let li = (start + k) % n;
-        let mut guard = slot.links[li].lock().expect("backend link poisoned");
-        match guard.as_mut() {
-            Some(Link::Blocking {
-                writer, generation, ..
-            }) => {
-                if write_frame(writer, bytes).is_ok() {
-                    return true;
-                }
-                let generation = *generation;
-                drop(guard);
-                sever_link(slot, li, generation);
-                backend_down(shared, slot);
-                return false;
-            }
-            Some(Link::Ready { handle, generation }) => {
-                if handle.send(bytes.to_vec(), false) {
-                    return true;
-                }
-                let generation = *generation;
-                drop(guard);
-                sever_link(slot, li, generation);
-                backend_down(shared, slot);
-                return false;
-            }
-            None => continue,
+        let guard = slot.links[li].lock().expect("backend link poisoned");
+        let Some(link) = guard.as_ref() else {
+            continue;
+        };
+        if link.handle.send(bytes.to_vec(), false) {
+            return true;
         }
+        let generation = link.generation;
+        drop(guard);
+        sever_link(slot, li, generation);
+        backend_down(shared, slot);
+        return false;
     }
     // No link at all (racing a sever): make sure health agrees.
     backend_down(shared, slot);
     false
 }
 
-/// One backend response, shared by both engines: match it to the
-/// pending table, patch the client id back in, and forward to the
-/// owning client writer. Returns `false` when the connection must be
-/// severed (protocol violation or a connection-level GoAway).
+/// One backend response: match it to the pending table, patch the
+/// client id back in, and queue it on the owning client connection.
+/// Returns `false` when the link must be severed (protocol violation
+/// or a connection-level GoAway).
 fn handle_backend_payload(shared: &Arc<Shared>, slot: &Arc<BackendSlot>, payload: Vec<u8>) -> bool {
     let resp = match decode_payload(&payload) {
         Ok(Frame::Response(resp)) => resp,
@@ -1034,51 +840,8 @@ fn handle_backend_payload(shared: &Arc<Shared>, slot: &Arc<BackendSlot>, payload
     bytes.extend_from_slice(&out_payload);
     shared.relayed.fetch_add(1, Ordering::Relaxed);
     shared.robs.relayed.inc();
-    p.client_out.push(bytes, true);
+    p.client_out.send(bytes, true);
     true
-}
-
-/// Per-backend response pump for the blocking engine. Exits — and
-/// triggers fail-over — on EOF, a hard error, a protocol violation, or
-/// the stall watermark aging past the bound with requests outstanding.
-fn backend_reader(
-    shared: &Arc<Shared>,
-    slot: &Arc<BackendSlot>,
-    generation: u64,
-    read_half: TcpStream,
-) {
-    let stall = shared.config.stall_bound();
-    let mut reader = BufReader::new(read_half);
-    loop {
-        let payload = match read_frame(&mut reader) {
-            Ok(Some(payload)) => payload,
-            Ok(None) => break,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                let stalled = slot.outstanding.load(Ordering::Relaxed) > 0
-                    && slot
-                        .last_progress
-                        .lock()
-                        .expect("progress poisoned")
-                        .elapsed()
-                        >= stall;
-                if stalled {
-                    // Stalled with work owed: that's a dead backend,
-                    // not an idle one.
-                    break;
-                }
-                continue;
-            }
-            Err(_) => break,
-        };
-        if !handle_backend_payload(shared, slot, payload) {
-            break;
-        }
-    }
-    if sever_link(slot, 0, generation) {
-        backend_down(shared, slot);
-    }
 }
 
 /// [`ConnHandler`] for one reactor-registered pool link: frames resolve
@@ -1112,7 +875,7 @@ impl ConnHandler for BackendLink {
                 .lock()
                 .expect("progress poisoned")
                 .elapsed()
-                >= self.shared.config.stall_bound();
+                >= self.shared.config.stall_timeout;
         if stalled {
             conn.kill();
         }
@@ -1227,11 +990,11 @@ fn publish_view(shared: &Shared, slots: Vec<Arc<BackendSlot>>) -> u64 {
     membership.epoch
 }
 
-/// Authenticates and executes one admin op, answering on `sink`.
+/// Authenticates and executes one admin op, answering on `conn`.
 /// Always answers — an unauthenticated or failed op gets an `Error`
 /// response, never silence — and never severs the connection: admin
 /// clients are allowed to issue several ops on one socket.
-fn ctl_dispatch(shared: &Arc<Shared>, id: u64, token: &str, op: CtlOp, sink: &ClientSink) {
+fn ctl_dispatch(shared: &Arc<Shared>, id: u64, token: &str, op: CtlOp, conn: &ConnHandle) {
     let error = |body: String| ResponseFrame {
         id,
         status: RespStatus::Error,
@@ -1267,7 +1030,7 @@ fn ctl_dispatch(shared: &Arc<Shared>, id: u64, token: &str, op: CtlOp, sink: &Cl
             CtlOp::View => ok(ctl_view_body(shared)),
         },
     };
-    sink.push(encode_response(&resp), false);
+    conn.send(encode_response(&resp), false);
 }
 
 /// Admits a new backend address into the fleet as `Joining`: ring
@@ -1284,7 +1047,7 @@ fn ctl_join(shared: &Arc<Shared>, addr: &str) -> Result<(u32, u64), String> {
     let slot = Arc::new(BackendSlot::new(
         id,
         addr,
-        shared.config.pool(),
+        shared.config.pool_size.max(1),
         shared.config.fail_threshold,
     ));
     // Joining starts out of rotation; the prober admits it.
@@ -1386,102 +1149,51 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             return;
         }
         let _ = stream.set_nodelay(true);
-        match &shared.front_reactor {
-            None => {
-                let _ = stream.set_read_timeout(Some(shared.config.client_read_timeout));
-                let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-                {
-                    let mut live = shared.live.lock().expect("live counter poisoned");
-                    *live += 1;
-                }
-                spawn_client(stream, shared);
-            }
-            Some(reactor) => {
-                let handler = Box::new(RouterClient {
-                    shared: Arc::clone(shared),
-                });
-                let _ = reactor.register(stream, handler);
-            }
+        let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
+        let handler = Box::new(RouterClient {
+            shared: Arc::clone(shared),
+            conn_id,
+        });
+        // Hold the table across registration, so the connection's
+        // on_close cannot run on the shard before its entry exists.
+        let mut conns = shared.conns.lock().expect("conn table poisoned");
+        if let Ok(conn) = shared.reactor.register(stream, handler) {
+            conns.insert(conn_id, conn);
         }
     }
 }
 
-fn spawn_client(stream: TcpStream, shared: &Arc<Shared>) {
-    let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
-    let outbound = Outbound::new();
-    let read_half = match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => {
-            let mut live = shared.live.lock().expect("live counter poisoned");
-            *live -= 1;
-            drop(live);
-            shared.all_closed.notify_all();
-            return;
-        }
-    };
-    if let Ok(register) = stream.try_clone() {
-        shared
-            .conns
-            .lock()
-            .expect("conn table poisoned")
-            .insert(conn_id, register);
-    }
-    let reader_shared = Arc::clone(shared);
-    let reader_out = Arc::clone(&outbound);
-    let _ = std::thread::Builder::new()
-        .name(format!("router-read-{conn_id}"))
-        .spawn(move || client_reader(read_half, &reader_shared, &reader_out));
-    let writer_shared = Arc::clone(shared);
-    let _ = std::thread::Builder::new()
-        .name(format!("router-write-{conn_id}"))
-        .spawn(move || client_writer(stream, conn_id, &writer_shared, &outbound));
-}
-
-/// Decodes client frames and forwards them; stats and ctl ops are
-/// answered in place. The blocking front door's read loop.
-fn client_reader(read_half: TcpStream, shared: &Arc<Shared>, out: &Arc<Outbound>) {
-    let mut reader = BufReader::new(&read_half);
-    let sink = ClientSink::Queue(Arc::clone(out));
-    while let Ok(Some(payload)) = read_frame(&mut reader) {
-        if !dispatch_client(shared, payload, &sink) {
-            break;
-        }
-    }
-    out.reader_done();
-}
-
-/// One decoded client payload, shared by both front-door engines:
-/// route requests, answer stats and admin ops in place. Returns
-/// `false` when the connection should stop reading (protocol
-/// violation).
-fn dispatch_client(shared: &Arc<Shared>, payload: Vec<u8>, sink: &ClientSink) -> bool {
+/// One decoded client payload: route requests, answer stats and admin
+/// ops in place. Returns `false` when the connection should stop
+/// reading (protocol violation).
+fn dispatch_client(shared: &Arc<Shared>, payload: Vec<u8>, conn: &ConnHandle) -> bool {
     match decode_payload(&payload) {
         Ok(Frame::Request(frame)) => {
-            forward(shared, frame.id, &frame.req, payload, sink);
+            forward(shared, frame.id, &frame.req, payload, conn);
             true
         }
         Ok(Frame::Stats { id }) => {
-            answer_stats(shared, id, false, sink);
+            answer_stats(shared, id, false, conn);
             true
         }
         Ok(Frame::StatsFull { id }) => {
-            answer_stats(shared, id, true, sink);
+            answer_stats(shared, id, true, conn);
             true
         }
         Ok(Frame::CtlJoin { id, token, addr }) => {
-            ctl_dispatch(shared, id, &token, CtlOp::Join(addr), sink);
+            ctl_dispatch(shared, id, &token, CtlOp::Join(addr), conn);
             true
         }
         Ok(Frame::CtlDrain { id, token, backend }) => {
-            ctl_dispatch(shared, id, &token, CtlOp::Drain(backend), sink);
+            ctl_dispatch(shared, id, &token, CtlOp::Drain(backend), conn);
             true
         }
         Ok(Frame::CtlRemove { id, token, backend }) => {
-            ctl_dispatch(shared, id, &token, CtlOp::Remove(backend), sink);
+            ctl_dispatch(shared, id, &token, CtlOp::Remove(backend), conn);
             true
         }
         Ok(Frame::CtlView { id, token }) => {
-            ctl_dispatch(shared, id, &token, CtlOp::View, sink);
+            ctl_dispatch(shared, id, &token, CtlOp::View, conn);
             true
         }
         Ok(Frame::Response(_)) | Err(_) => {
@@ -1489,7 +1201,7 @@ fn dispatch_client(shared: &Arc<Shared>, payload: Vec<u8>, sink: &ClientSink) ->
                 Err(e) => format!("malformed frame: {e}"),
                 _ => "protocol error: response frame sent to router".to_string(),
             };
-            sink.push(
+            conn.send(
                 encode_response(&ResponseFrame {
                     id: 0,
                     status: RespStatus::Error,
@@ -1505,36 +1217,28 @@ fn dispatch_client(shared: &Arc<Shared>, payload: Vec<u8>, sink: &ClientSink) ->
 }
 
 /// Answers a stats op from the merged fleet snapshot. The snapshot
-/// fan-out does blocking socket I/O to every live backend, so on the
-/// readiness front door it runs on a short-lived thread — a shard
-/// callback must never block on the network.
-fn answer_stats(shared: &Arc<Shared>, id: u64, full: bool, sink: &ClientSink) {
-    // The response lands after this dispatch returns (possibly from
-    // another thread), so it must hold the connection open as an
-    // in-flight completion — otherwise a client that writes one stats
-    // op and half-closes would see the FIN before the answer.
-    sink.open_in_flight();
-    let render = {
-        let shared = Arc::clone(shared);
-        let sink = sink.clone();
-        move || {
+/// fan-out does blocking socket I/O to every live backend, so it runs
+/// on a short-lived thread — a shard callback must never block on the
+/// network.
+fn answer_stats(shared: &Arc<Shared>, id: u64, full: bool, conn: &ConnHandle) {
+    // The response lands after this dispatch returns, from another
+    // thread, so it must hold the connection open as an in-flight
+    // completion — otherwise a client that writes one stats op and
+    // half-closes would see the FIN before the answer.
+    conn.open_in_flight();
+    let shared = Arc::clone(shared);
+    let conn = conn.clone();
+    let _ = std::thread::Builder::new()
+        .name("router-stats".to_string())
+        .spawn(move || {
             let snap = merged_snapshot(&shared);
             let body = if full {
                 snap.encode_text()
             } else {
                 snap.render()
             };
-            sink.push(stats_response(id, body), true);
-        }
-    };
-    match sink {
-        ClientSink::Queue(_) => render(),
-        ClientSink::Conn(_) => {
-            let _ = std::thread::Builder::new()
-                .name("router-stats".to_string())
-                .spawn(render);
-        }
-    }
+            conn.send(stats_response(id, body), true);
+        });
 }
 
 fn stats_response(id: u64, body: String) -> Vec<u8> {
@@ -1547,21 +1251,21 @@ fn stats_response(id: u64, body: String) -> Vec<u8> {
     })
 }
 
-/// [`ConnHandler`] for one readiness-front-door client connection:
-/// the same decode → route pipeline as [`client_reader`], run as shard
-/// callbacks, with responses flowing back through the connection's
-/// own send queue.
+/// [`ConnHandler`] for one client connection: decode → route, run as
+/// shard callbacks, with responses flowing back through the
+/// connection's own send queue.
 struct RouterClient {
     shared: Arc<Shared>,
+    /// This connection's key in the router's `conns` table.
+    conn_id: u64,
 }
 
 impl ConnHandler for RouterClient {
     fn on_frame(&mut self, payload: Result<Vec<u8>, WireError>, conn: &ConnHandle) {
-        let sink = ClientSink::Conn(conn.clone());
         let keep = match payload {
-            Ok(bytes) => dispatch_client(&self.shared, bytes, &sink),
+            Ok(bytes) => dispatch_client(&self.shared, bytes, conn),
             Err(e) => {
-                sink.push(
+                conn.send(
                     encode_response(&ResponseFrame {
                         id: 0,
                         status: RespStatus::Error,
@@ -1582,7 +1286,13 @@ impl ConnHandler for RouterClient {
     fn on_close(&mut self, _graceful: bool) {
         // Responses for this connection's in-flight forwards resolve
         // through the pending table and are discarded by the dead
-        // handle — nothing to tear down here.
+        // handle; only the table entry needs tearing down.
+        self.shared
+            .conns
+            .lock()
+            .expect("conn table poisoned")
+            .remove(&self.conn_id);
+        self.shared.all_closed.notify_all();
     }
 }
 
@@ -1598,7 +1308,7 @@ fn forward(
     client_id: u64,
     req: &serve::server::Request,
     payload: Vec<u8>,
-    out: &ClientSink,
+    out: &ConnHandle,
 ) {
     let key = request_key(req);
     let view = shared.view.load();
@@ -1614,7 +1324,7 @@ fn forward(
         shared.no_backend_shed.fetch_add(1, Ordering::Relaxed);
         shared.synthesized_shed.fetch_add(1, Ordering::Relaxed);
         shared.robs.synthesized_shed.inc();
-        out.push(
+        out.send(
             encode_response(&ResponseFrame {
                 id: client_id,
                 status: RespStatus::Shed,
@@ -1646,43 +1356,4 @@ fn forward(
     // `resend` is also the fresh-send path: insert pending, write,
     // cascade on failure.
     resend(shared, p);
-}
-
-/// Drains the outbound queue onto the client socket; owns the
-/// connection's teardown.
-fn client_writer(stream: TcpStream, conn_id: u64, shared: &Arc<Shared>, out: &Arc<Outbound>) {
-    let mut graceful = true;
-    {
-        let mut writer = BufWriter::new(&stream);
-        loop {
-            match out.next_step() {
-                WriterStep::Dead => {
-                    graceful = false;
-                    break;
-                }
-                WriterStep::Drained => break,
-                WriterStep::Write(bytes) => {
-                    if write_frame(&mut writer, &bytes).is_err() {
-                        out.mark_dead();
-                        graceful = false;
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    if graceful {
-        let _ = stream.shutdown(Shutdown::Write);
-    } else {
-        let _ = stream.shutdown(Shutdown::Both);
-    }
-    shared
-        .conns
-        .lock()
-        .expect("conn table poisoned")
-        .remove(&conn_id);
-    let mut live = shared.live.lock().expect("live counter poisoned");
-    *live -= 1;
-    drop(live);
-    shared.all_closed.notify_all();
 }

@@ -1,12 +1,12 @@
 //! Control-plane end-to-end tests: live membership churn over real
 //! sockets. Joins add capacity under sustained load, drains empty a
 //! backend without losing an answer, force-removes fail stranded work
-//! over, and the epoch/ledger invariants hold under both front-door
-//! engines — with FaultPlan stalls and process kills thrown in.
+//! over, and the epoch/ledger invariants hold throughout — with
+//! FaultPlan stalls and process kills thrown in.
 
 use ctl::{BackendState, MembershipEpoch};
 use net::loadgen::{self, call_once, ClassLoad, LoadConfig, Mode, OpTemplate};
-use net::server::{Io, NetConfig, NetServer};
+use net::server::{NetConfig, NetServer};
 use net::wire::{
     encode_ctl_drain, encode_ctl_join, encode_ctl_remove, encode_ctl_view, encode_request,
     RequestFrame, RespStatus,
@@ -163,23 +163,14 @@ fn ctl_ops_sent_to_a_backend_are_misdirected_errors() {
     srv.shutdown();
 }
 
+/// The tentpole invariant: join a backend mid-run (admitted via probe,
+/// then taking traffic), drain another mid-run (in-flight resolves,
+/// links retire), and across all of it — zero unanswered clients,
+/// balanced fleet ledgers, epochs monotonic and advanced exactly
+/// twice. One backend also carries a FaultPlan read-stall so the churn
+/// overlaps real fault handling.
 #[test]
-fn join_then_drain_under_load_keeps_every_answer_blocking_front() {
-    churn_under_load(Io::Blocking);
-}
-
-#[test]
-fn join_then_drain_under_load_keeps_every_answer_readiness_front() {
-    churn_under_load(Io::Readiness { shards: 2 });
-}
-
-/// The tentpole invariant, under either front-door engine: join a
-/// backend mid-run (admitted via probe, then taking traffic), drain
-/// another mid-run (in-flight resolves, links retire), and across all
-/// of it — zero unanswered clients, balanced fleet ledgers, epochs
-/// monotonic and advanced exactly twice. One backend also carries a
-/// FaultPlan read-stall so the churn overlaps real fault handling.
-fn churn_under_load(front_io: Io) {
+fn join_then_drain_under_load_keeps_every_answer() {
     let b0 = backend(0, 2048, None);
     // Backend 1 stalls two reads 80 ms each mid-run — inside the stall
     // bound, so it slows down without being severed; churn and fault
@@ -193,9 +184,8 @@ fn churn_under_load(front_io: Io) {
         &addrs,
         RouterConfig {
             probe_interval: Duration::from_millis(20),
-            backend_read_timeout: Duration::from_millis(500),
+            stall_timeout: Duration::from_millis(500),
             ctl_token: Some(TOKEN.to_string()),
-            front_io,
             ..RouterConfig::default()
         },
     )
@@ -341,7 +331,7 @@ fn force_removing_a_killed_backend_fails_stranded_work_over() {
         "127.0.0.1:0",
         &addrs,
         RouterConfig {
-            backend_read_timeout: Duration::from_millis(300),
+            stall_timeout: Duration::from_millis(300),
             probe_interval: Duration::from_secs(30), // no re-admission mid-test
             ctl_token: Some(TOKEN.to_string()),
             ..RouterConfig::default()
@@ -391,72 +381,6 @@ fn force_removing_a_killed_backend_fails_stranded_work_over() {
     let totals = router.totals();
     assert_eq!(totals.forwarded, totals.relayed + totals.synthesized_shed);
     assert_fleet_ledgers_balance(&[&backends[0], &backends[1], &victim]);
-    for b in backends {
-        b.shutdown();
-    }
-}
-
-/// The readiness front door speaks the same protocol as the thread-pair
-/// front door: routing with cache affinity, merged stats (rendered off
-/// the shard), and a clean shutdown that drains in-flight responses.
-#[test]
-fn readiness_front_door_routes_caches_and_answers_stats() {
-    let (backends, addrs) = fleet(3, 512);
-    let router = Router::bind(
-        "127.0.0.1:0",
-        &addrs,
-        RouterConfig {
-            front_io: Io::Readiness { shards: 2 },
-            ..RouterConfig::default()
-        },
-    )
-    .unwrap();
-    let report = loadgen::run(
-        router.local_addr(),
-        &LoadConfig {
-            connections: 4,
-            requests_per_connection: 24,
-            mode: Mode::Closed { pipeline: 4 },
-            mix: busting_mix(512),
-            max_retries: 2,
-            seed: 53,
-            drain_timeout: Duration::from_secs(10),
-        },
-    );
-    let unanswered: u64 = report.per_class.iter().map(|r| r.unanswered).sum();
-    assert_eq!(unanswered, 0, "{}", report.render());
-
-    // Cache affinity through the reactor front door.
-    let frame = |id: u64| {
-        encode_request(&RequestFrame {
-            id,
-            class: JobClass::Batch,
-            priority: 128,
-            deadline_budget_ms: None,
-            req: Request::Reproduce {
-                id: "exp/9".to_string(),
-            },
-        })
-    };
-    let first = call_once(router.local_addr(), &frame(1)).unwrap();
-    let second = call_once(router.local_addr(), &frame(2)).unwrap();
-    assert!(
-        matches!(first.status, RespStatus::Ok | RespStatus::OkCached),
-        "{first:?}"
-    );
-    assert_eq!(second.status, RespStatus::OkCached, "{second:?}");
-    assert_eq!(first.backend, second.backend);
-
-    // Stats render off-shard and still merge the fleet.
-    let merged_text = loadgen::fetch_stats_full(router.local_addr()).unwrap();
-    let merged = obs::Snapshot::parse_text(&merged_text).unwrap();
-    assert_eq!(
-        merged.counter("router.forwarded"),
-        Some(router.totals().forwarded)
-    );
-    router.shutdown();
-    let totals = router.totals();
-    assert_eq!(totals.forwarded, totals.relayed + totals.synthesized_shed);
     for b in backends {
         b.shutdown();
     }

@@ -1,10 +1,11 @@
 //! End-to-end router tests over real sockets and in-process backends:
 //! routing spread with cache affinity, fleet-wide stats merging,
 //! backend death mid-run (zero lost answers, honest sheds, balanced
-//! ledgers), and probe-driven re-admission after a stall.
+//! ledgers), probe-driven re-admission after a stall, and a cached
+//! relay that never crosses threads.
 
-use net::loadgen::{self, ClassLoad, LoadConfig, Mode, OpTemplate};
-use net::server::{Io, NetConfig, NetServer};
+use net::loadgen::{self, call_once, ClassLoad, LoadConfig, Mode, OpTemplate};
+use net::server::{NetConfig, NetServer};
 use net::wire::{
     decode_payload, encode_request, read_frame, write_frame, Frame, RequestFrame, RespStatus,
     ResponseFrame, ROUTER_BACKEND_ID,
@@ -224,27 +225,22 @@ fn stats_through_the_router_are_the_sum_of_the_fleet() {
     }
 }
 
+/// The ledger-balance invariant must hold however wide the backend
+/// pool is: with one link per backend and with two.
 #[test]
 fn killing_a_backend_mid_run_loses_no_answers_and_balances_the_ledgers() {
-    kill_mid_run_under(Io::Blocking, 1);
+    for pool_size in [1, 2] {
+        kill_mid_run(pool_size);
+    }
 }
 
-#[test]
-fn killing_a_backend_mid_run_balances_under_readiness_pool() {
-    kill_mid_run_under(Io::Readiness { shards: 1 }, 2);
-}
-
-/// The ledger-balance invariant must hold identically whichever engine
-/// drives the backend pool — that's the contract that makes `io` a
-/// deployment knob instead of a semantic fork.
-fn kill_mid_run_under(io: Io, pool_size: usize) {
+fn kill_mid_run(pool_size: usize) {
     let (mut backends, addrs) = fleet(3, 2048);
     let router = Router::bind(
         "127.0.0.1:0",
         &addrs,
         RouterConfig {
-            backend_read_timeout: Duration::from_millis(500),
-            io,
+            stall_timeout: Duration::from_millis(500),
             pool_size,
             ..RouterConfig::default()
         },
@@ -326,15 +322,12 @@ fn kill_mid_run_under(io: Io, pool_size: usize) {
 
 #[test]
 fn a_stalled_backend_is_shed_from_then_probed_back_in() {
-    stall_shed_then_readmit_under(Io::Blocking, 1);
+    for pool_size in [1, 2] {
+        stall_shed_then_readmit(pool_size);
+    }
 }
 
-#[test]
-fn a_stalled_backend_is_shed_from_then_probed_back_in_readiness() {
-    stall_shed_then_readmit_under(Io::Readiness { shards: 1 }, 2);
-}
-
-fn stall_shed_then_readmit_under(io: Io, pool_size: usize) {
+fn stall_shed_then_readmit(pool_size: usize) {
     // The single backend stalls every read 400 ms — longer than the
     // router's 100 ms stall bound — so the first forwarded request
     // trips the watermark check and gets an honest router shed.
@@ -349,10 +342,9 @@ fn stall_shed_then_readmit_under(io: Io, pool_size: usize) {
         "127.0.0.1:0",
         &[srv.local_addr()],
         RouterConfig {
-            backend_read_timeout: Duration::from_millis(100),
+            stall_timeout: Duration::from_millis(100),
             probe_interval: Duration::from_millis(25),
             fail_threshold: 1,
-            io,
             pool_size,
             ..RouterConfig::default()
         },
@@ -421,22 +413,17 @@ fn no_live_backend_sheds_immediately_with_an_honest_hint() {
     router.shutdown();
 }
 
+/// A generous `stall_timeout`: the backend pauses 400 ms per read —
+/// many reactor ticks, well inside the 2 s stall bound — and the
+/// router must wait for the answer instead of severing.
 #[test]
 fn a_generous_stall_timeout_rides_out_a_pause() {
-    generous_stall_under(Io::Blocking, 1);
+    for pool_size in [1, 2] {
+        generous_stall(pool_size);
+    }
 }
 
-#[test]
-fn a_generous_stall_timeout_rides_out_a_pause_readiness() {
-    generous_stall_under(Io::Readiness { shards: 1 }, 2);
-}
-
-/// `stall_timeout` decoupled upward: the backend pauses 400 ms per
-/// read — far past the 50 ms poll bound, well inside the 2 s stall
-/// bound — and the router must wait for the answer instead of severing
-/// at the poll interval (which is exactly what the legacy coupling
-/// would have done).
-fn generous_stall_under(io: Io, pool_size: usize) {
+fn generous_stall(pool_size: usize) {
     let plan = FaultPlan::new(0x57A22).stall_at(
         FaultPoint::NetReadFrame,
         Duration::from_millis(400),
@@ -448,10 +435,8 @@ fn generous_stall_under(io: Io, pool_size: usize) {
         "127.0.0.1:0",
         &[srv.local_addr()],
         RouterConfig {
-            backend_read_timeout: Duration::from_millis(50),
-            stall_timeout: Some(Duration::from_secs(2)),
+            stall_timeout: Duration::from_secs(2),
             fail_threshold: 1,
-            io,
             pool_size,
             ..RouterConfig::default()
         },
@@ -476,20 +461,18 @@ fn generous_stall_under(io: Io, pool_size: usize) {
     srv.shutdown();
 }
 
+/// A tight `stall_timeout`: a 150 ms bound against a backend that
+/// stalls 2 s must produce the shed in stall-bound time — proof the
+/// sever is driven by the watermark, not by the backend finally
+/// answering.
 #[test]
-fn a_tight_stall_timeout_severs_faster_than_the_read_bound() {
-    tight_stall_under(Io::Blocking, 1);
+fn a_tight_stall_timeout_severs_within_its_bound() {
+    for pool_size in [1, 2] {
+        tight_stall(pool_size);
+    }
 }
 
-#[test]
-fn a_tight_stall_timeout_severs_faster_than_the_read_bound_readiness() {
-    tight_stall_under(Io::Readiness { shards: 1 }, 2);
-}
-
-/// `stall_timeout` decoupled downward: a 150 ms stall bound under a
-/// 10 s read bound must produce the shed in stall-bound time — proof
-/// the sever is driven by the watermark, not the socket timeout.
-fn tight_stall_under(io: Io, pool_size: usize) {
+fn tight_stall(pool_size: usize) {
     let plan =
         FaultPlan::new(0x57A33).stall_at(FaultPoint::NetReadFrame, Duration::from_secs(2), 1, 1);
     let srv = backend(0, 8, Some(plan));
@@ -497,11 +480,9 @@ fn tight_stall_under(io: Io, pool_size: usize) {
         "127.0.0.1:0",
         &[srv.local_addr()],
         RouterConfig {
-            backend_read_timeout: Duration::from_secs(10),
-            stall_timeout: Some(Duration::from_millis(150)),
+            stall_timeout: Duration::from_millis(150),
             fail_threshold: 1,
             probe_interval: Duration::from_secs(30), // don't re-admit mid-test
-            io,
             pool_size,
             ..RouterConfig::default()
         },
@@ -517,9 +498,100 @@ fn tight_stall_under(io: Io, pool_size: usize) {
     assert_eq!(resp.status, RespStatus::Shed, "{resp:?}");
     assert!(
         waited < Duration::from_millis(1500),
-        "the shed arrived in stall-bound time, not read-bound time: {waited:?}"
+        "the shed arrived in stall-bound time, not after the stall: {waited:?}"
     );
     assert!(router.totals().backend_downs >= 1);
     router.shutdown();
     srv.shutdown();
+}
+
+/// The router carries its client connections and backend links on one
+/// reactor shard, so a cached request is forwarded and relayed without
+/// a cross-thread wakeup anywhere in the stack: the router's shard
+/// never has its eventfd signalled, and each backend answers a ready
+/// cache hit on its own shard.
+#[test]
+fn cached_requests_are_relayed_without_a_cross_thread_wakeup() {
+    let backends: Vec<NetServer> = (0..2)
+        .map(|id| {
+            NetServer::bind(
+                "127.0.0.1:0",
+                CourseServer::new(ServerConfig::default()),
+                NetConfig {
+                    backend_id: id,
+                    ..NetConfig::default()
+                },
+            )
+            .expect("bind backend")
+        })
+        .collect();
+    let addrs: Vec<SocketAddr> = backends.iter().map(NetServer::local_addr).collect();
+    let router = Router::bind("127.0.0.1:0", &addrs, RouterConfig::default()).unwrap();
+    let stream = TcpStream::connect(router.local_addr()).unwrap();
+    let mut writer = BufWriter::new(&stream);
+    let mut reader = BufReader::new(&stream);
+    let life = |id: u64| {
+        encode_request(&RequestFrame {
+            id,
+            class: JobClass::Interactive,
+            priority: 160,
+            deadline_budget_ms: None,
+            req: Request::Life {
+                w: 8,
+                h: 8,
+                steps: 4,
+                seed: id % 8,
+            },
+        })
+    };
+    // Warm 8 keys on both backends directly, so a key the latency hedge
+    // spills to its ring successor (`Ring::route_balanced`) is a hit
+    // there too. Each miss computes on a pool worker, whose completion
+    // does cross threads; then one pass through the router.
+    for addr in &addrs {
+        for id in 0..8u64 {
+            let resp = call_once(*addr, &life(id)).expect("warm a key");
+            assert_eq!(resp.status, RespStatus::Ok, "{resp:?}");
+        }
+    }
+    for id in 0..8u64 {
+        write_frame(&mut writer, &life(id)).unwrap();
+        let resp = next_response(&mut reader);
+        assert_eq!(
+            (resp.id, resp.status),
+            (id, RespStatus::OkCached),
+            "{resp:?}"
+        );
+    }
+    let wakeups = |registry: &obs::Registry| registry.snapshot().counter("reactor.wakeups");
+    let router_before = wakeups(router.registry()).expect("the router runs on a reactor");
+    let backends_before: Vec<u64> = backends
+        .iter()
+        .map(|b| wakeups(b.course().registry()).expect("the backend runs on a reactor"))
+        .collect();
+    for id in 8..2008u64 {
+        write_frame(&mut writer, &life(id)).unwrap();
+        let resp = next_response(&mut reader);
+        assert_eq!(
+            (resp.id, resp.status),
+            (id, RespStatus::OkCached),
+            "{resp:?}"
+        );
+    }
+    assert_eq!(
+        wakeups(router.registry()),
+        Some(router_before),
+        "a cached forward and relay stay on the router's shard"
+    );
+    for (b, before) in backends.iter().zip(backends_before) {
+        assert_eq!(
+            wakeups(b.course().registry()),
+            Some(before),
+            "a ready hit is answered on the backend's shard"
+        );
+    }
+    router.shutdown();
+    for b in backends {
+        b.shutdown();
+    }
 }

@@ -16,9 +16,10 @@ cargo clippy --workspace -- -D warnings
 cargo run --release -q -p bench --bin reproduce -- e13 > /dev/null
 cargo run --release -q -p bench --bin serve_demo -- 16 48 priority > /dev/null
 
-# E14 smoke: the same comparison over real loopback sockets, plus the
-# TCP demo (server + loadgen burst; asserts ledgers balance after the
-# stop-accept -> drain -> FIN shutdown).
+# E14 smoke: the same comparison over real loopback sockets (the
+# NetServer's reactor front end), plus the TCP demo (server + loadgen
+# burst; asserts ledgers balance after the stop-accept -> drain -> FIN
+# shutdown).
 cargo run --release -q -p bench --bin reproduce -- e14 > /dev/null
 cargo run --release -q -p bench --bin serve_demo -- 4 24 net > /dev/null
 
@@ -45,18 +46,13 @@ cargo test -q -p router
 cargo run --release -q -p bench --bin reproduce -- e16 > /dev/null
 cargo run --release -q -p bench --bin serve_demo -- 4 24 router 2 > /dev/null
 
-# Reactor tier (E18): the net suite (reactor unit tests, the
-# FrameAssembler property suite, the E2E ledger/drain tests under
-# both Io engines — the 10x-connections-at-bounded-threads soak
-# assertion itself runs in the bench tests above), the E18 smoke
-# (the blocking-vs-readiness connection sweep plus the
-# 1000-idle-connection soak), and both demos with their socket
-# front ends on the epoll reactor (same ledger-balance and
-# zero-unanswered assertions as the blocking modes above).
+# Reactor tier (E18): the net suite (the reactor's unit tests, the
+# FrameAssembler property suite, and the E2E ledger/drain tests over
+# the one connection engine every server and router runs on), then the
+# E18 smoke (the connection sweep plus the 1000-idle-connection soak;
+# the bounded-threads assertion itself is a `bench` lib test).
 cargo test -q -p net
 cargo run --release -q -p bench --bin reproduce -- e18 > /dev/null
-cargo run --release -q -p bench --bin serve_demo -- 4 24 net-epoll > /dev/null
-cargo run --release -q -p bench --bin serve_demo -- 4 24 router-epoll 2 > /dev/null
 
 # Control-plane tier (E20): the ctl crate's membership state machine,
 # the router's churn E2E + interleaving proptests (already inside
