@@ -60,10 +60,6 @@ pub struct NetConfig {
     /// for longer than this stops being read and closes once its
     /// in-flight responses are written.
     pub read_timeout: Duration,
-    /// Per-connection flush bound. A connection asked to close whose
-    /// queued responses are still unwritten after this long (a client
-    /// that stopped draining) is severed rather than kept forever.
-    pub write_timeout: Duration,
     /// Suggested client backoff on accept-time `GoAway` frames, in ms.
     pub goaway_retry_ms: u64,
     /// Identity stamped on every response frame's `backend` field so a
@@ -84,7 +80,6 @@ impl Default for NetConfig {
         NetConfig {
             max_connections: 64,
             read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
             goaway_retry_ms: 100,
             backend_id: 0,
             fault_plan: None,
@@ -92,6 +87,11 @@ impl Default for NetConfig {
         }
     }
 }
+
+/// Per-connection flush bound. A connection asked to close whose queued
+/// responses are still unwritten after this long (a client that stopped
+/// draining) is severed rather than kept forever.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Socket-layer counters, complementing the course server's request
 /// ledgers.
@@ -497,9 +497,8 @@ struct ServerConnHandler {
     /// ([`NetConfig::read_timeout`]).
     last_activity: Instant,
     /// When a graceful close was requested (idle, GoAway, malformed):
-    /// if the flush has not completed within
-    /// [`NetConfig::write_timeout`], the client is not draining and the
-    /// connection is severed.
+    /// if the flush has not completed within [`WRITE_TIMEOUT`], the
+    /// client is not draining and the connection is severed.
     closing_since: Option<Instant>,
 }
 
@@ -620,7 +619,7 @@ impl ConnHandler for ServerConnHandler {
             // Closing but not yet closed: the flush is pending. A
             // client that stopped draining past the write bound gets
             // severed rather than parked forever.
-            if since.elapsed() > self.shared.config.write_timeout {
+            if since.elapsed() > WRITE_TIMEOUT {
                 conn.kill();
             }
         } else if self.last_activity.elapsed() > self.shared.config.read_timeout {

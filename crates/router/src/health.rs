@@ -11,7 +11,7 @@
 //!
 //! Soft failures (a `GoAway` answer for a forwarded request, a write
 //! error that might be transient) *count* toward the threshold;
-//! hard evidence (the pooled connection severed, a read stall past the
+//! hard evidence (the backend link severed, a read stall past the
 //! timeout with requests outstanding) forces `Down` immediately via
 //! [`Health::force_down`]. Success on a forwarded request resets the
 //! failure count and feeds the latency EWMA, but never flips `Down` →

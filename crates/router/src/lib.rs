@@ -11,11 +11,11 @@
 //!   fleet changes move only the keys they must (proptested in
 //!   `tests/router_props.rs`).
 //! * [`health`] — per-backend EWMA latency plus consecutive-failure
-//!   tracking. Hard evidence (severed pool connection, read stall with
+//!   tracking. Hard evidence (severed backend link, read stall with
 //!   requests outstanding) downs a backend immediately; soft failures
 //!   accumulate to a threshold; only a successful probe re-admits.
-//! * [`server`] — the proxy: client connections and pooled backend
-//!   links on one [`net::reactor`] shard, so a forward and its relay
+//! * [`server`] — the proxy: client connections and one link per
+//!   backend on one [`net::reactor`] shard, so a forward and its relay
 //!   never cross threads; out-of-order
 //!   response matching via router-assigned request ids patched into
 //!   the frame bytes, one-shot re-routing of a dead backend's pending

@@ -5,10 +5,10 @@
 //! * **one acceptor** — accepts client sockets and registers each on
 //!   the router's [`net::reactor::Reactor`];
 //! * **one reactor shard** — carries every client connection *and*
-//!   every pooled backend link. A client frame is decoded, its cache
-//!   key consistent-hashed ([`crate::ring::request_key`]), and the
-//!   frame forwarded to the owning live backend over one of that
-//!   backend's [`RouterConfig::pool_size`] links. The backend's
+//!   every backend link (one per backend). A client frame is decoded,
+//!   its cache key consistent-hashed ([`crate::ring::request_key`]),
+//!   and the frame forwarded to the owning live backend over that
+//!   backend's link. The backend's
 //!   response is matched to the pending table by router-assigned id,
 //!   the client's id is patched back into the frame, and the frame is
 //!   queued on the client connection, so responses complete **out of
@@ -22,7 +22,7 @@
 //!   op-3 stats) and re-admits them. The prober is also the control
 //!   plane's actuator: it admits `Joining` backends into the live set
 //!   after their first successful probe, and retires `Draining`
-//!   backends (severs their idle links) once their last in-flight
+//!   backends (severs their idle link) once their last in-flight
 //!   response has resolved.
 //!
 //! Graceful shutdown closes the client connections one at a time
@@ -53,10 +53,9 @@
 //!   — a health event, not an administrative revision — and moves no
 //!   other backend's keys.
 //! * **drain** — the backend leaves the ring immediately (new keys
-//!   reassign to successors) but keeps its slot and links; in-flight
+//!   reassign to successors) but keeps its slot and link; in-flight
 //!   forwards resolve through the pending table as usual. The prober
-//!   severs the links (generation-guarded, like any other sever) once
-//!   `outstanding` hits zero.
+//!   severs the link once `outstanding` hits zero.
 //! * **remove** — the slot leaves the view entirely; whatever it still
 //!   owed is failed over (one re-route or an honest shed), exactly the
 //!   backend-death path.
@@ -85,7 +84,7 @@
 //! backend — the last time a response arrived (reset when the backend
 //! goes from idle to owing work) — and one bound,
 //! [`RouterConfig::stall_timeout`]: requests outstanding with no
-//! response for longer than the bound severs the pool and fails the
+//! response for longer than the bound severs the link and fails the
 //! pending work over. Each link checks the watermark in the reactor's
 //! `on_tick` sweep, which runs at a quarter of the bound (clamped to
 //! 5–200 ms). The prober deliberately has no such bound — its
@@ -102,9 +101,9 @@
 //! dead shard. Re-routing is **epoch-aware** by construction: the
 //! fail-over consults the ring of the view current at fail-over time,
 //! so a request stranded by a drain or remove lands on the new
-//! epoch's owner, never back on the departing backend. Any pooled
-//! connection dying downs the whole backend — the pool is one
-//! fate-shared unit. The invariant the end-to-end tests assert:
+//! epoch's owner, never back on the departing backend. The backend's
+//! link dying downs the backend. The invariant the end-to-end tests
+//! assert:
 //! **every forwarded request produces exactly one client response** —
 //! relayed, re-routed-then-relayed, or shed — and the fleet's merged
 //! ledgers still balance.
@@ -132,25 +131,23 @@ use std::time::{Duration, Instant};
 /// re-routing cheap.
 const ID_OFFSET: usize = 1;
 
+/// Ring points per backend; more = smoother keyspace split.
+const VNODES: usize = 64;
+
+/// Retry hint stamped on router-synthesized `SHED` responses, ms.
+const SHED_RETRY_MS: u64 = 50;
+
 /// Knobs for [`Router::bind`].
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Ring points per backend; more = smoother keyspace split.
-    pub vnodes: usize,
     /// Consecutive soft failures before a backend is marked down.
     pub fail_threshold: u32,
     /// How often the prober re-checks `Down` backends.
     pub probe_interval: Duration,
     /// How long a backend may owe responses without delivering any
-    /// before its pool is severed and the pending work re-routed. A
+    /// before its link is severed and the pending work re-routed. A
     /// slow-but-alive backend rides out any pause shorter than this.
     pub stall_timeout: Duration,
-    /// Retry hint stamped on router-synthesized `SHED` responses, ms.
-    pub shed_retry_ms: u64,
-    /// Pooled connections per backend. More connections mean more
-    /// frames in flight per backend without head-of-line blocking on
-    /// one socket's write queue.
-    pub pool_size: usize,
     /// Shared secret authenticating admin wire ops 7–10. `None`
     /// (default) disables the control surface entirely: every ctl op
     /// is answered with an error and the fleet stays fixed.
@@ -160,12 +157,9 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            vnodes: 64,
             fail_threshold: 2,
             probe_interval: Duration::from_millis(50),
             stall_timeout: Duration::from_secs(2),
-            shed_retry_ms: 50,
-            pool_size: 1,
             ctl_token: None,
         }
     }
@@ -174,7 +168,8 @@ impl Default for RouterConfig {
 /// Router-level ledger, the proxy's half of the end-to-end balance:
 /// `forwarded == relayed + synthesized_shed` once the router is idle
 /// (every forward resolves exactly once; a re-route changes *where* a
-/// request resolves, not whether).
+/// request resolves, not whether). Each field reads one `router.*`
+/// counter of [`Router::registry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RouterTotals {
     /// Requests forwarded to a backend (fresh, not counting re-sends).
@@ -193,14 +188,16 @@ pub struct RouterTotals {
     pub backend_readmits: u64,
 }
 
-/// Registry mirrors of the router ledger plus the per-forward RTT
-/// histogram, so `Op::Stats` through the router also tells the
-/// router's own story.
+/// The router ledger, kept in the router's registry, plus the
+/// per-forward RTT histogram, so `Op::Stats` through the router also
+/// tells the router's own story and [`Router::totals`] reads the same
+/// counters.
 struct RouterObs {
     forwarded: obs::Counter,
     relayed: obs::Counter,
     rerouted: obs::Counter,
     synthesized_shed: obs::Counter,
+    no_backend_shed: obs::Counter,
     backend_downs: obs::Counter,
     backend_readmits: obs::Counter,
     backends_live: obs::Gauge,
@@ -217,6 +214,7 @@ impl RouterObs {
             relayed: registry.counter("router.relayed"),
             rerouted: registry.counter("router.rerouted"),
             synthesized_shed: registry.counter("router.shed.synthesized"),
+            no_backend_shed: registry.counter("router.shed.no_backend"),
             backend_downs: registry.counter("router.backend.downs"),
             backend_readmits: registry.counter("router.backend.readmits"),
             backends_live: registry.gauge("router.backends.live"),
@@ -245,7 +243,7 @@ struct Pending {
     sent_at: Instant,
 }
 
-/// One pooled connection to a backend: sends enqueue on the reactor
+/// The connection to a backend: sends enqueue on the reactor
 /// connection; inbound frames arrive via [`BackendLink::on_frame`].
 struct Link {
     handle: ConnHandle,
@@ -254,19 +252,17 @@ struct Link {
     generation: u64,
 }
 
-/// One backend's connection pool, health, and stall watermark. Slots
-/// are shared via `Arc` between the published [`RouterView`]s and the
-/// per-link handlers, so a view swap never invalidates a handler's
-/// slot reference.
+/// One backend's link, health, and stall watermark. Slots are shared
+/// via `Arc` between the published [`RouterView`]s and the link
+/// handlers, so a view swap never invalidates a handler's slot
+/// reference.
 struct BackendSlot {
     id: u32,
     addr: SocketAddr,
     health: Health,
-    /// The connection pool: one slot per pooled link (`pool_size` long).
-    links: Vec<Mutex<Option<Link>>>,
+    /// The one connection to the backend; `None` while it is severed.
+    link: Mutex<Option<Link>>,
     next_generation: AtomicU64,
-    /// Round-robin cursor for picking a pool link per forward.
-    next_link: AtomicU64,
     /// Outstanding forwards on this backend (approximate, for the
     /// stall check and the drain-retirement decision).
     outstanding: AtomicU64,
@@ -276,23 +272,16 @@ struct BackendSlot {
 }
 
 impl BackendSlot {
-    fn new(id: u32, addr: SocketAddr, pool: usize, fail_threshold: u32) -> BackendSlot {
+    fn new(id: u32, addr: SocketAddr, fail_threshold: u32) -> BackendSlot {
         BackendSlot {
             id,
             addr,
             health: Health::new(fail_threshold),
-            links: (0..pool).map(|_| Mutex::new(None)).collect(),
+            link: Mutex::new(None),
             next_generation: AtomicU64::new(0),
-            next_link: AtomicU64::new(0),
             outstanding: AtomicU64::new(0),
             last_progress: Mutex::new(Instant::now()),
         }
-    }
-
-    fn has_links(&self) -> bool {
-        self.links
-            .iter()
-            .any(|l| l.lock().expect("backend link poisoned").is_some())
     }
 }
 
@@ -347,13 +336,10 @@ struct Shared {
     /// Monotonic forward counter feeding [`Ring::route_balanced`]'s
     /// alternating spill hedge.
     spill_tick: AtomicU64,
-    forwarded: AtomicU64,
-    relayed: AtomicU64,
-    rerouted: AtomicU64,
-    synthesized_shed: AtomicU64,
-    no_backend_shed: AtomicU64,
-    backend_downs: AtomicU64,
-    backend_readmits: AtomicU64,
+    /// The prober sleeps on `probe_wake` between sweeps; shutdown
+    /// notifies it so the join does not wait out a whole interval.
+    probe_lock: Mutex<()>,
+    probe_wake: Condvar,
 }
 
 /// A running router. See the module docs for the thread anatomy,
@@ -408,15 +394,14 @@ impl Router {
             .map(|(i, &addr)| (i as u32, addr))
             .collect();
         let membership = Membership::new(&initial);
-        let pool = config.pool_size.max(1);
         let slots: Vec<Arc<BackendSlot>> = initial
             .iter()
-            .map(|&(id, addr)| Arc::new(BackendSlot::new(id, addr, pool, config.fail_threshold)))
+            .map(|&(id, addr)| Arc::new(BackendSlot::new(id, addr, config.fail_threshold)))
             .collect();
         let boot = membership.view();
         let view = ViewCell::new(Arc::new(RouterView {
             epoch: boot.epoch,
-            ring: Some(Ring::new(&boot.ring_members(), config.vnodes)),
+            ring: Some(Ring::new(&boot.ring_members(), VNODES)),
             slots,
         }));
         let shared = Arc::new(Shared {
@@ -435,13 +420,8 @@ impl Router {
             all_closed: Condvar::new(),
             next_conn_id: AtomicU64::new(0),
             spill_tick: AtomicU64::new(0),
-            forwarded: AtomicU64::new(0),
-            relayed: AtomicU64::new(0),
-            rerouted: AtomicU64::new(0),
-            synthesized_shed: AtomicU64::new(0),
-            no_backend_shed: AtomicU64::new(0),
-            backend_downs: AtomicU64::new(0),
-            backend_readmits: AtomicU64::new(0),
+            probe_lock: Mutex::new(()),
+            probe_wake: Condvar::new(),
         });
         {
             let boot_view = shared.view.load();
@@ -483,16 +463,18 @@ impl Router {
         &self.shared.registry
     }
 
-    /// The router-level ledger.
+    /// The router-level ledger, read from the `router.*` counters of
+    /// [`Router::registry`].
     pub fn totals(&self) -> RouterTotals {
+        let robs = &self.shared.robs;
         RouterTotals {
-            forwarded: self.shared.forwarded.load(Ordering::Relaxed),
-            relayed: self.shared.relayed.load(Ordering::Relaxed),
-            rerouted: self.shared.rerouted.load(Ordering::Relaxed),
-            synthesized_shed: self.shared.synthesized_shed.load(Ordering::Relaxed),
-            no_backend_shed: self.shared.no_backend_shed.load(Ordering::Relaxed),
-            backend_downs: self.shared.backend_downs.load(Ordering::Relaxed),
-            backend_readmits: self.shared.backend_readmits.load(Ordering::Relaxed),
+            forwarded: robs.forwarded.value(),
+            relayed: robs.relayed.value(),
+            rerouted: robs.rerouted.value(),
+            synthesized_shed: robs.synthesized_shed.value(),
+            no_backend_shed: robs.no_backend_shed.value(),
+            backend_downs: robs.backend_downs.value(),
+            backend_readmits: robs.backend_readmits.value(),
         }
     }
 
@@ -546,6 +528,10 @@ impl Router {
             return;
         }
         self.shared.shutting_down.store(true, Ordering::SeqCst);
+        // Taking the lock orders the store before the prober's next
+        // check, so the notify cannot fall between its check and wait.
+        drop(self.shared.probe_lock.lock().expect("probe lock poisoned"));
+        self.shared.probe_wake.notify_all();
         self.shared.accepting.store(false, Ordering::SeqCst);
         drop(TcpStream::connect(self.local_addr));
         if let Some(handle) = self.acceptor.lock().expect("acceptor poisoned").take() {
@@ -568,7 +554,7 @@ impl Router {
         {
             let view = self.shared.view.load();
             for slot in &view.slots {
-                sever_all(slot);
+                sever(slot);
             }
         }
         if let Some(handle) = self.prober.lock().expect("prober poisoned").take() {
@@ -584,77 +570,58 @@ impl Drop for Router {
     }
 }
 
-/// Establishes `slot`'s `pool_size` pooled connections and registers
-/// them on the reactor. Does not change health state. A partial
-/// failure tears down whatever this call already established.
+/// Connects `slot`'s link and registers it on the reactor. Does not
+/// change health state.
 fn connect_backend(shared: &Arc<Shared>, slot: &Arc<BackendSlot>) -> io::Result<()> {
+    let stream = TcpStream::connect(slot.addr)?;
+    let _ = stream.set_nodelay(true);
     let generation = slot.next_generation.fetch_add(1, Ordering::Relaxed);
-    for li in 0..slot.links.len() {
-        let established = TcpStream::connect(slot.addr).and_then(|stream| {
-            let _ = stream.set_nodelay(true);
-            let handler = Box::new(BackendLink {
-                shared: Arc::clone(shared),
-                slot: Arc::clone(slot),
-                li,
-                generation,
-            });
-            shared.reactor.register(stream, handler)
-        });
-        match established {
-            Ok(handle) => {
-                *slot.links[li].lock().expect("backend link poisoned") =
-                    Some(Link { handle, generation });
-            }
-            Err(e) => {
-                sever_all(slot);
-                return Err(e);
-            }
-        }
-    }
+    let handler = Box::new(BackendLink {
+        shared: Arc::clone(shared),
+        slot: Arc::clone(slot),
+        generation,
+    });
+    let handle = shared.reactor.register(stream, handler)?;
+    *slot.link.lock().expect("backend link poisoned") = Some(Link { handle, generation });
     Ok(())
 }
 
-/// Tears down pool link `li` of `slot` iff it is still generation
-/// `generation`; returns whether *this call* severed it. The single
-/// point that decides which thread owns a link's cleanup.
-fn sever_link(slot: &BackendSlot, li: usize, generation: u64) -> bool {
-    let mut guard = slot.links[li].lock().expect("backend link poisoned");
-    match guard.as_ref() {
-        Some(link) if link.generation == generation => {
-            let link = guard.take().expect("checked above");
-            drop(guard);
-            link.handle.kill();
-            true
-        }
-        _ => false,
-    }
+/// Tears down `slot`'s link iff it is still generation `generation`;
+/// returns whether *this call* severed it. The single point that
+/// decides which thread owns a link's cleanup.
+fn sever_link(slot: &BackendSlot, generation: u64) -> bool {
+    let link = slot
+        .link
+        .lock()
+        .expect("backend link poisoned")
+        .take_if(|link| link.generation == generation);
+    let Some(link) = link else {
+        return false;
+    };
+    link.handle.kill();
+    true
 }
 
-/// Severs every link `slot` still holds (pool fate-sharing, drain
-/// retirement, and the shutdown path).
-fn sever_all(slot: &BackendSlot) {
-    for li in 0..slot.links.len() {
-        let generation = slot.links[li]
-            .lock()
-            .expect("backend link poisoned")
-            .as_ref()
-            .map(|link| link.generation);
-        if let Some(generation) = generation {
-            sever_link(slot, li, generation);
-        }
-    }
+/// Severs whatever link `slot` holds (backend down, drain retirement,
+/// and the shutdown path); returns whether it held one.
+fn sever(slot: &BackendSlot) -> bool {
+    let link = slot.link.lock().expect("backend link poisoned").take();
+    let Some(link) = link else {
+        return false;
+    };
+    link.handle.kill();
+    true
 }
 
-/// Marks `slot` down, severs whatever is left of its pool, and fails
+/// Marks `slot` down, severs its link if it still has one, and fails
 /// over everything it still owed: each pending entry re-routes once to
 /// a live ring successor or sheds honestly. Called only by the thread
-/// that actually severed a link, so each outage is cleaned up exactly
-/// once (a severed sibling link's close callback finds its slot
-/// already empty and does nothing).
+/// that actually severed the link, so each outage is cleaned up exactly
+/// once (the severed link's close callback finds its slot already
+/// empty and does nothing).
 fn backend_down(shared: &Arc<Shared>, slot: &Arc<BackendSlot>) {
-    sever_all(slot);
+    sever(slot);
     if slot.health.force_down() {
-        shared.backend_downs.fetch_add(1, Ordering::Relaxed);
         shared.robs.backend_downs.inc();
         shared.robs.backends_live.add(-1);
     }
@@ -690,7 +657,6 @@ fn fail_over(shared: &Arc<Shared>, mut p: Pending, dead: u32) {
             p.backend = next;
             p.rerouted = true;
             p.sent_at = Instant::now();
-            shared.rerouted.fetch_add(1, Ordering::Relaxed);
             shared.robs.rerouted.inc();
             resend(shared, p);
             return;
@@ -706,13 +672,15 @@ fn fail_over(shared: &Arc<Shared>, mut p: Pending, dead: u32) {
 fn resend(shared: &Arc<Shared>, p: Pending) {
     let backend = p.backend;
     let rid = router_id_of(&p.bytes);
-    let bytes = p.bytes.clone();
     let view = shared.view.load();
     let Some(slot) = view.slot(backend).map(Arc::clone) else {
         // The target left the fleet between routing and sending.
         fail_over(shared, p, backend);
         return;
     };
+    // The pending entry keeps its bytes for a re-route; the link gets
+    // this copy.
+    let bytes = p.bytes.clone();
     shared
         .pending
         .lock()
@@ -723,7 +691,7 @@ fn resend(shared: &Arc<Shared>, p: Pending) {
         // last response before the idle stretch.
         *slot.last_progress.lock().expect("progress poisoned") = Instant::now();
     }
-    if !send_to_backend(shared, &slot, &bytes) {
+    if !send_to_backend(shared, &slot, bytes) {
         // The send severed the target (or it was already gone). Claim
         // the entry back if the cascade hasn't, and resolve it here.
         let claimed = shared
@@ -741,12 +709,11 @@ fn resend(shared: &Arc<Shared>, p: Pending) {
 /// The router answers for a dead shard: an honest `SHED` with a retry
 /// hint, stamped [`ROUTER_BACKEND_ID`].
 fn synthesize_shed(shared: &Arc<Shared>, p: Pending, dead: u32) {
-    shared.synthesized_shed.fetch_add(1, Ordering::Relaxed);
     shared.robs.synthesized_shed.inc();
     let frame = ResponseFrame {
         id: p.client_id,
         status: RespStatus::Shed,
-        retry_after_ms: shared.config.shed_retry_ms,
+        retry_after_ms: SHED_RETRY_MS,
         backend: ROUTER_BACKEND_ID,
         body: format!("{SHED_BODY_PREFIX}: backend {dead} down, rerouting exhausted"),
     };
@@ -762,33 +729,22 @@ fn router_id_of(bytes: &[u8]) -> u64 {
     )
 }
 
-/// Queues `bytes` on one of `slot`'s pooled connections, round-robin
-/// over live links. On failure (the chosen link is dead) the pool is
-/// severed and the backend's down-handling runs; returns whether the
-/// send succeeded — "succeeded" means enqueued on a live connection, and
-/// a later write failure resolves through the pending table like any
-/// other sever.
-fn send_to_backend(shared: &Arc<Shared>, slot: &Arc<BackendSlot>, bytes: &[u8]) -> bool {
-    let n = slot.links.len();
-    let start = slot.next_link.fetch_add(1, Ordering::Relaxed) as usize;
-    for k in 0..n {
-        let li = (start + k) % n;
-        let guard = slot.links[li].lock().expect("backend link poisoned");
-        let Some(link) = guard.as_ref() else {
-            continue;
-        };
-        if link.handle.send(bytes.to_vec(), false) {
-            return true;
-        }
-        let generation = link.generation;
-        drop(guard);
-        sever_link(slot, li, generation);
+/// Queues `bytes` on `slot`'s link. On failure (the link is dead or
+/// already severed) the backend's down-handling runs; returns whether
+/// the send succeeded — "succeeded" means enqueued on a live
+/// connection, and a later write failure resolves through the pending
+/// table like any other sever.
+fn send_to_backend(shared: &Arc<Shared>, slot: &Arc<BackendSlot>, bytes: Vec<u8>) -> bool {
+    let sent = slot
+        .link
+        .lock()
+        .expect("backend link poisoned")
+        .as_ref()
+        .is_some_and(|link| link.handle.send(bytes, false));
+    if !sent {
         backend_down(shared, slot);
-        return false;
     }
-    // No link at all (racing a sever): make sure health agrees.
-    backend_down(shared, slot);
-    false
+    sent
 }
 
 /// One backend response: match it to the pending table, patch the
@@ -823,7 +779,6 @@ fn handle_backend_payload(shared: &Arc<Shared>, slot: &Arc<BackendSlot>, payload
         // it counts toward the failure threshold and the request
         // deserves a second chance elsewhere.
         if slot.health.record_failure() {
-            shared.backend_downs.fetch_add(1, Ordering::Relaxed);
             shared.robs.backend_downs.inc();
             shared.robs.backends_live.add(-1);
         }
@@ -838,20 +793,19 @@ fn handle_backend_payload(shared: &Arc<Shared>, slot: &Arc<BackendSlot>, payload
     let mut bytes = Vec::with_capacity(4 + out_payload.len());
     bytes.extend_from_slice(&(out_payload.len() as u32).to_be_bytes());
     bytes.extend_from_slice(&out_payload);
-    shared.relayed.fetch_add(1, Ordering::Relaxed);
     shared.robs.relayed.inc();
     p.client_out.send(bytes, true);
     true
 }
 
-/// [`ConnHandler`] for one reactor-registered pool link: frames resolve
-/// through the shared pending-table path, `on_tick` runs the stall
-/// watermark check, and the close callback owns the backend-down
-/// cascade (once per outage — sibling links find their slot empty).
+/// [`ConnHandler`] for one backend link: frames resolve through the
+/// shared pending-table path, `on_tick` runs the stall watermark
+/// check, and the close callback owns the backend-down cascade (once
+/// per outage — a link severed by another thread finds its slot
+/// empty, and a stale one finds a newer generation there).
 struct BackendLink {
     shared: Arc<Shared>,
     slot: Arc<BackendSlot>,
-    li: usize,
     generation: u64,
 }
 
@@ -859,7 +813,7 @@ impl ConnHandler for BackendLink {
     fn on_frame(&mut self, payload: Result<Vec<u8>, WireError>, conn: &ConnHandle) {
         let keep = match payload {
             Ok(bytes) => handle_backend_payload(&self.shared, &self.slot, bytes),
-            // Framing desync on a pooled connection: sever, fail over.
+            // Framing desync on the backend link: sever, fail over.
             Err(_) => false,
         };
         if !keep {
@@ -882,22 +836,34 @@ impl ConnHandler for BackendLink {
     }
 
     fn on_close(&mut self, _graceful: bool) {
-        if sever_link(&self.slot, self.li, self.generation) {
+        if sever_link(&self.slot, self.generation) {
             backend_down(&self.shared, &self.slot);
         }
     }
 }
 
-/// Periodically walks the membership: `Down` in-ring backends get a
-/// TCP connect plus an op-3 stats ping, and only on success is the
-/// pooled connection re-established and the backend (re-)admitted —
-/// for a `Joining` member this is the admission that marks it `Live`
-/// (same epoch: a health event, not a revision). `Draining` members
-/// whose outstanding count has hit zero are retired: links severed,
-/// health forced down, never probed again.
+/// Every `probe_interval`, until shutdown wakes it, walks the
+/// membership: `Down` in-ring backends get a TCP connect plus an op-3
+/// stats ping, and only on success is the link re-established and the
+/// backend (re-)admitted — for a `Joining` member this is the admission
+/// that marks it `Live` (same epoch: a health event, not a revision).
+/// `Draining` members whose outstanding count has hit zero are
+/// retired: link severed, health forced down, never probed again.
 fn probe_loop(shared: &Arc<Shared>) {
-    while !shared.shutting_down.load(Ordering::SeqCst) {
-        std::thread::sleep(shared.config.probe_interval);
+    loop {
+        let guard = shared.probe_lock.lock().expect("probe lock poisoned");
+        let (guard, _) = shared
+            .probe_wake
+            .wait_timeout_while(guard, shared.config.probe_interval, |_| {
+                !shared.shutting_down.load(Ordering::SeqCst)
+            })
+            .expect("probe lock poisoned");
+        // The sweep below does blocking socket I/O: never under the
+        // wake lock, or shutdown's notify would wait for it.
+        drop(guard);
+        if shared.shutting_down.load(Ordering::SeqCst) {
+            return;
+        }
         let membership = shared.membership.view();
         let view = shared.view.load();
         for spec in &membership.backends {
@@ -914,7 +880,6 @@ fn probe_loop(shared: &Arc<Shared>) {
                     }
                     if fetch_stats(slot.addr).is_ok() && connect_backend(shared, slot).is_ok() {
                         slot.health.mark_up();
-                        shared.backend_readmits.fetch_add(1, Ordering::Relaxed);
                         shared.robs.backend_readmits.inc();
                         shared.robs.backends_live.add(1);
                         if spec.state == BackendState::Joining {
@@ -927,14 +892,14 @@ fn probe_loop(shared: &Arc<Shared>) {
                     }
                 }
                 BackendState::Draining => {
-                    if slot.outstanding.load(Ordering::Relaxed) == 0 && slot.has_links() {
-                        // Last in-flight response resolved: retire the
-                        // idle links. New work can't arrive — the ring
-                        // stopped assigning at drain time.
-                        sever_all(slot);
-                        if slot.health.force_down() {
-                            shared.robs.backends_live.add(-1);
-                        }
+                    // Last in-flight response resolved: retire the idle
+                    // link. New work can't arrive — the ring stopped
+                    // assigning at drain time.
+                    if slot.outstanding.load(Ordering::Relaxed) == 0
+                        && sever(slot)
+                        && slot.health.force_down()
+                    {
+                        shared.robs.backends_live.add(-1);
                     }
                 }
                 BackendState::Removed => {}
@@ -980,7 +945,7 @@ fn publish_view(shared: &Shared, slots: Vec<Arc<BackendSlot>>) -> u64 {
     let ring = if members.is_empty() {
         None
     } else {
-        Some(Ring::new(&members, shared.config.vnodes))
+        Some(Ring::new(&members, VNODES))
     };
     shared.view.publish(Arc::new(RouterView {
         epoch: membership.epoch,
@@ -1044,12 +1009,7 @@ fn ctl_join(shared: &Arc<Shared>, addr: &str) -> Result<(u32, u64), String> {
         .membership
         .join(addr)
         .map_err(|e| format!("ctl: {e}"))?;
-    let slot = Arc::new(BackendSlot::new(
-        id,
-        addr,
-        shared.config.pool_size.max(1),
-        shared.config.fail_threshold,
-    ));
+    let slot = Arc::new(BackendSlot::new(id, addr, shared.config.fail_threshold));
     // Joining starts out of rotation; the prober admits it.
     slot.health.force_down();
     let old = shared.view.load();
@@ -1061,7 +1021,7 @@ fn ctl_join(shared: &Arc<Shared>, addr: &str) -> Result<(u32, u64), String> {
 }
 
 /// Takes a backend out of the ring; its in-flight work drains and the
-/// prober retires the idle links afterwards.
+/// prober retires the idle link afterwards.
 fn ctl_drain(shared: &Arc<Shared>, backend: u32) -> Result<u64, String> {
     let _guard = shared.ctl_lock.lock().expect("ctl lock poisoned");
     shared
@@ -1075,7 +1035,7 @@ fn ctl_drain(shared: &Arc<Shared>, backend: u32) -> Result<u64, String> {
 }
 
 /// Removes a backend from the fleet entirely: slot dropped from the
-/// view, links severed, and whatever it still owed failed over.
+/// view, link severed, and whatever it still owed failed over.
 fn ctl_remove(shared: &Arc<Shared>, backend: u32) -> Result<u64, String> {
     let removed;
     let epoch;
@@ -1321,14 +1281,13 @@ fn forward(
         )
     });
     let Some(backend) = target else {
-        shared.no_backend_shed.fetch_add(1, Ordering::Relaxed);
-        shared.synthesized_shed.fetch_add(1, Ordering::Relaxed);
+        shared.robs.no_backend_shed.inc();
         shared.robs.synthesized_shed.inc();
         out.send(
             encode_response(&ResponseFrame {
                 id: client_id,
                 status: RespStatus::Shed,
-                retry_after_ms: shared.config.shed_retry_ms,
+                retry_after_ms: SHED_RETRY_MS,
                 backend: ROUTER_BACKEND_ID,
                 body: format!("{SHED_BODY_PREFIX}: no live backend"),
             }),
@@ -1342,7 +1301,6 @@ fn forward(
     bytes.extend_from_slice(&payload);
     bytes[4 + ID_OFFSET..4 + ID_OFFSET + 8].copy_from_slice(&rid.to_be_bytes());
     out.open_in_flight();
-    shared.forwarded.fetch_add(1, Ordering::Relaxed);
     shared.robs.forwarded.inc();
     let p = Pending {
         client_out: out.clone(),

@@ -225,23 +225,14 @@ fn stats_through_the_router_are_the_sum_of_the_fleet() {
     }
 }
 
-/// The ledger-balance invariant must hold however wide the backend
-/// pool is: with one link per backend and with two.
 #[test]
 fn killing_a_backend_mid_run_loses_no_answers_and_balances_the_ledgers() {
-    for pool_size in [1, 2] {
-        kill_mid_run(pool_size);
-    }
-}
-
-fn kill_mid_run(pool_size: usize) {
     let (mut backends, addrs) = fleet(3, 2048);
     let router = Router::bind(
         "127.0.0.1:0",
         &addrs,
         RouterConfig {
             stall_timeout: Duration::from_millis(500),
-            pool_size,
             ..RouterConfig::default()
         },
     )
@@ -322,12 +313,6 @@ fn kill_mid_run(pool_size: usize) {
 
 #[test]
 fn a_stalled_backend_is_shed_from_then_probed_back_in() {
-    for pool_size in [1, 2] {
-        stall_shed_then_readmit(pool_size);
-    }
-}
-
-fn stall_shed_then_readmit(pool_size: usize) {
     // The single backend stalls every read 400 ms — longer than the
     // router's 100 ms stall bound — so the first forwarded request
     // trips the watermark check and gets an honest router shed.
@@ -345,7 +330,6 @@ fn stall_shed_then_readmit(pool_size: usize) {
             stall_timeout: Duration::from_millis(100),
             probe_interval: Duration::from_millis(25),
             fail_threshold: 1,
-            pool_size,
             ..RouterConfig::default()
         },
     )
@@ -397,7 +381,7 @@ fn no_live_backend_sheds_immediately_with_an_honest_hint() {
         b.shutdown();
     }
     // The dead backend is discovered lazily: the first request rides
-    // the corpse (EOF on the pooled conn → re-route → no live backend
+    // the corpse (EOF on the backend link → re-route → no live backend
     // → shed); later ones shed straight away. Either path must answer.
     let stream = TcpStream::connect(router.local_addr()).unwrap();
     let mut writer = BufWriter::new(&stream);
@@ -418,12 +402,6 @@ fn no_live_backend_sheds_immediately_with_an_honest_hint() {
 /// router must wait for the answer instead of severing.
 #[test]
 fn a_generous_stall_timeout_rides_out_a_pause() {
-    for pool_size in [1, 2] {
-        generous_stall(pool_size);
-    }
-}
-
-fn generous_stall(pool_size: usize) {
     let plan = FaultPlan::new(0x57A22).stall_at(
         FaultPoint::NetReadFrame,
         Duration::from_millis(400),
@@ -437,7 +415,6 @@ fn generous_stall(pool_size: usize) {
         RouterConfig {
             stall_timeout: Duration::from_secs(2),
             fail_threshold: 1,
-            pool_size,
             ..RouterConfig::default()
         },
     )
@@ -467,12 +444,6 @@ fn generous_stall(pool_size: usize) {
 /// answering.
 #[test]
 fn a_tight_stall_timeout_severs_within_its_bound() {
-    for pool_size in [1, 2] {
-        tight_stall(pool_size);
-    }
-}
-
-fn tight_stall(pool_size: usize) {
     let plan =
         FaultPlan::new(0x57A33).stall_at(FaultPoint::NetReadFrame, Duration::from_secs(2), 1, 1);
     let srv = backend(0, 8, Some(plan));
@@ -483,7 +454,6 @@ fn tight_stall(pool_size: usize) {
             stall_timeout: Duration::from_millis(150),
             fail_threshold: 1,
             probe_interval: Duration::from_secs(30), // don't re-admit mid-test
-            pool_size,
             ..RouterConfig::default()
         },
     )

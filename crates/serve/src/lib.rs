@@ -33,23 +33,21 @@
 //! and the parking discipline's no-lost-wakeup argument.
 //!
 //! Since PR 4 the server is reachable over TCP: the `net` crate wraps
-//! a [`server::CourseServer`] in a length-prefixed wire protocol and a
-//! blocking socket front end, completing pipelined requests out of
-//! order via [`server::Ticket::on_ready`] callbacks. Admission can now
-//! also *adapt*: [`server::AdaptiveAdmission`] derives per-class queue
-//! budgets and deadline defaults from an EWMA of observed service
-//! times (fed through [`server::AdmissionPolicy::observe`]), and the
-//! [`fault::FaultPlan`] reaches the wire (reader/writer stalls,
+//! a [`server::CourseServer`] in a length-prefixed wire protocol and
+//! an epoll reactor front end, completing pipelined requests out of
+//! order via [`server::Ticket::on_ready`] callbacks, and the
+//! [`fault::FaultPlan`] reaches the wire (read/write stalls,
 //! connection drops) so the drain-everything shutdown invariant is
 //! tested against socket-level failure too.
 //!
 //! Since PR 3 every job carries a [`pool::JobMeta`] (`class`,
 //! `priority`, `deadline`) threaded through the whole pipeline:
-//! requests are classified by a pluggable
-//! [`server::AdmissionPolicy`] (per-class queue budgets,
-//! lowest-class-first load shedding, deadline-aware retry hints), the
-//! pool's [`pool::Scheduler::PriorityLanes`] topology schedules by
-//! class with an anti-starvation aging rule, and nested submissions —
+//! requests are classified by one fixed class rule (grade interactive,
+//! homework/Life/MemTrace batch, reproduce bulk) that drives per-class
+//! queue budgets, lowest-class-first load shedding and deadline-aware
+//! retry hints; the pool's [`pool::Scheduler::PriorityLanes`]
+//! topology schedules by class with an anti-starvation aging rule,
+//! and nested submissions —
 //! including every [`par`] entry point called from inside a job —
 //! inherit the caller's class instead of demoting to the default. Both
 //! the server and the pool keep per-class counters so the scheduling
@@ -98,7 +96,4 @@ pub mod server;
 pub use cache::Cache;
 pub use fault::{FaultPlan, FaultPoint};
 pub use pool::{JobClass, JobMeta, Scheduler, ThreadPool};
-pub use server::{
-    AdaptiveAdmission, AdmissionPolicy, ClassAwareAdmission, CourseServer, FcfsAdmission, Request,
-    Response, ServerConfig, SHED_BODY_PREFIX,
-};
+pub use server::{CourseServer, Request, Response, ServerConfig, SHED_BODY_PREFIX};

@@ -323,8 +323,7 @@ pub struct ClassStats {
     pub deadline_missed: u64,
     /// Total worker time spent executing jobs of this class, in
     /// microseconds. `busy_micros / completed` is the observed mean
-    /// service time — the signal adaptive admission derives per-class
-    /// budgets and deadline defaults from.
+    /// service time of the class.
     pub busy_micros: u64,
 }
 

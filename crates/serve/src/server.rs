@@ -9,10 +9,12 @@
 //!
 //! ## Admission pipeline
 //!
-//! Every request is classified by the configured [`AdmissionPolicy`]
-//! into a [`JobMeta`] (`class`, `priority`, `deadline`) before anything
-//! else happens, and that metadata follows the job through the whole
-//! pipeline:
+//! Every request is classified by one fixed rule, `classify`, into a
+//! [`JobMeta`] (`class`, `priority`, `deadline`) before anything else
+//! happens, and that metadata follows the job through the whole
+//! pipeline. The rule mirrors the course's workloads: a grade is
+//! interactive (+500 ms), homework, Life and MemTrace are batch (+5 s),
+//! and a reproduce run is bulk (no deadline).
 //!
 //! 1. **per-class budget** — each class may occupy at most
 //!    `admit_limit(class)` of the admission queue, so bulk work can
@@ -158,231 +160,41 @@ pub struct ShuttingDown;
 /// guessing at prose.
 pub const SHED_BODY_PREFIX: &str = "shed under load";
 
-/// How the server classifies and budgets incoming requests.
-///
-/// The policy is consulted on every submit: [`classify`] turns the
-/// request into the [`JobMeta`] that follows it through scheduling and
-/// shedding, [`admit_limit`] bounds how much of the admission queue one
-/// class may occupy, and [`displaces`] decides which queued classes an
-/// incoming request may shed when the queue is full.
-///
-/// [`classify`]: AdmissionPolicy::classify
-/// [`admit_limit`]: AdmissionPolicy::admit_limit
-/// [`displaces`]: AdmissionPolicy::displaces
-pub trait AdmissionPolicy: Send + Sync + std::fmt::Debug {
-    /// The scheduling metadata for `req` (class, priority, deadline —
-    /// deadlines are measured from the moment of classification).
-    fn classify(&self, req: &Request) -> JobMeta;
-
-    /// Maximum in-flight requests of `class` given the total admission
-    /// capacity. Must return at least 1, or the class is unservable.
-    fn admit_limit(&self, class: JobClass, queue_capacity: usize) -> usize;
-
-    /// Whether an incoming request of class `incoming` may displace a
-    /// *queued* (not yet started) request of class `queued` when the
-    /// admission queue is full.
-    fn displaces(&self, incoming: JobClass, queued: JobClass) -> bool;
-
-    /// Feedback: the measured service time of a request of `class`
-    /// whose handler actually ran (cache hits are not observations).
-    /// Called by the server from the worker thread after every computed
-    /// response. The default ignores it; [`AdaptiveAdmission`] uses it
-    /// to keep a per-class EWMA that drives its budgets and deadlines.
-    fn observe(&self, _class: JobClass, _service: Duration) {}
-}
-
-/// The default policy: grade lookups are interactive with a tight
-/// deadline, homework generation is batch, reproduce runs are bulk.
-///
-/// * **classify** — `Grade` → `Interactive`, priority 160, deadline
-///   +500ms; `Homework` → `Batch`, priority 128, deadline +5s;
-///   `Reproduce` → `Bulk`, priority 64, no deadline.
-/// * **admit_limit** — `Interactive` may fill the whole queue, `Batch`
-///   three quarters, `Bulk` half (each at least 1), so bulk load can
-///   never crowd out a grade request entirely.
-/// * **displaces** — strictly higher classes displace lower ones
-///   (`Interactive` sheds `Batch`/`Bulk`, `Batch` sheds `Bulk`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ClassAwareAdmission;
-
-impl AdmissionPolicy for ClassAwareAdmission {
-    fn classify(&self, req: &Request) -> JobMeta {
-        match req {
-            Request::Grade { .. } => JobMeta::for_class(JobClass::Interactive)
-                .with_priority(160)
-                .with_deadline(Instant::now() + Duration::from_millis(500)),
-            Request::Homework { .. } => JobMeta::for_class(JobClass::Batch)
-                .with_deadline(Instant::now() + Duration::from_secs(5)),
-            // Life shares Homework's class/budget: real batch compute,
-            // slightly below Homework so generated problem sets win
-            // ties.
-            Request::Life { .. } => JobMeta::for_class(JobClass::Batch)
-                .with_priority(112)
-                .with_deadline(Instant::now() + Duration::from_secs(5)),
-            // MemTrace is batch compute like Life: real simulation
-            // work, priority between Homework and Life.
-            Request::MemTrace { .. } => JobMeta::for_class(JobClass::Batch)
-                .with_priority(120)
-                .with_deadline(Instant::now() + Duration::from_secs(5)),
-            Request::Reproduce { .. } => JobMeta::for_class(JobClass::Bulk).with_priority(64),
-        }
-    }
-
-    fn admit_limit(&self, class: JobClass, queue_capacity: usize) -> usize {
-        match class {
-            JobClass::Interactive => queue_capacity,
-            JobClass::Batch => (queue_capacity * 3 / 4).max(1),
-            JobClass::Bulk => (queue_capacity / 2).max(1),
-        }
-    }
-
-    fn displaces(&self, incoming: JobClass, queued: JobClass) -> bool {
-        incoming > queued
+/// The class rule every request is admitted under: a grade is
+/// interactive with a tight deadline, homework and the Life/MemTrace
+/// computes are batch (generated problem sets win ties, then MemTrace,
+/// then Life), and a reproduce run is bulk with no deadline. Deadlines
+/// are measured from the moment of classification.
+fn classify(req: &Request) -> JobMeta {
+    let (class, priority, budget) = match req {
+        Request::Grade { .. } => (JobClass::Interactive, 160, Some(Duration::from_millis(500))),
+        Request::Homework { .. } => (JobClass::Batch, 128, Some(Duration::from_secs(5))),
+        Request::MemTrace { .. } => (JobClass::Batch, 120, Some(Duration::from_secs(5))),
+        Request::Life { .. } => (JobClass::Batch, 112, Some(Duration::from_secs(5))),
+        Request::Reproduce { .. } => (JobClass::Bulk, 64, None),
+    };
+    JobMeta {
+        class,
+        priority,
+        deadline: budget.map(|budget| Instant::now() + budget),
     }
 }
 
-/// Class-aware admission whose budgets and deadlines *adapt to the
-/// observed workload* instead of being policy constants.
-///
-/// [`ClassAwareAdmission`] hard-codes two kinds of numbers: each
-/// class's deadline (+500ms, +5s, none) and each class's share of the
-/// admission queue (full, 3/4, 1/2). Those constants are right for the
-/// course's nominal workload and wrong the moment reproduce runs get
-/// 10x slower or grading gets trivially cheap. This policy derives both
-/// from an EWMA of observed per-class service times, fed by the
-/// server's [`AdmissionPolicy::observe`] hook (weight 1/8 to the newest
-/// sample):
-///
-/// * **deadline** — `DEADLINE_SERVICE_MULTIPLE` (4x) the class EWMA,
-///   clamped to the class's `[floor, ceiling]` band, so a deadline is
-///   always a few service times away: tight when the class is fast,
-///   realistic when it is slow, never tighter than the floor (a grade
-///   cannot be deadlined below 25ms however fast grading gets). Bulk
-///   work stays deadline-free. Before the first observation the
-///   ceiling (the [`ClassAwareAdmission`] constant) is used.
-/// * **queue budget** — the number of this class's jobs one worker
-///   could drain within the class's *patience window*
-///   (`patience / ewma`), capped by the same static share
-///   [`ClassAwareAdmission`] grants and floored at 1. A class observed
-///   to be slow gets a small budget (admitting a deep queue of 200ms
-///   jobs just converts backpressure into timeouts); a fast class gets
-///   its full static share.
-///
-/// Classification (which request is which class, who displaces whom)
-/// is inherited unchanged from the static policy.
-#[derive(Debug, Default)]
-pub struct AdaptiveAdmission {
-    /// Observed mean service time per class, EWMA, in microseconds.
-    /// 0 = no observation yet.
-    ewma_micros: [AtomicU64; JobClass::COUNT],
-}
-
-/// A deadline is this many observed service times after admission.
-pub const DEADLINE_SERVICE_MULTIPLE: u64 = 4;
-
-impl AdaptiveAdmission {
-    /// `[floor, ceiling]` for each class's adaptive deadline, by band.
-    /// Ceilings are the [`ClassAwareAdmission`] constants; `None` means
-    /// the class never carries a deadline.
-    const DEADLINE_BANDS: [Option<(Duration, Duration)>; JobClass::COUNT] = [
-        Some((Duration::from_millis(25), Duration::from_millis(500))),
-        Some((Duration::from_millis(250), Duration::from_secs(5))),
-        None,
-    ];
-
-    /// How long a queued job of each class may reasonably wait, by
-    /// band — the patience window its queue budget is derived from.
-    const PATIENCE: [Duration; JobClass::COUNT] = [
-        Duration::from_millis(500),
-        Duration::from_secs(2),
-        Duration::from_secs(4),
-    ];
-
-    /// The observed mean service time of `class`, if any request of
-    /// that class has completed yet.
-    pub fn observed_service(&self, class: JobClass) -> Option<Duration> {
-        match self.ewma_micros[class.band()].load(Ordering::Relaxed) {
-            0 => None,
-            us => Some(Duration::from_micros(us)),
-        }
-    }
-
-    fn adaptive_deadline(&self, class: JobClass) -> Option<Duration> {
-        let (floor, ceiling) = Self::DEADLINE_BANDS[class.band()]?;
-        Some(match self.observed_service(class) {
-            None => ceiling,
-            Some(ewma) => (ewma * DEADLINE_SERVICE_MULTIPLE as u32).clamp(floor, ceiling),
-        })
+/// Maximum in-flight requests of `class` given the total admission
+/// capacity: `Interactive` may fill the whole queue, `Batch` three
+/// quarters, `Bulk` half (each at least 1), so bulk load can never
+/// crowd out a grade request entirely.
+fn admit_limit(class: JobClass, capacity: usize) -> usize {
+    match class {
+        JobClass::Interactive => capacity,
+        JobClass::Batch => (capacity * 3 / 4).max(1),
+        JobClass::Bulk => (capacity / 2).max(1),
     }
 }
 
-impl AdmissionPolicy for AdaptiveAdmission {
-    fn classify(&self, req: &Request) -> JobMeta {
-        let (class, priority) = match req {
-            Request::Grade { .. } => (JobClass::Interactive, 160),
-            Request::Homework { .. } => (JobClass::Batch, 128),
-            Request::Life { .. } => (JobClass::Batch, 112),
-            Request::MemTrace { .. } => (JobClass::Batch, 120),
-            Request::Reproduce { .. } => (JobClass::Bulk, 64),
-        };
-        let mut meta = JobMeta::for_class(class).with_priority(priority);
-        if let Some(budget) = self.adaptive_deadline(class) {
-            meta = meta.with_deadline(Instant::now() + budget);
-        }
-        meta
-    }
-
-    fn admit_limit(&self, class: JobClass, queue_capacity: usize) -> usize {
-        let share = ClassAwareAdmission.admit_limit(class, queue_capacity);
-        match self.observed_service(class) {
-            None => share,
-            Some(ewma) => {
-                let drainable =
-                    (Self::PATIENCE[class.band()].as_micros() / ewma.as_micros().max(1)) as usize;
-                drainable.clamp(1, share)
-            }
-        }
-    }
-
-    fn displaces(&self, incoming: JobClass, queued: JobClass) -> bool {
-        incoming > queued
-    }
-
-    fn observe(&self, class: JobClass, service: Duration) {
-        let sample = (service.as_micros() as u64).max(1);
-        let slot = &self.ewma_micros[class.band()];
-        // Racy read-modify-write is fine: the EWMA is a smoothing
-        // heuristic, and a lost update just weights a neighbor sample.
-        let old = slot.load(Ordering::Relaxed);
-        let new = if old == 0 {
-            sample
-        } else {
-            (old * 7 + sample) / 8
-        };
-        slot.store(new, Ordering::Relaxed);
-    }
-}
-
-/// The pre-refactor policy, kept as a measurable baseline: everything
-/// is one class (`Batch`, default meta), every class may fill the whole
-/// queue, nothing is ever displaced — admission is pure
-/// first-come-first-served.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FcfsAdmission;
-
-impl AdmissionPolicy for FcfsAdmission {
-    fn classify(&self, _req: &Request) -> JobMeta {
-        JobMeta::default()
-    }
-
-    fn admit_limit(&self, _class: JobClass, queue_capacity: usize) -> usize {
-        queue_capacity
-    }
-
-    fn displaces(&self, _incoming: JobClass, _queued: JobClass) -> bool {
-        false
-    }
-}
+/// Capacity (in spans) of each server's request-lifecycle trace ring.
+/// Old spans are overwritten, so memory is bounded by construction.
+const TRACE_CAPACITY: usize = 256;
 
 /// Sizing knobs for [`CourseServer::new`].
 #[derive(Debug, Clone)]
@@ -400,10 +212,6 @@ pub struct ServerConfig {
     /// let the admission classes drive scheduling order, or
     /// [`Scheduler::SharedFifo`] for the single-queue baseline.
     pub scheduler: Scheduler,
-    /// Request classification and budgeting. Defaults to
-    /// [`ClassAwareAdmission`]; [`FcfsAdmission`] restores the old
-    /// first-come-first-served behavior as a measurable baseline.
-    pub admission: Arc<dyn AdmissionPolicy>,
     /// Optional seeded fault injection for tests: panic/stall handlers
     /// at chosen points. `None` (the default) injects nothing.
     pub fault_plan: Option<FaultPlan>,
@@ -413,10 +221,6 @@ pub struct ServerConfig {
     /// to a never-taken branch (the "obs off" arm of experiment E15), or
     /// a shared registry to aggregate several servers.
     pub registry: obs::Registry,
-    /// Capacity (in spans) of the request-lifecycle trace ring. Rounded
-    /// up to a power of two; old spans are overwritten, so memory is
-    /// bounded by construction.
-    pub trace_capacity: usize,
 }
 
 impl Default for ServerConfig {
@@ -427,10 +231,8 @@ impl Default for ServerConfig {
             cache_shards: 8,
             cache_capacity_per_shard: 32,
             scheduler: Scheduler::default(),
-            admission: Arc::new(ClassAwareAdmission),
             fault_plan: None,
             registry: obs::Registry::new(),
-            trace_capacity: 256,
         }
     }
 }
@@ -628,7 +430,7 @@ struct ServeObs {
 }
 
 impl ServeObs {
-    fn new(registry: &obs::Registry, trace_capacity: usize) -> ServeObs {
+    fn new(registry: &obs::Registry) -> ServeObs {
         let class_counters = |what: &str| {
             std::array::from_fn(|band| {
                 registry.counter(&format!("serve.{what}.{}", JobClass::from_band(band)))
@@ -644,7 +446,7 @@ impl ServeObs {
             shed: class_counters("shed"),
             rejected: class_counters("rejected"),
             inline_hits: class_counters("inline_hits"),
-            tracer: obs::Tracer::new(trace_capacity, registry, &label_refs),
+            tracer: obs::Tracer::new(TRACE_CAPACITY, registry, &label_refs),
         }
     }
 }
@@ -653,7 +455,6 @@ struct ServerInner {
     cache: Cache<Request, Response>,
     experiments: Vec<(String, ExperimentFn)>,
     fault_plan: Option<FaultPlan>,
-    policy: Arc<dyn AdmissionPolicy>,
     slots: Semaphore,
     queue_capacity: usize,
     workers: usize,
@@ -906,11 +707,14 @@ impl ServerInner {
     /// (the victim's worker closure becomes a no-op that does *not*
     /// release the semaphore).
     fn shed_one_below(&self, incoming: JobClass) -> bool {
-        for band in (0..JobClass::COUNT).rev() {
-            let queued_class = JobClass::from_band(band);
-            if !self.policy.displaces(incoming, queued_class) {
-                continue;
-            }
+        // Only a strictly higher class displaces: interactive sheds
+        // batch and bulk, batch sheds bulk.
+        let lower = JobClass::ALL
+            .into_iter()
+            .rev()
+            .filter(|&queued| incoming > queued);
+        for queued_class in lower {
+            let band = queued_class.band();
             let victim = {
                 let mut q = self.shed_queues[band].lock().expect("shed queue poisoned");
                 let mut found = None;
@@ -1034,8 +838,8 @@ impl Drop for OpenGuard<'_> {
 
 /// The thread-pool job server for course workloads.
 ///
-/// Lifecycle: [`CourseServer::submit`] classifies the request via the
-/// configured [`AdmissionPolicy`] and either admits it (you get a
+/// Lifecycle: [`CourseServer::submit`] classifies the request by the
+/// server's one class rule and either admits it (you get a
 /// [`Ticket`]) or rejects it with a deadline-aware retry hint — it
 /// never blocks the caller. A request whose result the cache already
 /// holds is answered at admission, on the caller's thread. Other
@@ -1059,7 +863,6 @@ impl std::fmt::Debug for CourseServer {
         f.debug_struct("CourseServer")
             .field("workers", &self.inner.workers)
             .field("queue_capacity", &self.inner.queue_capacity)
-            .field("policy", &self.inner.policy)
             .finish()
     }
 }
@@ -1090,7 +893,6 @@ impl CourseServer {
             ),
             experiments,
             fault_plan: config.fault_plan,
-            policy: config.admission,
             slots: Semaphore::new(config.queue_capacity),
             queue_capacity: config.queue_capacity,
             workers: config.workers,
@@ -1103,7 +905,7 @@ impl CourseServer {
             shed_queues: std::array::from_fn(|_| Mutex::new(VecDeque::new())),
             open: Mutex::new(0),
             open_zero: Condvar::new(),
-            obs: ServeObs::new(&config.registry, config.trace_capacity),
+            obs: ServeObs::new(&config.registry),
             registry: config.registry.clone(),
         });
         CourseServer {
@@ -1130,7 +932,8 @@ impl CourseServer {
     }
 
     /// Submits a request without blocking, classified by the server's
-    /// [`AdmissionPolicy`].
+    /// class rule (grade interactive, homework/Life/MemTrace batch,
+    /// reproduce bulk).
     ///
     /// * `Ok(ticket)` — admitted; the ticket resolves exactly once
     ///   (with the computed response, or an `ok: false` shed response
@@ -1141,13 +944,12 @@ impl CourseServer {
     ///   nothing shedable; retry after the hinted backoff.
     /// * `Err(SubmitError::ShuttingDown(_))` — shutdown has begun.
     pub fn submit(&self, req: Request) -> Result<Ticket, SubmitError> {
-        let meta = self.inner.policy.classify(&req);
-        self.submit_with_meta(meta, req)
+        self.submit_with_meta(classify(&req), req)
     }
 
     /// Like [`CourseServer::submit`], but with explicit scheduling
-    /// metadata instead of the policy's classification (the class still
-    /// counts against its per-class budget).
+    /// metadata instead of the class rule's (the class still counts
+    /// against its per-class budget).
     pub fn submit_with_meta(&self, meta: JobMeta, req: Request) -> Result<Ticket, SubmitError> {
         let inner = &self.inner;
         // Count this submission as "open" for the whole admission
@@ -1160,7 +962,7 @@ impl CourseServer {
         let band = meta.class.band();
 
         // Per-class budget: one class may not occupy the whole queue.
-        let limit = inner.policy.admit_limit(meta.class, inner.queue_capacity) as u64;
+        let limit = admit_limit(meta.class, inner.queue_capacity) as u64;
         if inner.class_in_flight(band) >= limit {
             inner.rejected.fetch_add(1, Ordering::Relaxed);
             inner.per_class[band]
@@ -1243,12 +1045,6 @@ impl CourseServer {
                 })
             }));
             let service = run_start.elapsed();
-            // Feed the observed service time back to the policy — only
-            // when the handler actually ran (a cache hit says nothing
-            // about this class's cost).
-            if ran_here.load(Ordering::SeqCst) {
-                job_inner.policy.observe(meta.class, service);
-            }
             let panicked = outcome.is_err();
             let response = match outcome {
                 Ok(mut resp) => {
@@ -1585,13 +1381,14 @@ mod tests {
         // Two distinct slow requests fill the 1 worker + 1 queue slot;
         // admission is only released on completion, so the third submit
         // lands inside the 100ms compute window and must be rejected.
-        // FCFS admission isolates the global bound from class budgets
-        // (under the class-aware default, Bulk would cap at queue/2).
+        // Interactive meta isolates the global bound from class budgets
+        // (the interactive budget is the whole queue, while Bulk would
+        // cap at queue/2) and from displacement (nothing below it is
+        // queued).
         let server = CourseServer::with_experiments(
             ServerConfig {
                 workers: 1,
                 queue_capacity: 2,
-                admission: Arc::new(FcfsAdmission),
                 ..ServerConfig::default()
             },
             vec![
@@ -1599,17 +1396,21 @@ mod tests {
                 ("slow-b".to_string(), slow_experiment as ExperimentFn),
             ],
         );
+        let interactive = JobMeta::for_class(JobClass::Interactive);
         let tickets: Vec<Ticket> = ["slow-a", "slow-b"]
             .iter()
             .map(|id| {
                 server
-                    .submit(Request::Reproduce { id: (*id).into() })
+                    .submit_with_meta(interactive, Request::Reproduce { id: (*id).into() })
                     .expect("first requests fit the queue")
             })
             .collect();
-        let rejected = match server.submit(Request::Reproduce {
-            id: "slow-a".into(),
-        }) {
+        let rejected = match server.submit_with_meta(
+            interactive,
+            Request::Reproduce {
+                id: "slow-a".into(),
+            },
+        ) {
             Err(SubmitError::Busy(r)) => r,
             other => panic!("expected Busy rejection, got {other:?}"),
         };
@@ -1944,100 +1745,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_admission_derives_budgets_and_deadlines_from_observations() {
-        let policy = AdaptiveAdmission::default();
-        // Before any observation: static shares and ceiling deadlines.
-        assert_eq!(policy.admit_limit(JobClass::Bulk, 64), 32);
-        assert_eq!(policy.admit_limit(JobClass::Interactive, 64), 64);
-        let cold = policy.classify(&Request::Grade {
-            submission: String::new(),
-        });
-        assert_eq!(cold.class, JobClass::Interactive);
-        let cold_budget = cold
-            .deadline
-            .unwrap()
-            .saturating_duration_since(Instant::now());
-        assert!(
-            cold_budget > Duration::from_millis(400),
-            "cold deadline should be the ceiling"
-        );
-        // Slow bulk observations shrink the bulk budget: 500ms EWMA
-        // against 4s patience leaves room for ~8 queued jobs, not 32.
-        for _ in 0..32 {
-            policy.observe(JobClass::Bulk, Duration::from_millis(500));
-        }
-        let bulk_limit = policy.admit_limit(JobClass::Bulk, 64);
-        assert!(
-            (1..=10).contains(&bulk_limit),
-            "bulk budget should shrink, got {bulk_limit}"
-        );
-        // Fast interactive observations tighten the grade deadline to
-        // 4x the EWMA, but never below the 25ms floor.
-        for _ in 0..32 {
-            policy.observe(JobClass::Interactive, Duration::from_millis(2));
-        }
-        let warm = policy.classify(&Request::Grade {
-            submission: String::new(),
-        });
-        let warm_budget = warm
-            .deadline
-            .unwrap()
-            .saturating_duration_since(Instant::now());
-        assert!(
-            warm_budget <= Duration::from_millis(30),
-            "warm deadline should track 4x EWMA, got {warm_budget:?}"
-        );
-        assert!(
-            warm_budget >= Duration::from_millis(20),
-            "deadline floor violated"
-        );
-        // Bulk never carries a deadline, observed or not.
-        assert_eq!(
-            policy
-                .classify(&Request::Reproduce { id: "e1".into() })
-                .deadline,
-            None
-        );
-    }
-
-    #[test]
-    fn adaptive_admission_learns_through_a_live_server() {
-        let policy = Arc::new(AdaptiveAdmission::default());
-        let server = CourseServer::new(ServerConfig {
-            workers: 2,
-            admission: Arc::clone(&policy) as Arc<dyn AdmissionPolicy>,
-            ..ServerConfig::default()
-        });
-        assert!(policy.observed_service(JobClass::Batch).is_none());
-        for seed in 0..4 {
-            let resp = server
-                .submit(Request::Homework {
-                    generator: "binary_arithmetic".into(),
-                    seed,
-                })
-                .expect("admitted")
-                .wait();
-            assert!(resp.ok);
-        }
-        let ewma = policy
-            .observed_service(JobClass::Batch)
-            .expect("server must feed observations back to the policy");
-        assert!(ewma > Duration::ZERO);
-        // A cache hit is not an observation: re-submitting an identical
-        // request must leave the EWMA untouched.
-        let cached = server
-            .submit(Request::Homework {
-                generator: "binary_arithmetic".into(),
-                seed: 0,
-            })
-            .expect("admitted")
-            .wait();
-        assert!(cached.cached);
-        assert_eq!(policy.observed_service(JobClass::Batch), Some(ewma));
-        server.shutdown();
-    }
-
-    #[test]
     fn requests_reach_the_pool_with_their_admission_class() {
         // The meta assigned at admission must be the meta the pool
         // schedules and counts with — the whole point of the refactor.
@@ -2063,6 +1770,55 @@ mod tests {
         assert_eq!(pool.per_class[JobClass::Interactive.band()].submitted, 1);
         assert_eq!(pool.per_class[JobClass::Batch.band()].submitted, 1);
         assert_eq!(pool.per_class[JobClass::Bulk.band()].submitted, 0);
+    }
+
+    #[test]
+    fn classify_pins_the_class_table() {
+        let requests = [
+            Request::Grade {
+                submission: GOOD_SUBMISSION.to_string(),
+            },
+            Request::Homework {
+                generator: "binary_arithmetic".into(),
+                seed: 1,
+            },
+            Request::MemTrace {
+                pattern: "seq".into(),
+                accesses: 64,
+                seed: 1,
+            },
+            Request::Life {
+                w: 8,
+                h: 8,
+                steps: 1,
+                seed: 1,
+            },
+            Request::Reproduce { id: "e1".into() },
+        ];
+        let batch = Some(Duration::from_secs(5));
+        let expected = [
+            (JobClass::Interactive, 160, Some(Duration::from_millis(500))),
+            (JobClass::Batch, 128, batch),
+            (JobClass::Batch, 120, batch),
+            (JobClass::Batch, 112, batch),
+            (JobClass::Bulk, 64, None),
+        ];
+        for (req, (class, priority, budget)) in requests.iter().zip(expected) {
+            let before = Instant::now();
+            let meta = classify(req);
+            let after = Instant::now();
+            assert_eq!((meta.class, meta.priority), (class, priority), "{req:?}");
+            // The deadline is `budget` after an instant inside the call,
+            // and absent exactly when the budget is (`None` < `Some`).
+            let since = |t: Instant| meta.deadline.map(|d| d.duration_since(t));
+            assert!(since(before) >= budget && since(after) <= budget, "{req:?}");
+        }
+        assert_eq!(admit_limit(JobClass::Interactive, 64), 64);
+        assert_eq!(admit_limit(JobClass::Batch, 64), 48);
+        assert_eq!(admit_limit(JobClass::Bulk, 64), 32);
+        assert!(JobClass::ALL
+            .iter()
+            .all(|&class| admit_limit(class, 1) == 1));
     }
 
     fn pool_claims(server: &CourseServer) -> u64 {

@@ -1,14 +1,15 @@
 #!/usr/bin/env sh
 # Tier-1 gate: everything a PR must keep green.
 #   fmt --check -> build (release) -> full test suite -> clippy with
-#   warnings denied -> end-to-end smokes
+#   warnings denied over every target (tests, benches and examples
+#   too) -> end-to-end smokes
 set -eu
 cd "$(dirname "$0")/.."
 
 cargo fmt --check
 cargo build --release
 cargo test -q
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 # E13 smoke: the priority pipeline end to end — reproduce runner plus
 # the live server under class-aware admission (serve_demo asserts its
