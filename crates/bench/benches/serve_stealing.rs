@@ -1,4 +1,5 @@
-//! E12 — work stealing vs the shared-FIFO baseline.
+//! E12 — the work-stealing pool vs the bench-local shared-FIFO
+//! baseline (`bench::stealing::FifoPool`).
 //!
 //! Prints the E12 table (heavy-tail overload stream, sleep-modeled
 //! service times — see `bench::stealing`), then benches:
@@ -12,8 +13,9 @@
 //!   uniform job flood, checking the deques + steal protocol do not
 //!   tax the plain case the FIFO handled fine.
 
+use bench::stealing::{FifoPool, Topology};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use serve::pool::{Scheduler, ThreadPool};
+use serve::pool::ThreadPool;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -24,20 +26,24 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("heavy_tail_makespan");
     g.sample_size(10);
     let p = bench::stealing::heavy_tail_params();
-    for sched in [Scheduler::SharedFifo, Scheduler::WorkStealing] {
-        g.bench_with_input(BenchmarkId::new("scheduler", sched), &sched, |b, &sched| {
-            b.iter(|| {
-                let out = bench::stealing::run_mix(sched, p);
-                assert!(out.local_hits + out.steals > 0);
-                out.makespan
-            })
-        });
+    for topology in [Topology::Fifo, Topology::Stealing] {
+        g.bench_with_input(
+            BenchmarkId::new("topology", topology),
+            &topology,
+            |b, &t| {
+                b.iter(|| {
+                    let out = bench::stealing::run_mix(t, p);
+                    assert!(out.local_hits + out.steals > 0);
+                    out.makespan
+                })
+            },
+        );
     }
     g.finish();
 
     let mut g = c.benchmark_group("ragged_par_map");
     g.sample_size(10);
-    let pool = ThreadPool::with_scheduler(4, Scheduler::WorkStealing);
+    let pool = ThreadPool::new(4);
     let unit = Duration::from_micros(120);
     let n = 48usize;
     g.bench_function("static_1_chunk_per_worker", |b| {
@@ -52,23 +58,34 @@ fn bench(c: &mut Criterion) {
     // balance — the stealing pool must not regress the easy case.
     let mut g = c.benchmark_group("uniform_overhead");
     g.sample_size(10);
-    for sched in [Scheduler::SharedFifo, Scheduler::WorkStealing] {
-        let pool = ThreadPool::with_scheduler(4, sched);
-        g.bench_with_input(BenchmarkId::new("scheduler", sched), &sched, |b, _| {
-            b.iter(|| {
-                let hits = Arc::new(AtomicU64::new(0));
-                for _ in 0..512 {
-                    let hits = Arc::clone(&hits);
-                    pool.execute(move || {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                    })
-                    .expect("pool alive");
-                }
-                pool.wait_empty();
-                assert_eq!(hits.load(Ordering::Relaxed), 512);
-            })
-        });
-    }
+    let fifo = FifoPool::new(4);
+    g.bench_function(BenchmarkId::new("topology", Topology::Fifo), |b| {
+        b.iter(|| {
+            let hits = Arc::new(AtomicU64::new(0));
+            for _ in 0..512 {
+                let hits = Arc::clone(&hits);
+                fifo.execute(move || {
+                    hits.fetch_add(1, Ordering::Relaxed);
+                });
+            }
+            fifo.wait_empty();
+            assert_eq!(hits.load(Ordering::Relaxed), 512);
+        })
+    });
+    g.bench_function(BenchmarkId::new("topology", Topology::Stealing), |b| {
+        b.iter(|| {
+            let hits = Arc::new(AtomicU64::new(0));
+            for _ in 0..512 {
+                let hits = Arc::clone(&hits);
+                pool.execute(move || {
+                    hits.fetch_add(1, Ordering::Relaxed);
+                })
+                .expect("pool alive");
+            }
+            pool.wait_empty();
+            assert_eq!(hits.load(Ordering::Relaxed), 512);
+        })
+    });
     g.finish();
 }
 

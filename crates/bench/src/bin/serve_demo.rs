@@ -3,8 +3,6 @@
 //! ```text
 //! cargo run -p bench --bin serve_demo                    # 8 clients x 32 requests
 //! cargo run -p bench --bin serve_demo -- 4 100           # 4 clients x 100 requests
-//! cargo run -p bench --bin serve_demo -- 4 100 fifo      # shared-FIFO baseline pool
-//! cargo run -p bench --bin serve_demo -- 4 100 priority  # class-aware priority lanes
 //! cargo run -p bench --bin serve_demo -- 4 100 net       # over TCP: server + loadgen
 //! cargo run -p bench --bin serve_demo -- 4 100 net --conns 2,8,32  # sweep mode
 //! cargo run -p bench --bin serve_demo -- 4 100 stats     # net mode + Op::Stats snapshot
@@ -30,7 +28,6 @@
 //! drained and the request/class/cache/pool counters are printed —
 //! the live-system counterpart of experiments E11 and E13.
 
-use serve::pool::Scheduler;
 use serve::server::{CourseServer, ExperimentFn, Request, SubmitError};
 use serve::ServerConfig;
 use std::thread;
@@ -52,8 +49,7 @@ done:
 ";
 
 const USAGE: &str = "usage: serve_demo [clients] [requests] \
-                     [steal|fifo|priority|net|stats\
-                     |router [N|port,port,...] [--ctl <token>]]\n\
+                     [net|stats|router [N|port,port,...] [--ctl <token>]]\n\
                      net accepts a connection-count sweep: \
                      --conns a,b,c,... (strictly increasing)\n\
                      router with --ctl reads resize commands from stdin: \
@@ -114,7 +110,6 @@ fn net_mode(connections: u64, per_connection: u64, stats: bool, sweep: Option<Ve
         ServerConfig {
             workers: 4,
             queue_capacity: 8,
-            scheduler: Scheduler::PriorityLanes,
             ..ServerConfig::default()
         },
         vec![("e5".to_string(), bench::e5_tlb_eat as ExperimentFn)],
@@ -190,7 +185,7 @@ fn net_mode(connections: u64, per_connection: u64, stats: bool, sweep: Option<Ve
 
     println!(
         "serve_demo {mode_name}: {connections} connections x {per_connection} requests against \
-         {} (4 workers, priority lanes, queue 8)\n",
+         {} (4 workers, queue 8)\n",
         srv.local_addr()
     );
     let report = loadgen::run(
@@ -281,7 +276,6 @@ fn backend_child(id: u32, port: u16) -> ! {
         ServerConfig {
             workers: 2,
             queue_capacity: 32,
-            scheduler: Scheduler::PriorityLanes,
             ..ServerConfig::default()
         },
         Vec::new(),
@@ -751,10 +745,8 @@ fn main() {
     };
     let clients = parse_count(args.first(), 8, "clients");
     let per_client = parse_count(args.get(1), 32, "requests");
-    let scheduler = match args.get(2).map(String::as_str) {
-        None | Some("steal") => Scheduler::WorkStealing,
-        Some("fifo") => Scheduler::SharedFifo,
-        Some("priority") => Scheduler::PriorityLanes,
+    match args.get(2).map(String::as_str) {
+        None => {}
         Some("net") => return net_mode(clients, per_client, false, sweep_conns),
         Some("stats") => return net_mode(clients, per_client, true, None),
         Some("router") => {
@@ -762,7 +754,7 @@ fn main() {
             return router_mode(clients, per_client, spec, token);
         }
         Some(other) => bail(&format!("unknown mode {other:?}")),
-    };
+    }
 
     // A small queue relative to the offered load, so backpressure and
     // class-aware shedding are actually exercised and the retry loop
@@ -771,15 +763,12 @@ fn main() {
         ServerConfig {
             workers: 4,
             queue_capacity: 8,
-            scheduler,
             ..ServerConfig::default()
         },
         vec![("e5".to_string(), bench::e5_tlb_eat as ExperimentFn)],
     );
 
-    println!(
-        "serve_demo: {clients} clients x {per_client} requests, 4 workers ({scheduler}), queue 8\n"
-    );
+    println!("serve_demo: {clients} clients x {per_client} requests, 4 workers, queue 8\n");
     let start = Instant::now();
     let mut total_retries = 0u64;
     let mut total_cached = 0u64;

@@ -25,7 +25,6 @@
 //!   in the loadgen for this purpose).
 
 use serve::server::{CourseServer, Request, ServerConfig};
-use serve::Scheduler;
 use std::time::Instant;
 
 /// Shape of the E15 run.
@@ -77,7 +76,6 @@ pub fn run_throughput(registry: &::obs::Registry, p: &ObsParams, seed: u64) -> f
     let server = CourseServer::new(ServerConfig {
         workers: p.workers,
         queue_capacity: (p.clients * 2).max(8),
-        scheduler: Scheduler::PriorityLanes,
         registry: registry.clone(),
         ..ServerConfig::default()
     });

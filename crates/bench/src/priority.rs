@@ -11,21 +11,30 @@
 //! backlog-building batch of reproduce experiments (bulk, 8ms each).
 //! Total demand runs ~1.7x the pool's service capacity for the whole
 //! stream, so a bulk backlog accumulates and *something* must wait.
-//! Who waits is the scheduler's choice:
+//! The experiment runs the stream twice on the one `serve::pool`, and
+//! only the job tags differ:
 //!
-//! * the shared FIFO serves in arrival order, so each grade wave
-//!   queues behind every accumulated reproduce job — grade p99 grows
-//!   with the backlog and blows through its deadline;
-//! * priority lanes serve the interactive band first, so each grade
-//!   wave drains within its own cycle regardless of the bulk backlog,
-//!   while the aging rule (1 claim in [`serve::pool::AGING_PERIOD`]
-//!   goes to the lowest non-empty band) keeps the reproduce backlog
-//!   moving — bulk still finishes at nearly the same time, because
-//!   once the stream ends only bulk is left and the pool drains it at
-//!   full width. The per-class `aged` counter proves the no-starvation
-//!   rule actually fired.
+//! * **class-blind** — every job carries `JobMeta::default()`, so all
+//!   of them share one band and the pool runs plain work stealing:
+//!   LIFO local pops put each cycle's newer homework and reproduce
+//!   jobs ahead of the grade wave that arrived first, and grades that
+//!   wait long enough sit under the growing backlog;
+//! * **classes** — grades are interactive, homework batch, reproduce
+//!   bulk, so every claim takes the interactive band first and each
+//!   grade wave drains within its own cycle regardless of the bulk
+//!   backlog, while the aging rule (1 claim in
+//!   [`serve::pool::AGING_PERIOD`] walks the bands lowest first) keeps
+//!   the reproduce backlog moving — bulk still finishes at nearly the
+//!   same time, because once the stream ends only bulk is left and the
+//!   pool drains it at full width. The per-class `aged` counter proves
+//!   the no-starvation rule actually fired.
+//!
+//! Samples are bucketed by each job's intended class in both runs, and
+//! a grade's deadline miss (it started after its deadline) is counted
+//! here rather than by the pool, so the class-blind run, whose jobs
+//! carry no deadline, reports it too.
 
-use serve::pool::{JobClass, JobMeta, Scheduler, ThreadPool};
+use serve::pool::{JobClass, JobMeta, ThreadPool};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -99,18 +108,30 @@ pub struct ClassLatency {
     pub deadline_missed: u64,
 }
 
-/// One scheduler's run over the mixed stream.
+/// One run over the mixed stream.
 #[derive(Debug, Clone)]
 pub struct MixedOutcome {
-    /// Which queue topology ran.
-    pub scheduler: Scheduler,
+    /// Whether jobs carried their real classes (`false`: every job
+    /// carried `JobMeta::default()`).
+    pub classes: bool,
     /// First submission to last job finished.
     pub makespan: Duration,
     /// Per-class latency rows, indexed by [`JobClass::band`].
     pub per_class: Vec<ClassLatency>,
     /// Aging grants: claims handed to a lower band while a higher one
-    /// had work (always 0 outside priority lanes).
+    /// had work (always 0 class-blind, where every job shares a band).
     pub aged: u64,
+}
+
+impl MixedOutcome {
+    /// The run's label in tables: `classes` or `class-blind`.
+    pub fn label(&self) -> &'static str {
+        if self.classes {
+            "classes"
+        } else {
+            "class-blind"
+        }
+    }
 }
 
 fn percentile(sorted: &[Duration], p: f64) -> Duration {
@@ -121,13 +142,15 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
     sorted[rank - 1]
 }
 
-/// Runs the mixed overload stream on a fresh pool with the given
-/// scheduler and measures per-class latency distributions, per-class
-/// finish times, and the pool's aging/deadline counters.
-pub fn run_mixed(scheduler: Scheduler, p: MixedParams) -> MixedOutcome {
-    // (latency, finish offset from t0) samples, one bucket per band.
-    type Samples = Vec<Mutex<Vec<(Duration, Duration)>>>;
-    let pool = ThreadPool::with_scheduler(p.workers, scheduler);
+/// Runs the mixed overload stream on a fresh pool, with each job's
+/// real class when `classes` is set and `JobMeta::default()` otherwise,
+/// and measures per-class latency distributions, per-class finish
+/// times, deadline misses and the pool's aging counter.
+pub fn run_mixed(classes: bool, p: MixedParams) -> MixedOutcome {
+    // (latency, finish offset from t0, missed its deadline) samples,
+    // one bucket per intended class's band.
+    type Samples = Vec<Mutex<Vec<(Duration, Duration, bool)>>>;
+    let pool = ThreadPool::new(p.workers);
     let samples: Arc<Samples> = Arc::new(
         (0..JobClass::COUNT)
             .map(|_| Mutex::new(Vec::new()))
@@ -139,13 +162,17 @@ pub fn run_mixed(scheduler: Scheduler, p: MixedParams) -> MixedOutcome {
         let born = Instant::now();
         let samples = Arc::clone(&samples);
         let band = meta.class.band();
+        let deadline = meta.deadline;
+        let meta = if classes { meta } else { JobMeta::default() };
         pool.execute_with_meta(meta, move || {
+            let missed = deadline.is_some_and(|d| Instant::now() > d);
             std::thread::sleep(dur);
             let now = Instant::now();
-            samples[band]
-                .lock()
-                .expect("sample vec")
-                .push((now.duration_since(born), now.duration_since(t0)));
+            samples[band].lock().expect("sample vec").push((
+                now.duration_since(born),
+                now.duration_since(t0),
+                missed,
+            ));
         })
         .expect("pool accepts while alive");
     };
@@ -175,14 +202,14 @@ pub fn run_mixed(scheduler: Scheduler, p: MixedParams) -> MixedOutcome {
     let stats = pool.stats();
     let per_class = (0..JobClass::COUNT)
         .map(|band| {
-            let mut bucket = samples[band].lock().expect("sample vec").clone();
+            let bucket = samples[band].lock().expect("sample vec").clone();
             let finish = bucket
                 .iter()
-                .map(|&(_, f)| f)
+                .map(|&(_, f, _)| f)
                 .max()
                 .unwrap_or(Duration::ZERO);
-            bucket.sort_unstable();
-            let lat: Vec<Duration> = bucket.iter().map(|&(l, _)| l).collect();
+            let mut lat: Vec<Duration> = bucket.iter().map(|&(l, _, _)| l).collect();
+            lat.sort_unstable();
             ClassLatency {
                 class: JobClass::from_band(band),
                 count: lat.len(),
@@ -190,22 +217,20 @@ pub fn run_mixed(scheduler: Scheduler, p: MixedParams) -> MixedOutcome {
                 p99: percentile(&lat, 0.99),
                 max: percentile(&lat, 1.0),
                 finish,
-                deadline_missed: stats.per_class[band].deadline_missed,
+                deadline_missed: bucket.iter().filter(|&&(_, _, m)| m).count() as u64,
             }
         })
         .collect();
     MixedOutcome {
-        scheduler,
+        classes,
         makespan,
         per_class,
         aged: stats.per_class.iter().map(|c| c.aged).sum(),
     }
 }
 
-/// Runs the FIFO baseline and priority lanes over the same mix.
+/// Runs the stream class-blind, then with classes, and returns
+/// `(class_blind, classes)`.
 pub fn compare(p: MixedParams) -> (MixedOutcome, MixedOutcome) {
-    (
-        run_mixed(Scheduler::SharedFifo, p),
-        run_mixed(Scheduler::PriorityLanes, p),
-    )
+    (run_mixed(false, p), run_mixed(true, p))
 }

@@ -1,7 +1,8 @@
-//! E14 — scheduling policy measured end-to-end **over real sockets**.
+//! E14 — the class-ordered pool measured end-to-end **over real
+//! sockets**.
 //!
-//! E13 showed priority lanes protecting grade latency inside the
-//! process. This experiment closes the loop the way the course's
+//! E13 showed the pool's class order protecting grade latency inside
+//! the process. This experiment closes the loop the way the course's
 //! serving story ends: a [`NetServer`] on a loopback TCP port, a
 //! multi-connection closed-loop [`loadgen`] driving a heavy-tail class
 //! mix hard enough to overload admission, and per-class latency
@@ -17,15 +18,14 @@
 //! honoring the hints that come back on the wire.
 //!
 //! Also the contended-deque workload the ROADMAP asked for: dozens of
-//! client connections submitting through reader threads while the
-//! pool's workers claim and steal — the schedulers now compete under
-//! real socket-driven contention, not a synthetic driver loop.
+//! client connections submitting through the reactor while the pool's
+//! workers claim and steal — the scheduler runs under real
+//! socket-driven contention, not a synthetic submission loop.
 
 use net::loadgen::{self, ClassLoad, LoadConfig, LoadReport, Mode, OpTemplate};
 use net::server::{NetConfig, NetServer, NetStats};
 use serve::pool::JobClass;
 use serve::server::{CourseServer, ExperimentFn, ServerConfig, ServerStats};
-use serve::Scheduler;
 use std::time::Duration;
 
 /// Shape of the E14 overload run.
@@ -63,7 +63,7 @@ pub struct WireParams {
 /// its 16-slot class budget) so its latency measures *queueing and
 /// scheduling*, not its own admission rejections: the overload
 /// pressure comes from the bulk tail, which is exactly the class the
-/// lanes are allowed to make wait.
+/// pool's class order is allowed to make wait.
 pub fn wire_overload_params() -> WireParams {
     WireParams {
         workers: 4,
@@ -84,11 +84,9 @@ pub fn wire_overload_params() -> WireParams {
     }
 }
 
-/// One scheduler's end-to-end outcome.
+/// One run's end-to-end outcome.
 #[derive(Debug)]
 pub struct WireOutcome {
-    /// The scheduler measured.
-    pub scheduler: Scheduler,
     /// Client-side per-class latency and outcome counts.
     pub report: LoadReport,
     /// Server-side request ledgers after shutdown.
@@ -124,9 +122,9 @@ fn sleeper_for(d: Duration) -> ExperimentFn {
     }
 }
 
-/// Runs the E14 workload against a fresh server using `scheduler` and
-/// returns client- and server-side measurements.
-pub fn run_wire(scheduler: Scheduler, p: &WireParams) -> WireOutcome {
+/// Runs the E14 workload against a fresh server and returns client-
+/// and server-side measurements.
+pub fn run_wire(p: &WireParams) -> WireOutcome {
     let mut experiments: Vec<(String, ExperimentFn)> = Vec::new();
     for (prefix, service) in [
         ("i", p.service[0]),
@@ -142,7 +140,6 @@ pub fn run_wire(scheduler: Scheduler, p: &WireParams) -> WireOutcome {
         ServerConfig {
             workers: p.workers,
             queue_capacity: p.queue_capacity,
-            scheduler,
             ..ServerConfig::default()
         },
         experiments,
@@ -198,21 +195,7 @@ pub fn run_wire(scheduler: Scheduler, p: &WireParams) -> WireOutcome {
     srv.shutdown();
     let stats = srv.course().stats();
     let net = srv.net_stats();
-    WireOutcome {
-        scheduler,
-        report,
-        stats,
-        net,
-    }
-}
-
-/// Runs the same wire workload under the shared FIFO and the priority
-/// lanes and returns `(fifo, lanes)`.
-pub fn compare(p: &WireParams) -> (WireOutcome, WireOutcome) {
-    (
-        run_wire(Scheduler::SharedFifo, p),
-        run_wire(Scheduler::PriorityLanes, p),
-    )
+    WireOutcome { report, stats, net }
 }
 
 /// Total backpressure frames (RETRY + SHED) the clients saw.
@@ -226,7 +209,7 @@ pub fn backpressure_frames(o: &WireOutcome) -> u64 {
 
 /// Renders one outcome's per-class table.
 pub fn render_outcome(o: &WireOutcome) -> String {
-    let mut out = format!("--- {:?} ---\n{}", o.scheduler, o.report.render());
+    let mut out = o.report.render();
     out.push_str(&format!(
         "server: accepted {} rejected {} completed {} shed {}; \
          net: conns {} (+{} refused), {} reqs, {} resps, {} dropped\n",

@@ -16,21 +16,17 @@
 //!   `Joining → Live` admission republishes under the *same* epoch,
 //!   because the epoch numbers administered membership revisions, not
 //!   health flaps.
-//! - [`swap`]: [`ViewCell`], the publication primitive. Writers swap
-//!   in a new `Arc` view; data-path readers get the current view with
-//!   one atomic load and one refcount increment — no lock, no wait —
-//!   the same publish-then-read discipline as `obs::trace`, but with
-//!   every published view retained so the read side needs no
-//!   validation loop at all.
+//!
+//! Views are published through an `RwLock<Arc<_>>`: readers clone the
+//! current `Arc` under the read lock and work on that immutable
+//! snapshot; writers replace it under the write lock.
 //!
 //! The crate has no dependencies; the router layers rings, health, and
 //! obs mirrors on top (DESIGN.md §15 carries the ordering argument).
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod membership;
-pub mod swap;
 
 pub use membership::{BackendSpec, BackendState, CtlError, Membership, MembershipEpoch};
-pub use swap::ViewCell;

@@ -1,11 +1,12 @@
 //! The fleet-membership state machine and its epoch-versioned views.
 //!
 //! A [`Membership`] publishes immutable [`MembershipEpoch`] views
-//! through a [`ViewCell`], so data-path threads (the router's forward
-//! and fail-over paths) read the current fleet with one atomic load.
+//! through an `RwLock<Arc<_>>`: a reader takes the read lock just long
+//! enough to clone the current `Arc`, then works on that snapshot.
 //! Writers — the admin ops [`Membership::join`], [`Membership::drain`],
-//! [`Membership::remove`] — serialize on an internal lock, build the
-//! successor view, and publish it with the epoch advanced by one.
+//! [`Membership::remove`] — hold the write lock across the whole
+//! read-modify-write, build the successor view, and publish it with the
+//! epoch advanced by one.
 //!
 //! The **epoch numbers administered membership revisions**: exactly the
 //! changes an operator asked for. The probe-driven admission
@@ -35,9 +36,8 @@
 //! force-remove of a host that is already gone — the router fails its
 //! in-flight entries over instead of waiting for a drain.
 
-use crate::swap::ViewCell;
 use std::net::SocketAddr;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, RwLock};
 
 /// Where a backend is in its membership lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -226,12 +226,10 @@ impl std::fmt::Display for CtlError {
 
 impl std::error::Error for CtlError {}
 
-/// The membership state machine: serialized writers, lock-free readers.
+/// The membership state machine: writers serialize on the write lock,
+/// readers clone the current view's `Arc` under the read lock.
 pub struct Membership {
-    cell: ViewCell<MembershipEpoch>,
-    /// Serializes read-modify-write admin ops (the [`ViewCell`]'s own
-    /// lock only orders the final publish).
-    writer: Mutex<()>,
+    current: RwLock<Arc<MembershipEpoch>>,
 }
 
 impl Membership {
@@ -258,14 +256,13 @@ impl Membership {
         }
         backends.sort_by_key(|b| b.id);
         Membership {
-            cell: ViewCell::new(Arc::new(MembershipEpoch { epoch: 1, backends })),
-            writer: Mutex::new(()),
+            current: RwLock::new(Arc::new(MembershipEpoch { epoch: 1, backends })),
         }
     }
 
-    /// The current view. Lock-free; safe from any data-path thread.
+    /// The current view: a snapshot that later admin ops never change.
     pub fn view(&self) -> Arc<MembershipEpoch> {
-        self.cell.load()
+        Arc::clone(&self.current.read().expect("membership lock poisoned"))
     }
 
     /// Admin op: announce a new backend at `addr`. It enters `Joining`
@@ -273,8 +270,7 @@ impl Membership {
     /// but the router's health gate holds traffic until the probe
     /// loop admits it. Advances the epoch.
     pub fn join(&self, addr: SocketAddr) -> Result<(u32, Arc<MembershipEpoch>), CtlError> {
-        let _g = self.writer.lock().expect("membership writer poisoned");
-        let cur = self.cell.load();
+        let mut cur = self.current.write().expect("membership lock poisoned");
         if let Some(b) = cur
             .backends
             .iter()
@@ -293,7 +289,7 @@ impl Membership {
             epoch: cur.epoch + 1,
             backends,
         });
-        self.cell.publish(Arc::clone(&next));
+        *cur = Arc::clone(&next);
         Ok((id, next))
     }
 
@@ -334,8 +330,7 @@ impl Membership {
         advance: bool,
         next_state: impl Fn(BackendState) -> Option<BackendState>,
     ) -> Result<Arc<MembershipEpoch>, CtlError> {
-        let _g = self.writer.lock().expect("membership writer poisoned");
-        let cur = self.cell.load();
+        let mut cur = self.current.write().expect("membership lock poisoned");
         let Some(pos) = cur.backends.iter().position(|b| b.id == id) else {
             return Err(CtlError::UnknownBackend(id));
         };
@@ -349,7 +344,7 @@ impl Membership {
             epoch: cur.epoch + u64::from(advance),
             backends,
         });
-        self.cell.publish(Arc::clone(&next));
+        *cur = Arc::clone(&next);
         Ok(next)
     }
 }

@@ -30,9 +30,9 @@
 //! * [`loadgen`] — a multi-connection client driving open- or
 //!   closed-loop load with a heavy-tail class mix, honoring retry
 //!   hints, and reporting per-class p50/p99/max latency: the tool
-//!   experiment E14 uses to show that `Scheduler::PriorityLanes`
-//!   beats `Scheduler::SharedFifo` where it counts — grade-request
-//!   tail latency over real sockets under overload.
+//!   experiment E14 uses to measure where the pool's class order
+//!   counts — grade-request tail latency over real sockets under
+//!   overload.
 //!
 //! ```no_run
 //! use net::loadgen::{self, LoadConfig};

@@ -169,7 +169,7 @@ pub struct RequestFrame {
     /// Client-chosen correlation id; the response echoes it. Ids need
     /// only be unique among a connection's in-flight requests.
     pub id: u64,
-    /// Scheduling class for admission budgets and priority lanes.
+    /// Scheduling class for admission budgets and the pool's claim order.
     pub class: JobClass,
     /// Fine-grained urgency within the class.
     pub priority: u8,

@@ -11,7 +11,6 @@ use net::wire::{
 use serve::fault::{FaultPlan, FaultPoint};
 use serve::pool::JobClass;
 use serve::server::{CourseServer, ExperimentFn, Request, ServerConfig};
-use serve::Scheduler;
 use std::io::{BufReader, BufWriter};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -63,7 +62,6 @@ fn pipelined_requests_complete_out_of_order_by_id() {
         ServerConfig {
             workers: 2,
             queue_capacity: 8,
-            scheduler: Scheduler::PriorityLanes,
             ..ServerConfig::default()
         },
         1,
@@ -241,7 +239,6 @@ fn graceful_shutdown_under_wire_faults_loses_no_admitted_request() {
         ServerConfig {
             workers: 2,
             queue_capacity: 16,
-            scheduler: Scheduler::PriorityLanes,
             ..ServerConfig::default()
         },
         1024,
@@ -321,7 +318,6 @@ fn loadgen_default_mix_round_trips_end_to_end() {
     let course = CourseServer::new(ServerConfig {
         workers: 4,
         queue_capacity: 32,
-        scheduler: Scheduler::PriorityLanes,
         ..ServerConfig::default()
     });
     let srv = NetServer::bind(
@@ -391,7 +387,6 @@ fn stats_op_returns_a_snapshot_whose_counters_balance_the_ledgers() {
     let course = CourseServer::new(ServerConfig {
         workers: 4,
         queue_capacity: 32,
-        scheduler: Scheduler::PriorityLanes,
         ..ServerConfig::default()
     });
     let srv = NetServer::bind("127.0.0.1:0", course, NetConfig::default()).unwrap();

@@ -37,10 +37,10 @@
 //! [`ctl::Membership`] state machine owns the authoritative epoch
 //! ([`ctl::MembershipEpoch`]), and every routing decision reads an
 //! immutable [`RouterView`] — the ring over in-ring members plus the
-//! per-backend connection slots — published through a
-//! [`ctl::ViewCell`]: data-path threads load the current view
-//! lock-free (one atomic load + one refcount bump) and admin ops
-//! publish a fresh view under `ctl_lock`. Wire ops 7–10
+//! per-backend connection slots — published through an
+//! `RwLock<Arc<RouterView>>`: a routing decision clones the current
+//! view's `Arc` under the read lock, and admin ops publish a fresh view
+//! under `ctl_lock`. Wire ops 7–10
 //! (`CtlJoin`/`CtlDrain`/`CtlRemove`/`CtlView`), authenticated by the
 //! shared [`RouterConfig::ctl_token`], drive the transitions:
 //!
@@ -110,7 +110,7 @@
 
 use crate::health::Health;
 use crate::ring::{request_key, Ring};
-use ctl::{BackendState, Membership, MembershipEpoch, ViewCell};
+use ctl::{BackendState, Membership, MembershipEpoch};
 use net::loadgen::{fetch_stats, fetch_stats_full};
 use net::reactor::{ConnHandle, ConnHandler, Reactor, ReactorConfig};
 use net::wire::{
@@ -121,7 +121,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -287,7 +287,7 @@ impl BackendSlot {
 
 /// One immutable epoch of the router's data path: the consistent-hash
 /// ring over in-ring members and the backend slots still owning
-/// connections. Published through a [`ctl::ViewCell`]; every routing
+/// connections. Published through `Shared::view`; every routing
 /// decision loads the view once and works against that snapshot.
 struct RouterView {
     /// The membership epoch this view was built from.
@@ -315,8 +315,9 @@ struct Shared {
     robs: RouterObs,
     /// Authoritative membership state machine (epochs, states).
     membership: Membership,
-    /// The current data-path view; lock-free loads, see [`RouterView`].
-    view: ViewCell<RouterView>,
+    /// The current data-path view, see [`RouterView`]. Read through
+    /// [`Shared::current_view`]; replaced by [`publish_view`].
+    view: RwLock<Arc<RouterView>>,
     /// Serializes admin ops: membership transition → view rebuild →
     /// publish happen atomically with respect to other admin ops
     /// (data-path readers never take this).
@@ -340,6 +341,14 @@ struct Shared {
     /// notifies it so the join does not wait out a whole interval.
     probe_lock: Mutex<()>,
     probe_wake: Condvar,
+}
+
+impl Shared {
+    /// The current data-path view: one read-lock round trip to clone
+    /// the `Arc`, after which the snapshot is lock-free to use.
+    fn current_view(&self) -> Arc<RouterView> {
+        Arc::clone(&self.view.read().expect("router view poisoned"))
+    }
 }
 
 /// A running router. See the module docs for the thread anatomy,
@@ -399,7 +408,7 @@ impl Router {
             .map(|&(id, addr)| Arc::new(BackendSlot::new(id, addr, config.fail_threshold)))
             .collect();
         let boot = membership.view();
-        let view = ViewCell::new(Arc::new(RouterView {
+        let view = RwLock::new(Arc::new(RouterView {
             epoch: boot.epoch,
             ring: Some(Ring::new(&boot.ring_members(), VNODES)),
             slots,
@@ -424,7 +433,7 @@ impl Router {
             probe_wake: Condvar::new(),
         });
         {
-            let boot_view = shared.view.load();
+            let boot_view = shared.current_view();
             for slot in &boot_view.slots {
                 if connect_backend(&shared, slot).is_ok() {
                     shared.robs.backends_live.add(1);
@@ -488,14 +497,13 @@ impl Router {
     /// read — equal to [`Router::membership`]'s epoch once the publish
     /// in an admin op completes.
     pub fn view_epoch(&self) -> u64 {
-        self.shared.view.load().epoch
+        self.shared.current_view().epoch
     }
 
     /// Whether backend `id` is currently in rotation.
     pub fn backend_is_up(&self, id: usize) -> bool {
         self.shared
-            .view
-            .load()
+            .current_view()
             .slot(id as u32)
             .is_some_and(|s| s.health.is_up())
     }
@@ -504,8 +512,7 @@ impl Router {
     /// if the backend has left the fleet).
     pub fn backend_ewma_us(&self, id: usize) -> u64 {
         self.shared
-            .view
-            .load()
+            .current_view()
             .slot(id as u32)
             .map_or(0, |s| s.health.ewma_us())
     }
@@ -552,7 +559,7 @@ impl Router {
         }
         drop(conns);
         {
-            let view = self.shared.view.load();
+            let view = self.shared.current_view();
             for slot in &view.slots {
                 sever(slot);
             }
@@ -647,7 +654,7 @@ fn backend_down(shared: &Arc<Shared>, slot: &Arc<BackendSlot>) {
 /// the new epoch's owner.
 fn fail_over(shared: &Arc<Shared>, mut p: Pending, dead: u32) {
     if !p.rerouted {
-        let view = shared.view.load();
+        let view = shared.current_view();
         let next = view.ring.as_ref().and_then(|ring| {
             ring.route_live(p.key_hash, |b| {
                 b != dead && view.slot(b).is_some_and(|s| s.health.is_up())
@@ -672,7 +679,7 @@ fn fail_over(shared: &Arc<Shared>, mut p: Pending, dead: u32) {
 fn resend(shared: &Arc<Shared>, p: Pending) {
     let backend = p.backend;
     let rid = router_id_of(&p.bytes);
-    let view = shared.view.load();
+    let view = shared.current_view();
     let Some(slot) = view.slot(backend).map(Arc::clone) else {
         // The target left the fleet between routing and sending.
         fail_over(shared, p, backend);
@@ -865,7 +872,7 @@ fn probe_loop(shared: &Arc<Shared>) {
             return;
         }
         let membership = shared.membership.view();
-        let view = shared.view.load();
+        let view = shared.current_view();
         for spec in &membership.backends {
             if shared.shutting_down.load(Ordering::SeqCst) {
                 break;
@@ -914,7 +921,7 @@ fn probe_loop(shared: &Arc<Shared>) {
 /// outages, they just cover the live fleet.
 fn merged_snapshot(shared: &Arc<Shared>) -> obs::Snapshot {
     let mut merged = shared.registry.snapshot();
-    let view = shared.view.load();
+    let view = shared.current_view();
     for slot in &view.slots {
         if !slot.health.is_up() {
             continue;
@@ -947,11 +954,11 @@ fn publish_view(shared: &Shared, slots: Vec<Arc<BackendSlot>>) -> u64 {
     } else {
         Some(Ring::new(&members, VNODES))
     };
-    shared.view.publish(Arc::new(RouterView {
+    *shared.view.write().expect("router view poisoned") = Arc::new(RouterView {
         epoch: membership.epoch,
         ring,
         slots,
-    }));
+    });
     membership.epoch
 }
 
@@ -1012,7 +1019,7 @@ fn ctl_join(shared: &Arc<Shared>, addr: &str) -> Result<(u32, u64), String> {
     let slot = Arc::new(BackendSlot::new(id, addr, shared.config.fail_threshold));
     // Joining starts out of rotation; the prober admits it.
     slot.health.force_down();
-    let old = shared.view.load();
+    let old = shared.current_view();
     let mut slots = old.slots.clone();
     slots.push(slot);
     let epoch = publish_view(shared, slots);
@@ -1028,7 +1035,7 @@ fn ctl_drain(shared: &Arc<Shared>, backend: u32) -> Result<u64, String> {
         .membership
         .drain(backend)
         .map_err(|e| format!("ctl: {e}"))?;
-    let old = shared.view.load();
+    let old = shared.current_view();
     let epoch = publish_view(shared, old.slots.clone());
     shared.robs.ctl_epoch.inc();
     Ok(epoch)
@@ -1045,7 +1052,7 @@ fn ctl_remove(shared: &Arc<Shared>, backend: u32) -> Result<u64, String> {
             .membership
             .remove(backend)
             .map_err(|e| format!("ctl: {e}"))?;
-        let old = shared.view.load();
+        let old = shared.current_view();
         removed = old.slot(backend).map(Arc::clone);
         let slots: Vec<Arc<BackendSlot>> = old
             .slots
@@ -1071,7 +1078,7 @@ fn ctl_remove(shared: &Arc<Shared>, backend: u32) -> Result<u64, String> {
 /// outstanding-forward diagnostics appended.
 fn ctl_view_body(shared: &Arc<Shared>) -> String {
     let membership = shared.membership.view();
-    let view = shared.view.load();
+    let view = shared.current_view();
     let mut out = format!("epoch {}\n", membership.epoch);
     for spec in &membership.backends {
         if spec.state == BackendState::Removed {
@@ -1271,7 +1278,7 @@ fn forward(
     out: &ConnHandle,
 ) {
     let key = request_key(req);
-    let view = shared.view.load();
+    let view = shared.current_view();
     let target = view.ring.as_ref().and_then(|ring| {
         ring.route_balanced(
             key,

@@ -26,11 +26,11 @@
 //!   chosen handler points) for testing server invariants under
 //!   adversarial schedules.
 //!
-//! Since PR 2 the pool schedules with per-worker deques plus work
-//! stealing ([`pool::Scheduler::WorkStealing`], the default); the old
-//! single shared queue survives as [`pool::Scheduler::SharedFifo`] for
-//! baseline comparisons. See `DESIGN.md` for the deque/steal protocol
-//! and the parking discipline's no-lost-wakeup argument.
+//! The pool has one scheduler: per-worker deques plus work stealing,
+//! each deque split into one band per [`pool::JobClass`] so claims
+//! take the highest class first, with an aging rule that keeps low
+//! classes moving. See `DESIGN.md` for the deque/steal protocol and
+//! the parking discipline's no-lost-wakeup argument.
 //!
 //! Since PR 4 the server is reachable over TCP: the `net` crate wraps
 //! a [`server::CourseServer`] in a length-prefixed wire protocol and
@@ -45,9 +45,8 @@
 //! requests are classified by one fixed class rule (grade interactive,
 //! homework/Life/MemTrace batch, reproduce bulk) that drives per-class
 //! queue budgets, lowest-class-first load shedding and deadline-aware
-//! retry hints; the pool's [`pool::Scheduler::PriorityLanes`]
-//! topology schedules by class with an anti-starvation aging rule,
-//! and nested submissions —
+//! retry hints; the pool claims by class with an anti-starvation
+//! aging rule, and nested submissions —
 //! including every [`par`] entry point called from inside a job —
 //! inherit the caller's class instead of demoting to the default. Both
 //! the server and the pool keep per-class counters so the scheduling
@@ -95,5 +94,5 @@ pub mod server;
 
 pub use cache::Cache;
 pub use fault::{FaultPlan, FaultPoint};
-pub use pool::{JobClass, JobMeta, Scheduler, ThreadPool};
+pub use pool::{JobClass, JobMeta, ThreadPool};
 pub use server::{CourseServer, Request, Response, ServerConfig, SHED_BODY_PREFIX};

@@ -1,66 +1,60 @@
 //! The long-lived worker pool: the cs431 "hello server" `ThreadPool`
 //! grown up — panic-isolating workers, `wait_empty`, join-on-drop with
-//! drain semantics, per-worker plus aggregate counters, and a choice of
-//! three queue topologies: the original shared FIFO, **per-worker
-//! deques with work stealing**, and (since the policy rework)
-//! **priority lanes** — one FIFO band per [`JobClass`] with an
-//! anti-starvation aging rule, so interactive work jumps a bulk backlog
-//! without bulk work starving forever.
+//! drain semantics, per-worker plus aggregate counters, and one
+//! scheduler: **per-worker deques with work stealing**, each deque
+//! split into one band per [`JobClass`], so interactive work jumps a
+//! bulk backlog without bulk work starving forever.
 //!
-//! Every job now carries a [`JobMeta`] (`class`, `priority`,
-//! `deadline`) instead of being an opaque closure. The metadata is
-//! what the priority scheduler keys on, what the per-class counters
-//! are bucketed by, and what nested submissions inherit: while a job
-//! runs, its meta is visible through [`current_job_meta`], and
-//! [`ThreadPool::execute`] submits with the running job's meta — so a
-//! high-class `serve::par` call fans out high-class chunks instead of
-//! being demoted to the default class behind background bulk jobs.
+//! Every job carries a [`JobMeta`] (`class`, `priority`, `deadline`)
+//! instead of being an opaque closure. The class is what the claim
+//! order keys on, what the per-class counters are bucketed by, and
+//! what nested submissions inherit: while a job runs, its meta is
+//! visible through [`current_job_meta`], and [`ThreadPool::execute`]
+//! submits with the running job's meta — so a high-class `serve::par`
+//! call fans out high-class chunks instead of being demoted to the
+//! default class behind background bulk jobs.
 //!
-//! ## The deque/steal protocol (`Scheduler::WorkStealing`)
+//! ## The deque/steal protocol
 //!
-//! Every worker owns a deque (`Mutex<VecDeque>` — safe Rust, no
-//! lock-free tricks):
+//! Every worker owns a deque (`Mutex<[VecDeque; JobClass::COUNT]>` —
+//! safe Rust, no lock-free tricks), one band per class:
 //!
 //! * **push**: a submission from a worker thread of this pool lands on
 //!   that worker's own deque; an external submission is placed
-//!   round-robin. Both push at the **back**.
-//! * **local pop** is **LIFO** (back): a worker runs the newest job it
-//!   owns first — the freshest, cache-warmest work, and the discipline
-//!   that keeps short interactive jobs from waiting behind a backlog.
-//! * **steal** is **FIFO** (front): when a worker's own deque is empty
-//!   it sweeps victims by rotation (`id+1, id+2, …`) and takes the
-//!   **oldest** job from the first non-empty deque — the job that has
-//!   waited longest, which also prevents starvation under LIFO.
-//! * **batched steal**: when the victim's deque is deep (at least
+//!   round-robin. Either way it goes to the **back** of its class's
+//!   band.
+//! * **claim order**: a claim walks the bands highest class first
+//!   ([`JobClass::Interactive`] down), and within a band tries the
+//!   claimer's own deque, then the victims'. So a freed worker takes an
+//!   interactive job from a neighbour before a bulk job of its own.
+//! * **local pop** is **LIFO** (back): within a band a worker runs the
+//!   newest job it owns first — the freshest, cache-warmest work, and
+//!   the discipline that keeps short jobs from waiting behind a
+//!   same-class backlog.
+//! * **steal** is **FIFO** (front): when a worker's own band is empty
+//!   it sweeps the victims' same band by rotation (`id+1, id+2, …`) and
+//!   takes the **oldest** job from the first non-empty one — the job
+//!   that has waited longest, which also prevents starvation under
+//!   LIFO.
+//! * **batched steal**: when the victim's band is deep (at least
 //!   [`BATCH_STEAL_DEPTH`] jobs), the thief takes half of it in one
 //!   sweep — the oldest job to run immediately, the rest relocated to
-//!   the thief's own deque — so a deep backlog rebalances in O(1)
-//!   steals instead of one lock round-trip per job. The relocated
-//!   jobs count as the thief's `local_hits` when eventually claimed;
-//!   the event is counted in [`WorkerStats::batch_steals`].
+//!   the same band of the thief's own deque — so a deep backlog
+//!   rebalances in O(1) steals instead of one lock round-trip per job.
+//!   The relocated jobs count as the thief's `local_hits` when
+//!   eventually claimed; the event is counted in
+//!   [`WorkerStats::batch_steals`].
+//! * **aging**: every [`AGING_PERIOD`]-th claim walks the bands in
+//!   *reverse* (lowest class first). Under sustained high-class load
+//!   this bounds starvation: a queued bulk job waits at most
+//!   `AGING_PERIOD - 1` higher-class claims between bulk grants. Such
+//!   promoted claims are counted per class in [`ClassStats::aged`].
 //! * **parking**: only after a full failed sweep does a worker park on
 //!   the shared condvar. There is no busy-spin; the sleeper-counted
 //!   wake protocol below makes lost wakeups impossible.
 //!
-//! ## Priority lanes (`Scheduler::PriorityLanes`)
-//!
-//! One shared FIFO band per job class, highest class first. A claim
-//! scans bands from [`JobClass::Interactive`] down and pops the oldest
-//! job of the highest non-empty band, so grade-style work overtakes
-//! any accumulated bulk backlog. Two refinements:
-//!
-//! * **urgent jobs** (`meta.priority >= URGENT_PRIORITY`) push to the
-//!   *front* of their band, jumping same-class work;
-//! * **aging**: every [`AGING_PERIOD`]-th claim scans the bands in
-//!   *reverse* (lowest class first) and serves the oldest job of the
-//!   lowest non-empty band. Under sustained high-class load this
-//!   bounds starvation: a queued bulk job waits at most
-//!   `AGING_PERIOD - 1` higher-class claims between bulk grants. Such
-//!   promoted claims are counted per class in [`ClassStats::aged`].
-//!
-//! The old single shared FIFO survives as [`Scheduler::SharedFifo`] —
-//! the measured baseline the `serve_stealing`/E12 and E13 experiments
-//! compare against.
+//! A stream of one class uses one band, so it runs in exactly the
+//! plain work-stealing order: LIFO local pops, FIFO steals.
 //!
 //! The deques are mutex-guarded on purpose, not lock-free Chase–Lev
 //! deques: every server job is submitted from a thread outside the
@@ -114,8 +108,8 @@ impl<F> std::fmt::Debug for PoolClosed<F> {
 ///
 /// Variants are declared lowest-class first so `Ord` means "less
 /// important": `Bulk < Batch < Interactive`. Under pressure the server
-/// sheds the smallest class first; the priority-lane scheduler serves
-/// the largest class first.
+/// sheds the smallest class first; the pool claims the largest class
+/// first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum JobClass {
     /// Background work: reproduce runs, full-corpus regeneration.
@@ -133,7 +127,7 @@ impl JobClass {
     /// per-class tables are printed in.
     pub const ALL: [JobClass; 3] = [JobClass::Interactive, JobClass::Batch, JobClass::Bulk];
 
-    /// Number of classes (= number of priority bands).
+    /// Number of classes (= number of bands in each worker's deque).
     pub const COUNT: usize = 3;
 
     /// The priority band this class maps to: 0 is served first.
@@ -164,28 +158,24 @@ impl std::fmt::Display for JobClass {
     }
 }
 
-/// Jobs with `priority >= URGENT_PRIORITY` are pushed to the *front*
-/// of their class band under [`Scheduler::PriorityLanes`], jumping
-/// same-class work. Everything below queues FIFO within its band.
-pub const URGENT_PRIORITY: u8 = 192;
-
-/// Every `AGING_PERIOD`-th claim under [`Scheduler::PriorityLanes`]
-/// scans the bands lowest-class-first, so an admitted bulk job waits
+/// Every `AGING_PERIOD`-th claim walks the bands lowest class first,
+/// so an admitted bulk job waits
 /// at most `AGING_PERIOD - 1` higher-class claims between bulk grants
 /// — the anti-starvation bound the no-starvation property test checks.
 pub const AGING_PERIOD: u64 = 8;
 
-/// When a thief finds a victim deque at least this deep, it steals
-/// half the deque in one sweep (a *batched steal*) instead of one job.
+/// When a thief finds a victim's band at least this deep, it steals
+/// half the band in one sweep (a *batched steal*) instead of one job.
 pub const BATCH_STEAL_DEPTH: usize = 4;
 
 /// Scheduling metadata carried by every job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobMeta {
-    /// Request class — selects the priority band and the shed order.
+    /// Request class — selects the deque band and the shed order.
     pub class: JobClass,
-    /// Fine-grained urgency within the class (higher runs sooner).
-    /// Values at or above [`URGENT_PRIORITY`] jump their band's queue.
+    /// Fine-grained urgency within the class, as the wire and the
+    /// server's class rule carry it. The pool's claim order does not
+    /// read it: only the class and arrival order decide who runs next.
     pub priority: u8,
     /// Latest useful completion time. The pool does not drop late
     /// jobs; it counts starts past the deadline per class
@@ -228,35 +218,6 @@ impl JobMeta {
     }
 }
 
-/// Which queue topology the pool schedules jobs with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// One shared FIFO queue all workers pop from — the original pool
-    /// design, kept as the measured baseline for the other schedulers
-    /// (benches `serve_stealing`, experiments E12/E13).
-    SharedFifo,
-    /// Per-worker deques: LIFO local pop, FIFO rotation steal with
-    /// batched steals on deep victims, park after a failed sweep.
-    /// The default.
-    #[default]
-    WorkStealing,
-    /// One shared FIFO band per [`JobClass`], highest class served
-    /// first, with front-of-band urgent pushes and the
-    /// [`AGING_PERIOD`] anti-starvation rule. The scheduler the
-    /// class-aware server admission is designed for.
-    PriorityLanes,
-}
-
-impl std::fmt::Display for Scheduler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Scheduler::SharedFifo => f.write_str("shared-fifo"),
-            Scheduler::WorkStealing => f.write_str("work-stealing"),
-            Scheduler::PriorityLanes => f.write_str("priority-lanes"),
-        }
-    }
-}
-
 /// Counters for one worker thread.
 #[derive(Debug, Default)]
 struct WorkerCounters {
@@ -279,9 +240,7 @@ pub struct WorkerStats {
     pub finished: u64,
     /// Jobs that panicked on this worker.
     pub panicked: u64,
-    /// Jobs this worker claimed from its own deque (LIFO pops; for the
-    /// shared-FIFO and priority-lane schedulers, every claim counts
-    /// here).
+    /// Jobs this worker claimed from its own deque (LIFO pops).
     pub local_hits: u64,
     /// Jobs this worker stole from another worker's deque (the job it
     /// ran immediately; batch-relocated jobs count as `local_hits`
@@ -291,9 +250,8 @@ pub struct WorkerStats {
     pub stolen_from: u64,
     /// Steals that took half of a deep victim's deque in one sweep.
     pub batch_steals: u64,
-    /// Deepest this worker's own deque has ever been (always 0 under
-    /// the shared-FIFO and priority-lane schedulers, which have no
-    /// per-worker deques).
+    /// Deepest this worker's own deque has ever been, all bands
+    /// together.
     pub queue_high_water: usize,
 }
 
@@ -317,7 +275,7 @@ pub struct ClassStats {
     /// Jobs of this class fully executed (including panicked ones).
     pub completed: u64,
     /// Claims of this class granted by the aging pass while
-    /// higher-class work was still queued (priority lanes only).
+    /// higher-class work was still queued.
     pub aged: u64,
     /// Jobs of this class that *started* after their deadline.
     pub deadline_missed: u64,
@@ -332,8 +290,6 @@ pub struct ClassStats {
 pub struct PoolStats {
     /// Worker thread count.
     pub workers: usize,
-    /// Queue topology the pool runs.
-    pub scheduler: Scheduler,
     /// Jobs accepted by [`ThreadPool::execute`] so far.
     pub submitted: u64,
     /// Jobs begun across all workers.
@@ -344,8 +300,7 @@ pub struct PoolStats {
     pub panicked: u64,
     /// Jobs claimed from the claimer's own deque across all workers.
     pub local_hits: u64,
-    /// Jobs stolen across all workers (0 under shared-FIFO and
-    /// priority lanes).
+    /// Jobs stolen across all workers.
     pub steals: u64,
     /// Batched-steal events across all workers.
     pub batch_steals: u64,
@@ -401,7 +356,7 @@ pub fn with_meta<R>(meta: JobMeta, f: impl FnOnce() -> R) -> R {
 struct PoolObs {
     /// Jobs claimed, by any path (`pool.claims`).
     claims: obs::Counter,
-    /// Claims satisfied from the worker's own deque / band
+    /// Claims satisfied from the worker's own deque
     /// (`pool.local_hits`).
     local_hits: obs::Counter,
     /// Claims satisfied by stealing from a victim (`pool.steals`).
@@ -425,15 +380,20 @@ impl PoolObs {
     }
 }
 
+/// One worker's deque: one band per class, indexed by
+/// [`JobClass::band`].
+type Bands = [VecDeque<Job>; JobClass::COUNT];
+
 /// Shared state between the pool handle and its workers.
 struct PoolInner {
-    scheduler: Scheduler,
-    /// `WorkStealing`: one deque per worker. `SharedFifo`: a single
-    /// shared queue in slot 0. `PriorityLanes`: one band per class,
-    /// indexed by [`JobClass::band`].
-    deques: Vec<Mutex<VecDeque<Job>>>,
+    /// One deque per worker, indexed by worker id.
+    deques: Vec<Mutex<Bands>>,
     /// Jobs pushed but not yet claimed, across all deques.
     queued: AtomicUsize,
+    /// `queued` split by band, so the aging rule can tell whether
+    /// higher-class work is waiting without locking every deque, and
+    /// a claim can skip bands with nothing in them.
+    band_queued: [AtomicUsize; JobClass::COUNT],
     /// Set (under the park mutex) when the pool begins shutting down.
     closed: AtomicBool,
     /// Workers inside the parking critical section.
@@ -450,7 +410,7 @@ struct PoolInner {
     pending: Mutex<usize>,
     /// Round-robin placement cursor for external submissions.
     next_deque: AtomicUsize,
-    /// Monotonic claim counter driving the priority-lane aging rule.
+    /// Monotonic claim counter driving the aging rule.
     claim_tick: AtomicU64,
     submitted: AtomicU64,
     queue_high_water: AtomicUsize,
@@ -493,83 +453,50 @@ impl PoolInner {
         }
     }
 
-    /// Places `job` on a deque and wakes a parked worker if any exists.
+    /// Places `job` at the back of its class's band on a deque and
+    /// wakes a parked worker if any exists.
     fn push(self: &Arc<Self>, job: Job) {
-        let target = match self.scheduler {
-            Scheduler::SharedFifo => 0,
-            Scheduler::PriorityLanes => job.meta.class.band(),
-            Scheduler::WorkStealing => {
-                // A worker of *this* pool pushes to its own deque
-                // (LIFO locality); external submitters round-robin.
-                self.own_worker_id().unwrap_or_else(|| {
-                    self.next_deque.fetch_add(1, Ordering::Relaxed) % self.deques.len()
-                })
-            }
-        };
-        let urgent =
-            self.scheduler == Scheduler::PriorityLanes && job.meta.priority >= URGENT_PRIORITY;
-        // `queued` normally moves inside a deque critical section, so a
-        // worker that observes `queued > 0` and then locks the deques
-        // finds the job (no underflow when a thief races a submitter);
-        // the one exception — jobs in transit during a batched steal —
-        // is covered by the parking re-check, which retries instead of
-        // sleeping while `queued > 0`.
+        // A worker of *this* pool pushes to its own deque (LIFO
+        // locality); external submitters round-robin.
+        let target = self
+            .own_worker_id()
+            .unwrap_or_else(|| self.next_deque.fetch_add(1, Ordering::Relaxed) % self.deques.len());
+        let band = job.meta.class.band();
+        // The counters normally move inside a deque critical section,
+        // so a worker that observes `queued > 0` and then locks the
+        // deques finds the job (no underflow when a thief races a
+        // submitter); the one exception — jobs in transit during a
+        // batched steal — is covered by the parking re-check, which
+        // retries instead of sleeping while `queued > 0`.
         let (depth, total) = {
             let mut q = self.deques[target].lock().expect("pool mutex poisoned");
-            if urgent {
-                q.push_front(job);
-            } else {
-                q.push_back(job);
-            }
-            (q.len(), self.queued.fetch_add(1, Ordering::SeqCst) + 1)
+            q[band].push_back(job);
+            self.band_queued[band].fetch_add(1, Ordering::SeqCst);
+            (
+                q.iter().map(VecDeque::len).sum::<usize>(),
+                self.queued.fetch_add(1, Ordering::SeqCst) + 1,
+            )
         };
-        if self.scheduler == Scheduler::WorkStealing {
-            self.per_worker[target]
-                .deque_high_water
-                .fetch_max(depth, Ordering::Relaxed);
-        }
+        self.per_worker[target]
+            .deque_high_water
+            .fetch_max(depth, Ordering::Relaxed);
         self.queue_high_water.fetch_max(total, Ordering::Relaxed);
         self.obs.queue_depth.add(1);
         self.wake_one();
     }
 
-    /// Pops the front of band `band`, maintaining `queued`.
-    fn pop_band_front(&self, band: usize) -> Option<Job> {
-        let mut q = self.deques[band].lock().expect("pool mutex poisoned");
-        let job = q.pop_front();
-        if job.is_some() {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-            self.obs.queue_depth.add(-1);
-        }
-        job
+    /// Takes one job out of the counters after it left band `band`.
+    fn unqueue(&self, band: usize) {
+        self.band_queued[band].fetch_sub(1, Ordering::SeqCst);
+        self.queued.fetch_sub(1, Ordering::SeqCst);
+        self.obs.queue_depth.add(-1);
     }
 
-    /// One claim attempt for worker `id`: local pop, then (stealing
-    /// only) a full rotation sweep; for priority lanes, a band scan
-    /// with the aging rule. Returns `None` after a failed sweep — the
-    /// caller then parks.
+    /// One claim attempt for worker `id`: the bands highest class
+    /// first (lowest first on every [`AGING_PERIOD`]-th claim), each
+    /// band by local pop, then a rotation steal. Returns `None` after
+    /// a failed sweep — the caller then parks.
     fn claim(&self, id: usize) -> Option<Job> {
-        match self.scheduler {
-            Scheduler::SharedFifo => {
-                let job = self.pop_band_front(0);
-                if job.is_some() {
-                    self.per_worker[id]
-                        .local_hits
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.obs.claims.inc();
-                    self.obs.local_hits.inc();
-                }
-                job
-            }
-            Scheduler::PriorityLanes => self.claim_lanes(id),
-            Scheduler::WorkStealing => self.claim_stealing(id),
-        }
-    }
-
-    /// Priority-lane claim: highest band first, except that every
-    /// [`AGING_PERIOD`]-th claim scans lowest-first and counts the
-    /// grant as aged when higher-class work was still queued.
-    fn claim_lanes(&self, id: usize) -> Option<Job> {
         // Only ticks that can claim something should consume an aging
         // slot, or idle sweeps before parking would burn the aging
         // cadence while the pool is empty.
@@ -578,24 +505,14 @@ impl PoolInner {
         }
         let tick = self.claim_tick.fetch_add(1, Ordering::Relaxed);
         let aging_pass = tick % AGING_PERIOD == AGING_PERIOD - 1;
-        let bands: &[usize] = if aging_pass { &[2, 1, 0] } else { &[0, 1, 2] };
-        for &band in bands {
-            if let Some(job) = self.pop_band_front(band) {
-                self.per_worker[id]
-                    .local_hits
-                    .fetch_add(1, Ordering::Relaxed);
-                self.obs.claims.inc();
-                self.obs.local_hits.inc();
-                if aging_pass && band > 0 {
-                    let higher_waiting = (0..band).any(|b| {
-                        !self.deques[b]
-                            .lock()
-                            .expect("pool mutex poisoned")
-                            .is_empty()
-                    });
-                    if higher_waiting {
-                        self.per_class[band].aged.fetch_add(1, Ordering::Relaxed);
-                    }
+        let bands: [usize; JobClass::COUNT] = if aging_pass { [2, 1, 0] } else { [0, 1, 2] };
+        for band in bands {
+            if self.band_queued[band].load(Ordering::SeqCst) == 0 {
+                continue;
+            }
+            if let Some(job) = self.claim_band(id, band) {
+                if aging_pass && (0..band).any(|b| self.band_queued[b].load(Ordering::SeqCst) > 0) {
+                    self.per_class[band].aged.fetch_add(1, Ordering::Relaxed);
                 }
                 return Some(job);
             }
@@ -603,16 +520,16 @@ impl PoolInner {
         None
     }
 
-    /// Work-stealing claim: LIFO local pop, then a FIFO rotation sweep
-    /// with batched steals on deep victims.
-    fn claim_stealing(&self, id: usize) -> Option<Job> {
+    /// Claims from band `band`: LIFO local pop, then a FIFO rotation
+    /// sweep of the victims' same band with batched steals on deep
+    /// victims.
+    fn claim_band(&self, id: usize, band: usize) -> Option<Job> {
         // Newest-first from our own deque.
         let local = {
             let mut q = self.deques[id].lock().expect("pool mutex poisoned");
-            let job = q.pop_back();
+            let job = q[band].pop_back();
             if job.is_some() {
-                self.queued.fetch_sub(1, Ordering::SeqCst);
-                self.obs.queue_depth.add(-1);
+                self.unqueue(band);
             }
             job
         };
@@ -633,24 +550,18 @@ impl PoolInner {
             let victim = (id + k) % n;
             let (job, batch) = {
                 let mut q = self.deques[victim].lock().expect("pool mutex poisoned");
+                let q = &mut q[band];
                 match q.pop_front() {
                     None => (None, Vec::new()),
                     Some(job) => {
-                        self.queued.fetch_sub(1, Ordering::SeqCst);
-                        self.obs.queue_depth.add(-1);
+                        self.unqueue(band);
                         let depth_before = q.len() + 1;
                         let mut batch = Vec::new();
                         if depth_before >= BATCH_STEAL_DEPTH {
-                            // Take half the victim's backlog (the job
+                            // Take half the victim's band (the job
                             // being returned counts toward the half).
                             let extra = depth_before / 2 - 1;
-                            batch.reserve(extra);
-                            for _ in 0..extra {
-                                match q.pop_front() {
-                                    Some(j) => batch.push(j),
-                                    None => break,
-                                }
-                            }
+                            batch.extend(q.drain(..extra));
                         }
                         (Some(job), batch)
                     }
@@ -660,10 +571,8 @@ impl PoolInner {
                 if !batch.is_empty() {
                     let depth = {
                         let mut own = self.deques[id].lock().expect("pool mutex poisoned");
-                        for j in batch {
-                            own.push_back(j);
-                        }
-                        own.len()
+                        own[band].extend(batch);
+                        own.iter().map(VecDeque::len).sum::<usize>()
                     };
                     self.per_worker[id]
                         .deque_high_water
@@ -689,13 +598,11 @@ impl PoolInner {
 /// A fixed-size pool of long-lived worker threads executing submitted
 /// jobs.
 ///
-/// * the default [`Scheduler::WorkStealing`] topology gives every
-///   worker its own deque (LIFO local pop, FIFO rotation steal,
-///   batched steals on deep victims) so one slow job cannot
-///   head-of-line-block short jobs behind it;
-///   [`Scheduler::PriorityLanes`] instead schedules by [`JobClass`]
-///   with an aging rule — the topology the class-aware course server
-///   runs;
+/// * every worker owns a deque with one band per [`JobClass`]: claims
+///   take the highest class first (with an aging rule so low classes
+///   never starve), and within a band pop LIFO locally and steal FIFO
+///   from the other workers, batched on deep victims, so one slow job
+///   cannot head-of-line-block short jobs behind it;
 /// * every job carries a [`JobMeta`]; [`ThreadPool::execute`] inherits
 ///   the submitting job's meta (see [`current_job_meta`]) and
 ///   [`ThreadPool::execute_with_meta`] sets it explicitly;
@@ -716,55 +623,35 @@ impl std::fmt::Debug for ThreadPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadPool")
             .field("workers", &self.workers.len())
-            .field("scheduler", &self.inner.scheduler)
             .finish()
     }
 }
 
 impl ThreadPool {
-    /// Spawns a pool with `workers` threads and the default
-    /// work-stealing scheduler.
+    /// Spawns a pool with `workers` threads.
     ///
     /// # Panics
     /// If `workers == 0`.
     pub fn new(workers: usize) -> ThreadPool {
-        ThreadPool::with_scheduler(workers, Scheduler::default())
-    }
-
-    /// Spawns a pool with `workers` threads and an explicit queue
-    /// topology (the shared-FIFO baseline is kept for measurement).
-    ///
-    /// # Panics
-    /// If `workers == 0`.
-    pub fn with_scheduler(workers: usize, scheduler: Scheduler) -> ThreadPool {
-        ThreadPool::with_observability(workers, scheduler, &obs::Registry::disabled())
+        ThreadPool::with_observability(workers, &obs::Registry::disabled())
     }
 
     /// Spawns a pool whose scheduling events (`pool.claims`,
     /// `pool.local_hits`, `pool.steals`, `pool.batch_steals`, and the
     /// `pool.queue_depth` gauge) are mirrored into `registry`. Passing a
     /// disabled registry makes every mirror a no-op — that is exactly
-    /// what [`ThreadPool::with_scheduler`] does.
+    /// what [`ThreadPool::new`] does.
     ///
     /// # Panics
     /// If `workers == 0`.
-    pub fn with_observability(
-        workers: usize,
-        scheduler: Scheduler,
-        registry: &obs::Registry,
-    ) -> ThreadPool {
+    pub fn with_observability(workers: usize, registry: &obs::Registry) -> ThreadPool {
         assert!(workers > 0, "thread pool needs at least one worker");
-        let deque_count = match scheduler {
-            Scheduler::SharedFifo => 1,
-            Scheduler::WorkStealing => workers,
-            Scheduler::PriorityLanes => JobClass::COUNT,
-        };
         let inner = Arc::new(PoolInner {
-            scheduler,
-            deques: (0..deque_count)
-                .map(|_| Mutex::new(VecDeque::new()))
+            deques: (0..workers)
+                .map(|_| Mutex::new(std::array::from_fn(|_| VecDeque::new())))
                 .collect(),
             queued: AtomicUsize::new(0),
+            band_queued: std::array::from_fn(|_| AtomicUsize::new(0)),
             closed: AtomicBool::new(false),
             sleepers: AtomicUsize::new(0),
             park: Mutex::new(()),
@@ -797,11 +684,6 @@ impl ThreadPool {
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.inner.per_worker.len()
-    }
-
-    /// The queue topology this pool runs.
-    pub fn scheduler(&self) -> Scheduler {
-        self.inner.scheduler
     }
 
     /// Submits a job with the meta inherited from the current thread
@@ -890,7 +772,6 @@ impl ThreadPool {
             .collect();
         PoolStats {
             workers: per_worker.len(),
-            scheduler: self.inner.scheduler,
             submitted: self.inner.submitted.load(Ordering::Relaxed),
             started: per_worker.iter().map(|w| w.started).sum(),
             finished: per_worker.iter().map(|w| w.finished).sum(),
@@ -924,7 +805,7 @@ impl Drop for ThreadPool {
     }
 }
 
-/// The worker body: claim (local pop, then steal sweep / band scan),
+/// The worker body: claim (band by band: local pop, then steal sweep),
 /// run (panic-contained, meta installed for nested submissions),
 /// count, repeat; park after a failed sweep; exit once the pool is
 /// closed *and* every deque is drained.
@@ -994,102 +875,73 @@ mod tests {
     use std::sync::atomic::AtomicU64;
     use std::time::{Duration, Instant};
 
-    const ALL_SCHEDULERS: [Scheduler; 3] = [
-        Scheduler::SharedFifo,
-        Scheduler::WorkStealing,
-        Scheduler::PriorityLanes,
-    ];
-
     #[test]
-    fn runs_jobs_and_counts_them_under_every_scheduler() {
-        for scheduler in ALL_SCHEDULERS {
-            let pool = ThreadPool::with_scheduler(4, scheduler);
-            let hits = Arc::new(AtomicU64::new(0));
-            for _ in 0..100 {
-                let hits = Arc::clone(&hits);
-                pool.execute(move || {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                })
-                .expect("pool accepts while alive");
-            }
-            pool.wait_empty();
-            assert_eq!(hits.load(Ordering::Relaxed), 100, "{scheduler}");
-            let stats = pool.stats();
-            assert_eq!(stats.scheduler, scheduler);
-            assert_eq!(stats.submitted, 100);
-            assert_eq!(stats.finished, 100);
-            assert_eq!(stats.panicked, 0);
-            assert_eq!(stats.queue_depth, 0);
-            assert!(stats.queue_high_water >= 1);
-            assert_eq!(stats.per_worker.len(), 4);
-            assert_eq!(
-                stats.per_worker.iter().map(|w| w.finished).sum::<u64>(),
-                100
-            );
-            // Every claim is either a local hit or a steal.
-            assert_eq!(stats.local_hits + stats.steals, 100);
-            // Default meta is Batch: the per-class ledger must agree.
-            let batch = stats.per_class[JobClass::Batch.band()];
-            assert_eq!(batch.class, JobClass::Batch);
-            assert_eq!(batch.submitted, 100, "{scheduler}");
-            assert_eq!(batch.completed, 100, "{scheduler}");
+    fn runs_jobs_and_counts_them() {
+        let pool = ThreadPool::new(4);
+        let hits = Arc::new(AtomicU64::new(0));
+        for _ in 0..100 {
+            let hits = Arc::clone(&hits);
+            pool.execute(move || {
+                hits.fetch_add(1, Ordering::Relaxed);
+            })
+            .expect("pool accepts while alive");
         }
+        pool.wait_empty();
+        assert_eq!(hits.load(Ordering::Relaxed), 100);
+        let stats = pool.stats();
+        assert_eq!(stats.submitted, 100);
+        assert_eq!(stats.finished, 100);
+        assert_eq!(stats.panicked, 0);
+        assert_eq!(stats.queue_depth, 0);
+        assert!(stats.queue_high_water >= 1);
+        assert_eq!(stats.per_worker.len(), 4);
+        assert_eq!(
+            stats.per_worker.iter().map(|w| w.finished).sum::<u64>(),
+            100
+        );
+        // Every claim is either a local hit or a steal.
+        assert_eq!(stats.local_hits + stats.steals, 100);
+        // Default meta is Batch: the per-class ledger must agree.
+        let batch = stats.per_class[JobClass::Batch.band()];
+        assert_eq!(batch.class, JobClass::Batch);
+        assert_eq!(batch.submitted, 100);
+        assert_eq!(batch.completed, 100);
     }
 
     #[test]
     fn registry_mirrors_agree_with_pool_stats() {
-        for scheduler in ALL_SCHEDULERS {
-            let registry = obs::Registry::new();
-            let pool = ThreadPool::with_observability(4, scheduler, &registry);
-            for _ in 0..200 {
-                pool.execute(|| {}).unwrap();
-            }
-            pool.wait_empty();
-            let stats = pool.stats();
-            let snap = registry.snapshot();
-            assert_eq!(snap.counter("pool.claims"), Some(200), "{scheduler}");
-            assert_eq!(
-                snap.counter("pool.local_hits"),
-                Some(stats.local_hits),
-                "{scheduler}"
-            );
-            assert_eq!(
-                snap.counter("pool.steals"),
-                Some(stats.steals),
-                "{scheduler}"
-            );
-            assert_eq!(
-                snap.counter("pool.batch_steals"),
-                Some(stats.batch_steals),
-                "{scheduler}"
-            );
-            assert_eq!(snap.gauge("pool.queue_depth"), Some(0), "{scheduler}");
+        let registry = obs::Registry::new();
+        let pool = ThreadPool::with_observability(4, &registry);
+        for _ in 0..200 {
+            pool.execute(|| {}).unwrap();
         }
+        pool.wait_empty();
+        let stats = pool.stats();
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("pool.claims"), Some(200));
+        assert_eq!(snap.counter("pool.local_hits"), Some(stats.local_hits));
+        assert_eq!(snap.counter("pool.steals"), Some(stats.steals));
+        assert_eq!(snap.counter("pool.batch_steals"), Some(stats.batch_steals));
+        assert_eq!(snap.gauge("pool.queue_depth"), Some(0));
     }
 
     #[test]
-    fn drop_drains_queued_jobs_under_every_scheduler() {
-        for scheduler in ALL_SCHEDULERS {
-            let hits = Arc::new(AtomicU64::new(0));
-            {
-                // One worker and a slow first job force the rest to queue.
-                let pool = ThreadPool::with_scheduler(1, scheduler);
-                for _ in 0..50 {
-                    let hits = Arc::clone(&hits);
-                    pool.execute(move || {
-                        std::thread::sleep(Duration::from_micros(100));
-                        hits.fetch_add(1, Ordering::Relaxed);
-                    })
-                    .unwrap();
-                }
-                // Drop immediately: everything queued must still run.
+    fn drop_drains_queued_jobs() {
+        let hits = Arc::new(AtomicU64::new(0));
+        {
+            // One worker and a slow first job force the rest to queue.
+            let pool = ThreadPool::new(1);
+            for _ in 0..50 {
+                let hits = Arc::clone(&hits);
+                pool.execute(move || {
+                    std::thread::sleep(Duration::from_micros(100));
+                    hits.fetch_add(1, Ordering::Relaxed);
+                })
+                .unwrap();
             }
-            assert_eq!(
-                hits.load(Ordering::Relaxed),
-                50,
-                "{scheduler} drop lost jobs"
-            );
+            // Drop immediately: everything queued must still run.
         }
+        assert_eq!(hits.load(Ordering::Relaxed), 50, "drop lost jobs");
     }
 
     #[test]
@@ -1127,7 +979,7 @@ mod tests {
         // blocks its worker for a long time. The shorts placed behind
         // the blocker (and behind everyone else) must be finished by
         // thieves long before the blocker completes.
-        let pool = ThreadPool::with_scheduler(4, Scheduler::WorkStealing);
+        let pool = ThreadPool::new(4);
         let release = Arc::new(AtomicBool::new(false));
         let shorts_done = Arc::new(AtomicU64::new(0));
         {
@@ -1175,7 +1027,7 @@ mod tests {
         // then blocks. The only way the other worker makes progress is
         // stealing — and with a 12-deep victim, at least one sweep must
         // take a batch, not a single job.
-        let pool = Arc::new(ThreadPool::with_scheduler(2, Scheduler::WorkStealing));
+        let pool = Arc::new(ThreadPool::new(2));
         let release = Arc::new(AtomicBool::new(false));
         let done = Arc::new(AtomicU64::new(0));
         {
@@ -1227,7 +1079,7 @@ mod tests {
         // Every deque goes empty the moment the job is claimed; only
         // the pending count knows the job is still running. wait_empty
         // must block on it.
-        let pool = ThreadPool::with_scheduler(2, Scheduler::WorkStealing);
+        let pool = ThreadPool::new(2);
         let finished = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&finished);
         pool.execute(move || {
@@ -1278,7 +1130,7 @@ mod tests {
         // A job that submits into its own pool must push to its own
         // deque (and the pool must drain it before wait_empty returns,
         // because the child joins `pending` before the parent exits).
-        let pool = Arc::new(ThreadPool::with_scheduler(2, Scheduler::WorkStealing));
+        let pool = Arc::new(ThreadPool::new(2));
         let order = Arc::new(Mutex::new(Vec::new()));
         {
             let pool2 = Arc::clone(&pool);
@@ -1304,7 +1156,7 @@ mod tests {
         // Exercise the park/wake protocol: rounds of work separated by
         // idle gaps long enough for every worker to park. A lost
         // wakeup would hang a round (and the test) forever.
-        let pool = ThreadPool::with_scheduler(3, Scheduler::WorkStealing);
+        let pool = ThreadPool::new(3);
         let hits = Arc::new(AtomicU64::new(0));
         for round in 0..20 {
             for _ in 0..7 {
@@ -1327,7 +1179,7 @@ mod tests {
         // Rust forbids executing into a pool being dropped): many
         // threads submit while another repeatedly calls wait_empty;
         // every wait_empty return must observe a consistent world.
-        let pool = Arc::new(ThreadPool::with_scheduler(4, Scheduler::WorkStealing));
+        let pool = Arc::new(ThreadPool::new(4));
         let done = Arc::new(AtomicU64::new(0));
         thread::scope(|s| {
             for _ in 0..4 {
@@ -1360,7 +1212,7 @@ mod tests {
         // priority would run all 5 interactive jobs before any bulk;
         // the aging rule may legitimately promote a bounded number of
         // bulk jobs early, so assert "mostly first", not "all first".
-        let pool = ThreadPool::with_scheduler(1, Scheduler::PriorityLanes);
+        let pool = ThreadPool::new(1);
         let release = Arc::new(AtomicBool::new(false));
         let order: Arc<Mutex<Vec<JobClass>>> = Arc::new(Mutex::new(Vec::new()));
         {
@@ -1403,41 +1255,106 @@ mod tests {
     }
 
     #[test]
-    fn urgent_jobs_jump_their_own_band() {
-        let pool = ThreadPool::with_scheduler(1, Scheduler::PriorityLanes);
+    fn interactive_queued_before_a_bulk_backlog_runs_ahead_of_it() {
+        // One worker, gated. The interactive jobs arrive *before* the
+        // bulk backlog, so a plain LIFO deque would run the newest bulk
+        // job first. The claim order walks the interactive band first,
+        // and the five claims after the gate come before the first
+        // aging pass (claim AGING_PERIOD - 1), so all five run first.
+        let pool = ThreadPool::new(1);
         let release = Arc::new(AtomicBool::new(false));
-        let order: Arc<Mutex<Vec<&'static str>>> = Arc::new(Mutex::new(Vec::new()));
+        let gate_running = Arc::new(AtomicBool::new(false));
+        let order: Arc<Mutex<Vec<JobClass>>> = Arc::new(Mutex::new(Vec::new()));
         {
             let release = Arc::clone(&release);
+            let gate_running = Arc::clone(&gate_running);
             pool.execute(move || {
+                gate_running.store(true, Ordering::SeqCst);
                 while !release.load(Ordering::SeqCst) {
                     std::thread::sleep(Duration::from_micros(100));
                 }
             })
             .unwrap();
         }
-        for name in ["first", "second", "third"] {
+        while !gate_running.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        for class in [JobClass::Interactive; 5]
+            .into_iter()
+            .chain([JobClass::Bulk; 8])
+        {
             let order = Arc::clone(&order);
-            pool.execute_with_meta(JobMeta::for_class(JobClass::Interactive), move || {
-                order.lock().unwrap().push(name);
+            pool.execute_with_meta(JobMeta::for_class(class), move || {
+                order.lock().unwrap().push(class);
             })
             .unwrap();
         }
-        {
+        release.store(true, Ordering::SeqCst);
+        pool.wait_empty();
+        let order = order.lock().unwrap();
+        assert_eq!(
+            order[..5],
+            [JobClass::Interactive; 5],
+            "the bulk backlog ran ahead of earlier interactive work: {order:?}"
+        );
+        assert_eq!(order.len(), 13);
+    }
+
+    #[test]
+    fn a_freed_worker_steals_interactive_before_its_own_bulk() {
+        // Two workers, each running a parent job. One parent queues a
+        // bulk child on its own deque, the other an interactive child
+        // on *its* own deque and then stays blocked. When the first
+        // parent returns, its worker must take the neighbour's
+        // interactive child before its own bulk child.
+        let pool = Arc::new(ThreadPool::new(2));
+        let started = Arc::new(AtomicU64::new(0));
+        let pushed = Arc::new(AtomicU64::new(0));
+        let release = Arc::new(AtomicBool::new(false));
+        let order: Arc<Mutex<Vec<JobClass>>> = Arc::new(Mutex::new(Vec::new()));
+        for (child, block) in [(JobClass::Bulk, false), (JobClass::Interactive, true)] {
+            let pool2 = Arc::clone(&pool);
+            let started = Arc::clone(&started);
+            let pushed = Arc::clone(&pushed);
+            let release = Arc::clone(&release);
             let order = Arc::clone(&order);
-            pool.execute_with_meta(
-                JobMeta::for_class(JobClass::Interactive).with_priority(URGENT_PRIORITY),
-                move || {
-                    order.lock().unwrap().push("urgent");
-                },
-            )
+            pool.execute(move || {
+                // Both parents run at once, so they sit on different
+                // workers and each child lands on its parent's deque.
+                started.fetch_add(1, Ordering::SeqCst);
+                while started.load(Ordering::SeqCst) < 2 {
+                    std::thread::yield_now();
+                }
+                pool2
+                    .execute_with_meta(JobMeta::for_class(child), move || {
+                        order.lock().unwrap().push(child);
+                    })
+                    .expect("pool is open");
+                pushed.fetch_add(1, Ordering::SeqCst);
+                while pushed.load(Ordering::SeqCst) < 2
+                    || (block && !release.load(Ordering::SeqCst))
+                {
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+            })
             .unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while order.lock().unwrap().len() < 2 {
+            assert!(Instant::now() < deadline, "children never ran");
+            std::thread::sleep(Duration::from_millis(1));
         }
         release.store(true, Ordering::SeqCst);
         pool.wait_empty();
         assert_eq!(
             *order.lock().unwrap(),
-            vec!["urgent", "first", "second", "third"]
+            vec![JobClass::Interactive, JobClass::Bulk],
+            "the freed worker popped its own bulk job first"
+        );
+        let stats = pool.stats();
+        assert_eq!(
+            stats.steals, 1,
+            "the interactive child was stolen: {stats:?}"
         );
     }
 
@@ -1447,7 +1364,7 @@ mod tests {
         // jobs are fed continuously. Without aging the bulk job would
         // starve for as long as the feed lasts; with AGING_PERIOD the
         // bulk job must complete while the feed is still running.
-        let pool = ThreadPool::with_scheduler(1, Scheduler::PriorityLanes);
+        let pool = ThreadPool::new(1);
         let release = Arc::new(AtomicBool::new(false));
         let bulk_done = Arc::new(AtomicBool::new(false));
         {
@@ -1499,7 +1416,7 @@ mod tests {
 
     #[test]
     fn deadline_misses_are_counted_per_class() {
-        let pool = ThreadPool::with_scheduler(1, Scheduler::PriorityLanes);
+        let pool = ThreadPool::new(1);
         let already_passed = Instant::now() - Duration::from_millis(5);
         pool.execute_with_meta(
             JobMeta::for_class(JobClass::Interactive).with_deadline(already_passed),
@@ -1522,7 +1439,7 @@ mod tests {
 
     #[test]
     fn busy_time_is_accounted_to_the_jobs_class() {
-        let pool = ThreadPool::with_scheduler(2, Scheduler::PriorityLanes);
+        let pool = ThreadPool::new(2);
         for _ in 0..4 {
             pool.execute_with_meta(JobMeta::for_class(JobClass::Bulk), || {
                 std::thread::sleep(Duration::from_millis(5));
@@ -1549,7 +1466,7 @@ mod tests {
 
     #[test]
     fn nested_submissions_inherit_the_parents_meta() {
-        let pool = Arc::new(ThreadPool::with_scheduler(2, Scheduler::PriorityLanes));
+        let pool = Arc::new(ThreadPool::new(2));
         let observed: Arc<Mutex<Vec<JobClass>>> = Arc::new(Mutex::new(Vec::new()));
         {
             let pool2 = Arc::clone(&pool);

@@ -32,9 +32,8 @@
 //!    under load" response and its queue slot transfers to the
 //!    newcomer;
 //! 4. **scheduling** — the job is submitted to the pool with its meta,
-//!    so under [`Scheduler::PriorityLanes`] grade-class work overtakes
-//!    the bulk backlog (with the pool's aging rule keeping bulk work
-//!    from starving);
+//!    so grade-class work overtakes the bulk backlog (with the pool's
+//!    aging rule keeping bulk work from starving);
 //! 5. **rejection** — when neither a slot nor a victim exists the
 //!    caller gets a [`Rejected`] whose `retry_after_ms` respects the
 //!    request's deadline: never a hint that lands after the deadline
@@ -46,7 +45,7 @@
 
 use crate::cache::{Cache, CacheStats};
 use crate::fault::{FaultPlan, FaultPoint};
-use crate::pool::{JobClass, JobMeta, PoolStats, Scheduler, ThreadPool};
+use crate::pool::{JobClass, JobMeta, PoolStats, ThreadPool};
 use cs31::autograde;
 use cs31::homework;
 use parallel::Semaphore;
@@ -207,11 +206,6 @@ pub struct ServerConfig {
     pub cache_shards: usize,
     /// LRU capacity per cache shard.
     pub cache_capacity_per_shard: usize,
-    /// Queue topology for the worker pool. Defaults to
-    /// [`Scheduler::WorkStealing`]; use [`Scheduler::PriorityLanes`] to
-    /// let the admission classes drive scheduling order, or
-    /// [`Scheduler::SharedFifo`] for the single-queue baseline.
-    pub scheduler: Scheduler,
     /// Optional seeded fault injection for tests: panic/stall handlers
     /// at chosen points. `None` (the default) injects nothing.
     pub fault_plan: Option<FaultPlan>,
@@ -230,7 +224,6 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             cache_shards: 8,
             cache_capacity_per_shard: 32,
-            scheduler: Scheduler::default(),
             fault_plan: None,
             registry: obs::Registry::new(),
         }
@@ -844,8 +837,8 @@ impl Drop for OpenGuard<'_> {
 /// never blocks the caller. A request whose result the cache already
 /// holds is answered at admission, on the caller's thread. Other
 /// admitted requests run on the worker pool
-/// with their class metadata (under [`Scheduler::PriorityLanes`] that
-/// metadata decides execution order), consult the result cache
+/// with their class metadata (the class decides which band of a
+/// worker's deque they wait in), consult the result cache
 /// (compute-once per distinct request), and complete their ticket even
 /// if the handler panics. Under pressure a higher-class submit may
 /// displace a queued lower-class request; the victim's ticket resolves
@@ -910,11 +903,7 @@ impl CourseServer {
         });
         CourseServer {
             inner,
-            pool: ThreadPool::with_observability(
-                config.workers,
-                config.scheduler,
-                &config.registry,
-            ),
+            pool: ThreadPool::with_observability(config.workers, &config.registry),
         }
     }
 
@@ -1475,7 +1464,6 @@ mod tests {
             ServerConfig {
                 workers: 1,
                 queue_capacity: 4,
-                scheduler: Scheduler::PriorityLanes,
                 ..ServerConfig::default()
             },
             vec![
@@ -1687,7 +1675,6 @@ mod tests {
             ServerConfig {
                 workers: 1,
                 queue_capacity: 4,
-                scheduler: Scheduler::PriorityLanes,
                 ..ServerConfig::default()
             },
             vec![
@@ -1749,7 +1736,6 @@ mod tests {
         // The meta assigned at admission must be the meta the pool
         // schedules and counts with — the whole point of the refactor.
         let server = CourseServer::new(ServerConfig {
-            scheduler: Scheduler::PriorityLanes,
             ..ServerConfig::default()
         });
         server

@@ -5,9 +5,8 @@
 //! 1. every accepted request resolves its ticket exactly once, even
 //!    when the handler panics or stalls at injected points;
 //! 2. `shutdown` returns only after every accepted request completed
-//!    (drain never drops work), under every queue topology — including
-//!    a submit stalled between admission and the pool (the
-//!    `BeforeEnqueue` race point);
+//!    (drain never drops work) — including a submit stalled between
+//!    admission and the pool (the `BeforeEnqueue` race point);
 //! 3. panic isolation: a fault poisons only the faulty request — other
 //!    requests keep succeeding, and the pool's workers survive;
 //! 4. cache-layer faults cannot break compute-once: a stall holding a
@@ -19,18 +18,17 @@
 
 use serve::cache::Cache;
 use serve::fault::{FaultPlan, FaultPoint};
-use serve::pool::{JobClass, Scheduler};
+use serve::pool::JobClass;
 use serve::server::{CourseServer, Request, ServerConfig, SubmitError, Ticket};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-fn config(scheduler: Scheduler, plan: &FaultPlan) -> ServerConfig {
+fn config(plan: &FaultPlan) -> ServerConfig {
     ServerConfig {
         workers: 4,
         queue_capacity: 256,
-        scheduler,
         fault_plan: Some(plan.clone()),
         ..ServerConfig::default()
     }
@@ -47,48 +45,46 @@ fn homework(seed: u64) -> Request {
 
 #[test]
 fn every_ticket_resolves_when_handlers_panic_before_handle() {
-    for scheduler in [Scheduler::SharedFifo, Scheduler::WorkStealing] {
-        let plan = FaultPlan::new(0xDEAD_BEEF).panic_at(FaultPoint::BeforeHandle, 1, 3);
-        let server = CourseServer::new(config(scheduler, &plan));
-        let tickets: Vec<Ticket> = (0..120)
-            .map(|seed| server.submit(homework(seed)).expect("admitted"))
-            .collect();
-        let mut failed = 0usize;
-        for t in &tickets {
-            // wait() returning at all is invariant 1; a hang here times
-            // the whole test out.
-            let resp = t.wait();
-            if !resp.ok {
-                assert!(
-                    resp.body.contains("panicked"),
-                    "unexpected failure body: {}",
-                    resp.body
-                );
-                failed += 1;
-            }
+    let plan = FaultPlan::new(0xDEAD_BEEF).panic_at(FaultPoint::BeforeHandle, 1, 3);
+    let server = CourseServer::new(config(&plan));
+    let tickets: Vec<Ticket> = (0..120)
+        .map(|seed| server.submit(homework(seed)).expect("admitted"))
+        .collect();
+    let mut failed = 0usize;
+    for t in &tickets {
+        // wait() returning at all is invariant 1; a hang here times
+        // the whole test out.
+        let resp = t.wait();
+        if !resp.ok {
+            assert!(
+                resp.body.contains("panicked"),
+                "unexpected failure body: {}",
+                resp.body
+            );
+            failed += 1;
         }
-        let stats = plan.stats();
-        assert!(stats.panics > 0, "plan never fired under {scheduler}");
-        assert!(
-            failed > 0,
-            "injected panics must surface as failed responses"
-        );
-        assert!(
-            failed < tickets.len(),
-            "a 1/3 fault rate must leave some requests healthy ({scheduler})"
-        );
-        assert_eq!(
-            server.stats().completed,
-            120,
-            "every accepted request completed"
-        );
     }
+    let stats = plan.stats();
+    assert!(stats.panics > 0, "plan never fired");
+    assert!(
+        failed > 0,
+        "injected panics must surface as failed responses"
+    );
+    assert!(
+        failed < tickets.len(),
+        "a 1/3 fault rate must leave some requests healthy"
+    );
+    assert_eq!(
+        server.stats().completed,
+        120,
+        "every accepted request completed"
+    );
 }
 
 #[test]
 fn panics_after_handle_discard_work_but_still_resolve_tickets() {
     let plan = FaultPlan::new(31).panic_at(FaultPoint::AfterHandle, 1, 2);
-    let server = CourseServer::new(config(Scheduler::WorkStealing, &plan));
+    let server = CourseServer::new(config(&plan));
     let responses: Vec<_> = (0..60)
         .map(|seed| server.submit(homework(seed)).expect("admitted").wait())
         .collect();
@@ -107,38 +103,29 @@ fn panics_after_handle_discard_work_but_still_resolve_tickets() {
 
 #[test]
 fn shutdown_drains_everything_even_with_stalls_and_panics_in_flight() {
-    for scheduler in [
-        Scheduler::SharedFifo,
-        Scheduler::WorkStealing,
-        Scheduler::PriorityLanes,
-    ] {
-        let plan = FaultPlan::new(7)
-            .stall_at(FaultPoint::BeforeHandle, Duration::from_millis(3), 1, 2)
-            .panic_at(FaultPoint::AfterHandle, 1, 4);
-        let server = CourseServer::new(config(scheduler, &plan));
-        let tickets: Vec<Ticket> = (0..80)
-            .map(|seed| server.submit(homework(seed)).expect("admitted"))
-            .collect();
-        server.shutdown();
-        // Drain invariant: by the time shutdown returns, every accepted
-        // ticket is already resolved — try_get, not wait.
-        for (i, t) in tickets.iter().enumerate() {
-            assert!(
-                t.try_get().is_some(),
-                "ticket {i} unresolved after shutdown ({scheduler})"
-            );
-        }
-        assert!(matches!(
-            server.submit(homework(999)),
-            Err(SubmitError::ShuttingDown(_))
-        ));
-        let stats = server.stats();
-        assert_eq!(stats.completed, 80, "drain dropped work under {scheduler}");
+    let plan = FaultPlan::new(7)
+        .stall_at(FaultPoint::BeforeHandle, Duration::from_millis(3), 1, 2)
+        .panic_at(FaultPoint::AfterHandle, 1, 4);
+    let server = CourseServer::new(config(&plan));
+    let tickets: Vec<Ticket> = (0..80)
+        .map(|seed| server.submit(homework(seed)).expect("admitted"))
+        .collect();
+    server.shutdown();
+    // Drain invariant: by the time shutdown returns, every accepted
+    // ticket is already resolved — try_get, not wait.
+    for (i, t) in tickets.iter().enumerate() {
         assert!(
-            plan.stats().stalls > 0,
-            "stall rule never fired under {scheduler}"
+            t.try_get().is_some(),
+            "ticket {i} unresolved after shutdown"
         );
     }
+    assert!(matches!(
+        server.submit(homework(999)),
+        Err(SubmitError::ShuttingDown(_))
+    ));
+    let stats = server.stats();
+    assert_eq!(stats.completed, 80, "drain dropped work");
+    assert!(plan.stats().stalls > 0, "stall rule never fired");
 }
 
 #[test]
@@ -148,7 +135,6 @@ fn faulty_request_leaves_the_cache_retryable_and_neighbors_untouched() {
     let observer = plan.clone();
     let server = CourseServer::new(ServerConfig {
         workers: 2,
-        scheduler: Scheduler::WorkStealing,
         fault_plan: Some(plan),
         ..ServerConfig::default()
     });
@@ -183,7 +169,6 @@ fn shard_lock_hold_stalls_delay_but_never_deadlock_the_pipeline() {
         workers: 4,
         queue_capacity: 256,
         cache_shards: 2, // few shards: lock-holds collide with real traffic
-        scheduler: Scheduler::WorkStealing,
         fault_plan: Some(plan.clone()),
         ..ServerConfig::default()
     });
@@ -319,7 +304,6 @@ fn per_class_ledger_balances_after_an_adversarial_drain() {
         ServerConfig {
             workers: 2,
             queue_capacity: 6, // tight: forces sheds and rejections
-            scheduler: Scheduler::PriorityLanes,
             fault_plan: Some(plan),
             ..ServerConfig::default()
         },

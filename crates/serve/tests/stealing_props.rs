@@ -1,22 +1,12 @@
 //! Property tests: the pool-backed `serve::par` entry points agree
 //! with serial evaluation and with the course's scoped `parallel::par`
-//! functions, for random sizes, worker counts, grains, and all three
-//! queue topologies (shared FIFO, work stealing, priority lanes).
-//! Scheduling must only reorder work, never
-//! change answers — and under priority lanes the aging rule must keep
-//! low-class work from starving no matter the mix.
+//! functions, for random sizes, worker counts and grains. Scheduling
+//! must only reorder work, never change answers — and the aging rule
+//! must keep low-class work from starving no matter the mix.
 
 use proptest::prelude::*;
-use serve::pool::{JobClass, JobMeta, Scheduler, ThreadPool};
+use serve::pool::{JobClass, JobMeta, ThreadPool};
 use serve::{par, Cache};
-
-fn pools(workers: usize) -> [ThreadPool; 3] {
-    [
-        ThreadPool::with_scheduler(workers, Scheduler::SharedFifo),
-        ThreadPool::with_scheduler(workers, Scheduler::WorkStealing),
-        ThreadPool::with_scheduler(workers, Scheduler::PriorityLanes),
-    ]
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -30,12 +20,11 @@ proptest! {
         let serial: Vec<i64> = data.iter().map(|&x| i64::from(x) * 7 - 3).collect();
         let scoped = parallel::par::par_map(&data, workers, |&x| i64::from(x) * 7 - 3);
         prop_assert_eq!(&scoped, &serial);
-        for pool in pools(workers) {
-            let defaulted = par::par_map(&pool, &data, |&x| i64::from(x) * 7 - 3);
-            prop_assert_eq!(&defaulted, &serial);
-            let grained = par::par_map_grain(&pool, &data, grain, |&x| i64::from(x) * 7 - 3);
-            prop_assert_eq!(&grained, &serial);
-        }
+        let pool = ThreadPool::new(workers);
+        let defaulted = par::par_map(&pool, &data, |&x| i64::from(x) * 7 - 3);
+        prop_assert_eq!(&defaulted, &serial);
+        let grained = par::par_map_grain(&pool, &data, grain, |&x| i64::from(x) * 7 - 3);
+        prop_assert_eq!(&grained, &serial);
     }
 
     #[test]
@@ -48,13 +37,12 @@ proptest! {
         let scoped =
             parallel::par::par_reduce(&data, workers, 0u64, |a, &x| a + x, |a, b| a + b);
         prop_assert_eq!(scoped, serial);
-        for pool in pools(workers) {
-            let defaulted = par::par_reduce(&pool, &data, 0u64, |a, &x| a + x, |a, b| a + b);
-            prop_assert_eq!(defaulted, serial);
-            let grained =
-                par::par_reduce_grain(&pool, &data, grain, 0u64, |a, &x| a + x, |a, b| a + b);
-            prop_assert_eq!(grained, serial);
-        }
+        let pool = ThreadPool::new(workers);
+        let defaulted = par::par_reduce(&pool, &data, 0u64, |a, &x| a + x, |a, b| a + b);
+        prop_assert_eq!(defaulted, serial);
+        let grained =
+            par::par_reduce_grain(&pool, &data, grain, 0u64, |a, &x| a + x, |a, b| a + b);
+        prop_assert_eq!(grained, serial);
     }
 
     #[test]
@@ -64,15 +52,14 @@ proptest! {
         grain in 1usize..40,
     ) {
         let want: Vec<u64> = (0..len as u64).map(|x| x * x + 1).collect();
-        for pool in pools(workers) {
-            let data: Vec<u64> = (0..len as u64).collect();
-            let got = par::par_for_chunks_grain(&pool, data, grain, |_idx, chunk| {
-                for x in chunk {
-                    *x = *x * *x + 1;
-                }
-            });
-            prop_assert_eq!(&got, &want);
-        }
+        let pool = ThreadPool::new(workers);
+        let data: Vec<u64> = (0..len as u64).collect();
+        let got = par::par_for_chunks_grain(&pool, data, grain, |_idx, chunk| {
+            for x in chunk {
+                *x = *x * *x + 1;
+            }
+        });
+        prop_assert_eq!(&got, &want);
     }
 
     #[test]
@@ -82,7 +69,7 @@ proptest! {
     ) {
         // Same-keyed jobs racing through the stealing pool must all
         // observe the compute-once cache answer.
-        let pool = ThreadPool::with_scheduler(workers, Scheduler::WorkStealing);
+        let pool = ThreadPool::new(workers);
         let cache = std::sync::Arc::new(Cache::<u32, u64>::new(4, 64));
         let compute_cache = std::sync::Arc::clone(&cache);
         let results: Vec<u64> = par::par_map(&pool, &keys, move |&k| {
@@ -108,7 +95,7 @@ proptest! {
         // contract.
         let class = JobClass::from_band(band);
         let serial: Vec<i64> = data.iter().map(|&x| i64::from(x) * 11 + 5).collect();
-        let pool = ThreadPool::with_scheduler(workers, Scheduler::PriorityLanes);
+        let pool = ThreadPool::new(workers);
         let mapped = serve::pool::with_meta(JobMeta::for_class(class), || {
             par::par_map(&pool, &data, |&x| i64::from(x) * 11 + 5)
         });
@@ -131,11 +118,13 @@ proptest! {
         workers in 1usize..6,
         nested_mask in any::<u64>(),
         spin_mask in any::<u64>(),
+        class_bits in any::<u64>(),
     ) {
         // For a random mix of external submissions, nested
-        // (worker-side, own-deque) submissions, and job durations —
-        // i.e. random push/pop/steal interleavings, batched steals
-        // included — the work-stealing deques claim every job exactly
+        // (worker-side, own-deque) submissions, job classes, and job
+        // durations — i.e. random push/pop/steal interleavings across
+        // bands, batched steals and aging passes included — the
+        // work-stealing deques claim every job exactly
         // once. A double-claim would double-count its value; a lost
         // job would hang wait_empty or drop its value. The checksum
         // catches both.
@@ -143,13 +132,16 @@ proptest! {
         use std::sync::atomic::{AtomicU64, Ordering};
 
         let want: u64 = values.iter().sum();
-        let pool = Arc::new(ThreadPool::with_scheduler(workers, Scheduler::WorkStealing));
+        let pool = Arc::new(ThreadPool::new(workers));
         let sum = Arc::new(AtomicU64::new(0));
         let claims = Arc::new(AtomicU64::new(0));
         for (i, &v) in values.iter().enumerate() {
             let sum = Arc::clone(&sum);
             let claims = Arc::clone(&claims);
             let spin = spin_mask & (1 << (i % 64)) != 0;
+            let meta = JobMeta::for_class(JobClass::from_band(
+                ((class_bits >> (i % 32 * 2)) & 3) as usize % JobClass::COUNT,
+            ));
             let body = move || {
                 if spin {
                     std::thread::sleep(std::time::Duration::from_micros(20));
@@ -161,11 +153,11 @@ proptest! {
                 // Submit from inside a job: exercises the
                 // owner-side push path and LIFO pop.
                 let pool2 = Arc::clone(&pool);
-                pool.execute(move || {
-                    pool2.execute(body).expect("pool is open");
+                pool.execute_with_meta(meta, move || {
+                    pool2.execute_with_meta(meta, body).expect("pool is open");
                 }).unwrap();
             } else {
-                pool.execute(body).unwrap();
+                pool.execute_with_meta(meta, body).unwrap();
             }
         }
         pool.wait_empty();
@@ -194,7 +186,7 @@ proptest! {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::time::Duration;
 
-        let pool = ThreadPool::with_scheduler(1, Scheduler::PriorityLanes);
+        let pool = ThreadPool::new(1);
         let gate = Arc::new(std::sync::atomic::AtomicBool::new(false));
         {
             let gate = Arc::clone(&gate);

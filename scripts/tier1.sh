@@ -11,16 +11,18 @@ cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 
-# E13 smoke: the priority pipeline end to end — reproduce runner plus
-# the live server under class-aware admission (serve_demo asserts its
-# per-class ledgers balance after drain).
+# E13 smoke: the class pipeline end to end — the reproduce runner (the
+# pool's class order against a class-blind run of the same stream)
+# plus the live server under class-aware admission and the class-
+# ordered pool (serve_demo asserts its per-class ledgers balance after
+# drain).
 cargo run --release -q -p bench --bin reproduce -- e13 > /dev/null
-cargo run --release -q -p bench --bin serve_demo -- 16 48 priority > /dev/null
+cargo run --release -q -p bench --bin serve_demo -- 16 48 > /dev/null
 
-# E14 smoke: the same comparison over real loopback sockets (the
-# NetServer's reactor front end), plus the TCP demo (server + loadgen
-# burst; asserts ledgers balance after the stop-accept -> drain -> FIN
-# shutdown).
+# E14 smoke: the class-ordered pool over real loopback sockets (the
+# NetServer's reactor front end; ledgers, backpressure frames), plus
+# the TCP demo (server + loadgen burst; asserts ledgers balance after
+# the stop-accept -> drain -> FIN shutdown).
 cargo run --release -q -p bench --bin reproduce -- e14 > /dev/null
 cargo run --release -q -p bench --bin serve_demo -- 4 24 net > /dev/null
 
@@ -32,10 +34,10 @@ cargo test -q -p obs
 cargo run --release -q -p bench --bin reproduce -- e15 > /dev/null
 cargo run --release -q -p bench --bin serve_demo -- 4 24 stats > /dev/null
 
-# Pool tier: the serve suite (scheduler unit tests, the adversarial
-# fault-plan tests, the scheduler parity and no-starvation proptests,
-# the cache's compute-once and eviction tests). scripts/tsan.sh adds
-# the sanitizer pass over ctl::swap when nightly exists.
+# Pool tier: the serve suite (the pool's claim-order, stealing,
+# parking and drain unit tests, the adversarial fault-plan tests, the
+# par parity, exactly-once and no-starvation proptests, the cache's
+# compute-once and eviction tests).
 cargo test -q -p serve
 
 # Router tier: the router unit/property/e2e suites, the E16 smoke
