@@ -11,6 +11,13 @@
 //! reproduce the course's "equivalent assembly sequences differ in
 //! efficiency" discussion (experiment **E10**) without pretending to be a
 //! cycle-accurate Pentium.
+//!
+//! Each instruction of the loaded program is decoded once, not once per
+//! step: [`Machine`] caches decoded instructions by byte offset into the
+//! program. [`Machine::load`] resets the cache, a [`Machine::write_u32`]
+//! that overlaps the program clears it, and an `eip` outside the program
+//! decodes straight from memory, so every result, fault, `executed` count
+//! and cycle is the same as decoding at every step.
 
 use crate::insn::{DecodeError, Instr, Mem, Op, Operand, Reg};
 use crate::parser::{Program, CODE_BASE};
@@ -88,6 +95,10 @@ pub struct Machine {
     pub executed: u64,
     /// Cost-model cycles consumed.
     pub cycles: u64,
+    /// Decoded instructions (with their lengths) by byte offset into the
+    /// loaded program, which starts at [`CODE_BASE`]; one slot per
+    /// program byte, `None` until an instruction there first runs.
+    decoded: Vec<Option<(Instr, u8)>>,
 }
 
 impl std::fmt::Debug for Machine {
@@ -119,6 +130,7 @@ impl Machine {
             output: Vec::new(),
             executed: 0,
             cycles: 0,
+            decoded: Vec::new(),
         };
         m.regs[Reg::Esp.index() as usize] = STACK_TOP;
         m.regs[Reg::Ebp.index() as usize] = STACK_TOP;
@@ -132,6 +144,7 @@ impl Machine {
             return Err(MachineError::ProgramTooLarge(program.bytes.len()));
         }
         self.mem[CODE_BASE as usize..end].copy_from_slice(&program.bytes);
+        self.decoded = vec![None; program.bytes.len()];
         self.eip = program.entry;
         self.halted = false;
         Ok(())
@@ -164,7 +177,9 @@ impl Machine {
         ]))
     }
 
-    /// Writes a 32-bit little-endian word.
+    /// Writes a 32-bit little-endian word. A store that overlaps the
+    /// loaded program drops every decoded instruction, so self-modifying
+    /// code runs its new bytes.
     pub fn write_u32(&mut self, addr: u32, v: u32) -> Result<(), MachineError> {
         let a = addr as usize;
         if a + 4 > MEM_SIZE {
@@ -174,6 +189,10 @@ impl Machine {
             });
         }
         self.mem[a..a + 4].copy_from_slice(&v.to_le_bytes());
+        let code = CODE_BASE as usize;
+        if a < code + self.decoded.len() && a + 4 > code {
+            self.decoded.fill(None);
+        }
         Ok(())
     }
 
@@ -255,18 +274,37 @@ impl Machine {
         c
     }
 
-    /// Executes one instruction. Returns the instruction executed.
-    pub fn step(&mut self) -> Result<Instr, MachineError> {
-        if self.halted {
-            return Ok(Instr::zero(Op::Hlt));
+    /// Decodes the instruction at `at`, through the decoded cache when
+    /// `at` lies inside the loaded program. An entry is filled only when
+    /// the whole instruction lies inside the program, so no store outside
+    /// it can leave one stale; any other `eip` decodes straight from
+    /// memory, exactly as if there were no cache.
+    fn fetch(&mut self, at: u32) -> Result<(Instr, usize), MachineError> {
+        let slot = (at as usize)
+            .checked_sub(CODE_BASE as usize)
+            .filter(|&slot| slot < self.decoded.len());
+        if let Some((instr, len)) = slot.and_then(|slot| self.decoded[slot]) {
+            return Ok((instr, usize::from(len)));
         }
-        let at = self.eip;
         let code_off = at as usize;
         if code_off >= MEM_SIZE {
             return Err(MachineError::Segfault { addr: at, eip: at });
         }
         let (instr, len) = Instr::decode(&self.mem, code_off)
             .map_err(|e| MachineError::IllegalInstruction(e, at))?;
+        if let Some(slot) = slot.filter(|&slot| slot + len <= self.decoded.len()) {
+            self.decoded[slot] = Some((instr, len as u8));
+        }
+        Ok((instr, len))
+    }
+
+    /// Executes one instruction. Returns the instruction executed.
+    pub fn step(&mut self) -> Result<Instr, MachineError> {
+        if self.halted {
+            return Ok(Instr::zero(Op::Hlt));
+        }
+        let at = self.eip;
+        let (instr, len) = self.fetch(at)?;
         self.eip = at.wrapping_add(len as u32);
         let mut taken = false;
 
@@ -481,10 +519,16 @@ mod tests {
     use super::*;
     use crate::parser::assemble;
 
-    fn run_src(src: &str) -> Machine {
-        let p = assemble(src).unwrap();
+    /// Loads `src` into a fresh machine without running it.
+    fn loaded(src: &str) -> Machine {
+        let p = assemble(src).unwrap_or_else(|e| panic!("{e}\n{src}"));
         let mut m = Machine::new();
         m.load(&p).unwrap();
+        m
+    }
+
+    fn run_src(src: &str) -> Machine {
+        let mut m = loaded(src);
         m.run(100_000).unwrap();
         m
     }
@@ -837,6 +881,204 @@ mod tests {
                 m.reg(Reg::Edx) as i32,
             ];
             assert_eq!(got, model, "seed {seed} diverged:\n{src}");
+        }
+    }
+
+    /// The address of `label` in `src` (every label-free operand has a
+    /// fixed width, so a numeric placeholder does not move it).
+    fn address_of(src: &str, label: &str) -> u32 {
+        assemble(src).unwrap().symbols[label]
+    }
+
+    fn filled(m: &Machine) -> usize {
+        m.decoded.iter().flatten().count()
+    }
+
+    #[test]
+    fn a_store_into_the_program_runs_the_new_instruction() {
+        // The first pass runs `addl $1, %eax`; the `movl` after it then
+        // rewrites that instruction's immediate (which follows its opcode
+        // and operand-kind bytes) to 1000, and the second pass must run
+        // the new bytes rather than the decode it already cached.
+        let src = |imm_addr: u32| {
+            format!(
+                "main:\n    movl $0, %eax\n    movl $2, %ecx\npatch:\n    addl $1, %eax\n\
+                 \x20   movl $1000, {imm_addr:#x}\n    decl %ecx\n    cmpl $0, %ecx\n\
+                 \x20   jne patch\n    hlt\n"
+            )
+        };
+        let imm_addr = address_of(&src(0), "patch") + 2;
+        let mut m = loaded(&src(imm_addr));
+        m.run(1000).unwrap();
+        assert_eq!(m.reg(Reg::Eax), 1001);
+    }
+
+    #[test]
+    fn loading_a_program_drops_the_previous_programs_decodes() {
+        let mut m = loaded("movl $1, %eax\nhlt\n");
+        m.run(10).unwrap();
+        m.load(&assemble("movl $2, %eax\nhlt\n").unwrap()).unwrap();
+        m.run(10).unwrap();
+        assert_eq!(m.reg(Reg::Eax), 2);
+    }
+
+    #[test]
+    fn only_stores_that_overlap_the_program_clear_the_cache() {
+        // The loop stores its running sum to the first byte past the
+        // program: execution is unchanged and every decode stays cached.
+        let src = |end: u32| {
+            format!(
+                "main:\n    movl $3, %ecx\n    movl $0, %eax\nagain:\n    addl %ecx, %eax\n\
+                 \x20   movl %eax, {end:#x}\n    decl %ecx\n    cmpl $0, %ecx\n\
+                 \x20   jne again\n    hlt\n"
+            )
+        };
+        let end = CODE_BASE + assemble(&src(0)).unwrap().bytes.len() as u32;
+        let mut m = loaded(&src(end));
+        m.run(1000).unwrap();
+        assert_eq!((m.reg(Reg::Eax), m.read_u32(end).unwrap()), (6, 6));
+        assert_eq!((m.executed, m.cycles), (18, 29));
+        let cached = filled(&m);
+        assert_eq!(cached, 8, "one entry per instruction that ran");
+        for outside in [CODE_BASE - 4, end] {
+            m.write_u32(outside, 0xFFFF_FFFF).unwrap();
+            assert_eq!(filled(&m), cached, "store at {outside:#x}");
+        }
+        for overlapping in [CODE_BASE - 3, end - 1] {
+            m.load(&assemble(&src(end)).unwrap()).unwrap();
+            m.run(1000).unwrap();
+            m.write_u32(overlapping, 1).unwrap();
+            assert_eq!(filled(&m), 0, "store at {overlapping:#x}");
+        }
+    }
+
+    #[test]
+    fn an_instruction_running_past_the_program_is_never_cached() {
+        // Jumping 2 bytes into the final `pushl $0x240` decodes a
+        // `pushl $imm` whose immediate's top two bytes lie past the
+        // program. The loop rewrites those bytes with a store that does
+        // not touch the program, so the second pass must push the new
+        // value: 0x22110000 + 0x44330000.
+        let src = |push: u32, end: u32| {
+            format!(
+                "main:\n    movl $2, %ecx\nagain:\n    jmp ${push:#x}\nback:\n    popl %eax\n\
+                 \x20   addl %eax, %edx\n    movl $0x02504433, {end:#x}\n    decl %ecx\n\
+                 \x20   cmpl $0, %ecx\n    jne again\n    hlt\nlast:\n    pushl $0x240\n"
+            )
+        };
+        let probe = src(0, 0);
+        let p = assemble(&probe).unwrap();
+        let (push, end) = (p.symbols["last"] + 2, CODE_BASE + p.bytes.len() as u32);
+        let mut m = loaded(&src(push, end));
+        // Past the end: two immediate bytes (0x11, 0x22), then a
+        // `jmp $back` for the straddling push to fall into.
+        m.write_u32(end, 0x0250_2211).unwrap();
+        m.write_u32(end + 4, address_of(&probe, "back")).unwrap();
+        m.run(1000).unwrap();
+        assert_eq!(m.reg(Reg::Edx), 0x6644_0000);
+    }
+
+    /// Runs `m` on `fuel`: the result, then the final eip, `executed`
+    /// and cycles.
+    fn finish(mut m: Machine, fuel: u64) -> (Result<(), MachineError>, u32, u64, u64) {
+        (m.run(fuel), m.eip, m.executed, m.cycles)
+    }
+
+    #[test]
+    fn jumps_outside_the_program_or_into_an_instruction_match_plain_decoding() {
+        // Each outcome is the one decoding at every step gave.
+        use MachineError::{IllegalInstruction, OutOfFuel, Segfault};
+
+        // `ret` pops 0 into eip: nops through zeroed memory below the
+        // program, back into it, and around again until fuel runs out.
+        let ret =
+            loaded("main:\n    movl $7, %ebx\n    movl $1, %edx\n    movl $0, %eax\n    ret\n");
+        assert_eq!(
+            finish(ret, 200_000),
+            (Err(OutOfFuel), 0xc7c, 200_000, 200_196)
+        );
+
+        // An `incl %eax` just below the program whose register byte is
+        // the program's first byte (a `nop`), decoded across CODE_BASE
+        // three times.
+        let mut across = loaded(
+            "main:\n    nop\n    cmpl $3, %eax\n    je done\n    jmp $0xffe\ndone:\n    hlt\n",
+        );
+        across.write_u32(0xffc, 0x0129_0000).unwrap();
+        assert_eq!(finish(across, 1000), (Ok(()), 0x1017, 16, 20));
+
+        // A `movl` opcode just below the program whose operand kind is the
+        // program's first byte, a `jmp` opcode (0x50).
+        let mut bad = loaded("main:\n    jmp $0xfff\n    hlt\n");
+        bad.write_u32(0xffc, 0x1000_0000).unwrap();
+        let illegal = IllegalInstruction(DecodeError::BadOperandKind(0x50, 0xfff), 0xfff);
+        assert_eq!(finish(bad, 1000), (Err(illegal), 0xfff, 1, 2));
+
+        // Into `movl $0, %ebx`: its zero immediate is four nops and its
+        // operand-kind byte 0x01 a `hlt`; its first operand-kind byte,
+        // 0x02, is no opcode.
+        let into = |at: u32| {
+            loaded(&format!(
+                "main:\n    jmp ${at:#x}\nmid:\n    movl $0, %ebx\n    hlt\n"
+            ))
+        };
+        let mid = address_of(
+            "main:\n    jmp $0\nmid:\n    movl $0, %ebx\n    hlt\n",
+            "mid",
+        );
+        assert_eq!(finish(into(mid + 2), 1000), (Ok(()), mid + 7, 6, 7));
+        let illegal = IllegalInstruction(DecodeError::BadOpcode(2, mid as usize + 1), mid + 1);
+        assert_eq!(finish(into(mid + 1), 1000), (Err(illegal), mid + 1, 1, 2));
+
+        // Off the top of memory, near and far.
+        let top = Segfault {
+            addr: 0x10000,
+            eip: 0x10000,
+        };
+        assert_eq!(
+            finish(loaded("jmp $0xfffe\n"), 1000),
+            (Err(top), 0x10000, 3, 4)
+        );
+        let far = Segfault {
+            addr: u32::MAX,
+            eip: u32::MAX,
+        };
+        assert_eq!(
+            finish(loaded("jmp $-1\n"), 1000),
+            (Err(far), u32::MAX, 1, 2)
+        );
+    }
+
+    #[test]
+    fn fuel_and_cycles_are_those_of_decoding_every_step() {
+        // The grader's programs at its 200k fuel: a non-halting spin,
+        // then the correct sum-array submission on each rubric case.
+        const PREFIX: &str = "main:\n    movl $7, %ebx\n    movl $1, %edx\n";
+        let mut spin = loaded(&format!("{PREFIX}spin:\n    jmp spin\n"));
+        assert_eq!(spin.run(200_000), Err(MachineError::OutOfFuel));
+        assert_eq!((spin.executed, spin.cycles), (200_000, 399_998));
+
+        let sum = format!(
+            "{PREFIX}    movl $0, %eax\n    movl $0, %edi\n    cmpl $0, %ecx\n    je done\n\
+             loop:\n    addl (%esi,%edi,4), %eax\n    addl $1, %edi\n    cmpl %ecx, %edi\n\
+             \x20   jne loop\ndone:\n    hlt\n"
+        );
+        let cases: [(&[i32], u64, u64); 4] = [
+            (&[1, 2, 3], 19, 30),
+            (&[10, -4, 7, -13], 23, 38),
+            (&[42], 11, 14),
+            (&[3; 20], 87, 166),
+        ];
+        for (values, executed, cycles) in cases {
+            let mut m = loaded(&sum);
+            m.set_reg(Reg::Esi, 0x3000);
+            m.set_reg(Reg::Ecx, values.len() as u32);
+            for (i, &v) in values.iter().enumerate() {
+                m.write_u32(0x3000 + 4 * i as u32, v as u32).unwrap();
+            }
+            m.run(200_000).unwrap();
+            assert_eq!(m.reg(Reg::Eax) as i32, values.iter().sum::<i32>());
+            assert_eq!((m.executed, m.cycles), (executed, cycles), "{values:?}");
         }
     }
 

@@ -514,8 +514,9 @@ impl Instr {
             None
         };
 
-        let mut operands = Vec::new();
-        for _ in 0..Instr::operand_count(op) {
+        let count = Instr::operand_count(op);
+        let mut operands = [None; 2];
+        for slot in &mut operands[..count] {
             let kind = take(&mut pos, 1)?[0];
             let operand = match kind {
                 0x01 => {
@@ -553,14 +554,15 @@ impl Instr {
                 }
                 k => return Err(DecodeError::BadOperandKind(k, offset)),
             };
-            operands.push(operand);
+            *slot = Some(operand);
         }
 
-        let (src, dst) = match (Instr::operand_count(op), operands.as_slice()) {
-            (0, _) => (None, None),
-            (1, [d]) => (None, Some(*d)),
-            (2, [s, d]) => (Some(*s), Some(*d)),
-            _ => unreachable!("operand arity enforced above"),
+        // A one-operand form's operand is its `dst`.
+        let [first, second] = operands;
+        let (src, dst) = if count == 2 {
+            (first, second)
+        } else {
+            (None, first)
         };
         Ok((Instr { op, cond, src, dst }, pos - offset))
     }

@@ -12,6 +12,42 @@ pub enum Boundary {
     Dead,
 }
 
+/// The eight `(dr, dc)` steps from a cell to its neighbours.
+pub(crate) const NEIGHBOR_STEPS: [(i64, i64); 8] = [
+    (-1, -1),
+    (-1, 0),
+    (-1, 1),
+    (0, -1),
+    (0, 1),
+    (1, -1),
+    (1, 0),
+    (1, 1),
+];
+
+impl Boundary {
+    /// The cell at `(r + dr, c + dc)` on a `rows × cols` board, or `None`
+    /// past a dead edge. A torus wraps, so on a board one cell wide a
+    /// sideways step lands back on the same cell.
+    pub(crate) fn neighbor(
+        self,
+        (rows, cols): (usize, usize),
+        (r, c): (usize, usize),
+        (dr, dc): (i64, i64),
+    ) -> Option<(usize, usize)> {
+        let (nr, nc) = (r as i64 + dr, c as i64 + dc);
+        match self {
+            Boundary::Toroidal => Some((
+                nr.rem_euclid(rows as i64) as usize,
+                nc.rem_euclid(cols as i64) as usize,
+            )),
+            Boundary::Dead => {
+                let inside = (0..rows as i64).contains(&nr) && (0..cols as i64).contains(&nc);
+                inside.then_some((nr as usize, nc as usize))
+            }
+        }
+    }
+}
+
 /// How the parallel engine splits the grid among threads (Lab 10 offers
 /// both).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,39 +128,24 @@ impl Grid {
         &self.cells
     }
 
+    /// Raw cells (row-major), for the serial engine to write a generation.
+    pub(crate) fn cells_mut(&mut self) -> &mut [bool] {
+        &mut self.cells
+    }
+
     /// Count of live cells.
     pub fn population(&self) -> usize {
         self.cells.iter().filter(|&&c| c).count()
     }
 
-    /// Live-neighbor count under the grid's boundary semantics.
+    /// Live-neighbor count under the grid's boundary semantics, one cell
+    /// at a time: the reference [`crate::serial::step`] is tested against.
     pub fn live_neighbors(&self, r: usize, c: usize) -> u8 {
-        let mut n = 0u8;
-        for dr in [-1i64, 0, 1] {
-            for dc in [-1i64, 0, 1] {
-                if dr == 0 && dc == 0 {
-                    continue;
-                }
-                let (nr, nc) = match self.boundary {
-                    Boundary::Toroidal => (
-                        (r as i64 + dr).rem_euclid(self.rows as i64) as usize,
-                        (c as i64 + dc).rem_euclid(self.cols as i64) as usize,
-                    ),
-                    Boundary::Dead => {
-                        let nr = r as i64 + dr;
-                        let nc = c as i64 + dc;
-                        if nr < 0 || nc < 0 || nr >= self.rows as i64 || nc >= self.cols as i64 {
-                            continue;
-                        }
-                        (nr as usize, nc as usize)
-                    }
-                };
-                if self.get(nr, nc) {
-                    n += 1;
-                }
-            }
-        }
-        n
+        NEIGHBOR_STEPS
+            .iter()
+            .filter_map(|&step| self.boundary.neighbor((self.rows, self.cols), (r, c), step))
+            .filter(|&(nr, nc)| self.get(nr, nc))
+            .count() as u8
     }
 
     /// The B3/S23 rule for one cell given its current state and neighbors.

@@ -14,7 +14,7 @@
 //! own correctness methodology ("compare correctness to their prior
 //! sequential solution").
 
-use crate::grid::{Boundary, Grid, Partition};
+use crate::grid::{Boundary, Grid, Partition, NEIGHBOR_STEPS};
 use crate::serial::RoundStats;
 use parallel::Barrier;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -56,32 +56,11 @@ impl AtomicGrid {
     }
 
     fn live_neighbors(&self, r: usize, c: usize) -> u8 {
-        let mut n = 0u8;
-        for dr in [-1i64, 0, 1] {
-            for dc in [-1i64, 0, 1] {
-                if dr == 0 && dc == 0 {
-                    continue;
-                }
-                let (nr, nc) = match self.boundary {
-                    Boundary::Toroidal => (
-                        (r as i64 + dr).rem_euclid(self.rows as i64) as usize,
-                        (c as i64 + dc).rem_euclid(self.cols as i64) as usize,
-                    ),
-                    Boundary::Dead => {
-                        let nr = r as i64 + dr;
-                        let nc = c as i64 + dc;
-                        if nr < 0 || nc < 0 || nr >= self.rows as i64 || nc >= self.cols as i64 {
-                            continue;
-                        }
-                        (nr as usize, nc as usize)
-                    }
-                };
-                if self.get(nr, nc) {
-                    n += 1;
-                }
-            }
-        }
-        n
+        NEIGHBOR_STEPS
+            .iter()
+            .filter_map(|&step| self.boundary.neighbor((self.rows, self.cols), (r, c), step))
+            .filter(|&(nr, nc)| self.get(nr, nc))
+            .count() as u8
     }
 
     fn to_grid(&self) -> Grid {

@@ -2,7 +2,7 @@
 //! version must match ("the assignment allows students to compare
 //! correctness to their prior sequential solution").
 
-use crate::grid::Grid;
+use crate::grid::{Boundary, Grid};
 
 /// Per-round statistics (the shared state Lab 10 guards with a mutex).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -15,34 +15,85 @@ pub struct RoundStats {
     pub population: u64,
 }
 
+/// The board with a one-cell ghost ring around it, as `0`/`1` bytes in
+/// row-major order: the ring holds what the boundary rule says lies past
+/// each edge (the wrapped cells on a torus, dead cells at a dead edge),
+/// so every cell's neighbour count is eight adds with no edge test.
+struct Halo {
+    /// Padded row width: the board's columns plus the two ghost columns.
+    width: usize,
+    cells: Vec<u8>,
+}
+
+impl Halo {
+    fn new(grid: &Grid) -> Halo {
+        let width = grid.cols() + 2;
+        Halo {
+            width,
+            cells: vec![0; width * (grid.rows() + 2)],
+        }
+    }
+
+    /// Copies `grid` into the ring's interior and fills the ring. On a
+    /// torus each ghost copies the cell its wrapped index names, so on a
+    /// board one or two cells across a cell is counted as many times as
+    /// [`Grid::live_neighbors`] counts it.
+    fn fill(&mut self, grid: &Grid) {
+        let (rows, cols, w) = (grid.rows(), grid.cols(), self.width);
+        let wrap = grid.boundary == Boundary::Toroidal;
+        for (r, src) in grid.cells().chunks_exact(cols).enumerate() {
+            let row = &mut self.cells[(r + 1) * w..(r + 2) * w];
+            for (cell, &alive) in row[1..=cols].iter_mut().zip(src) {
+                *cell = u8::from(alive);
+            }
+            if wrap {
+                row[0] = u8::from(src[cols - 1]);
+                row[cols + 1] = u8::from(src[0]);
+            }
+        }
+        if wrap {
+            // Whole padded rows, so the corner ghosts wrap both ways.
+            self.cells.copy_within(rows * w..(rows + 1) * w, 0);
+            self.cells.copy_within(w..2 * w, (rows + 1) * w);
+        }
+    }
+
+    /// Advances `grid` one generation in place, counting over the ring
+    /// filled from it, and returns the round's statistics.
+    fn advance(&mut self, grid: &mut Grid) -> RoundStats {
+        self.fill(grid);
+        let (cols, w) = (grid.cols(), self.width);
+        let mut stats = RoundStats::default();
+        for (r, out) in grid.cells_mut().chunks_exact_mut(cols).enumerate() {
+            let up = self.cells[r * w..(r + 1) * w].windows(3);
+            let mid = self.cells[(r + 1) * w..(r + 2) * w].windows(3);
+            let down = self.cells[(r + 2) * w..(r + 3) * w].windows(3);
+            for (((u, m), d), cell) in up.zip(mid).zip(down).zip(out) {
+                let n = u[0] + u[1] + u[2] + m[0] + m[2] + d[0] + d[1] + d[2];
+                let alive = m[1] == 1;
+                let will = Grid::rule(alive, n);
+                *cell = will;
+                stats.births += u64::from(will && !alive);
+                stats.deaths += u64::from(alive && !will);
+                stats.population += u64::from(will);
+            }
+        }
+        stats
+    }
+}
+
 /// Advances the grid one generation, returning the new grid and stats.
 pub fn step(grid: &Grid) -> (Grid, RoundStats) {
     let mut next = grid.clone();
-    let mut stats = RoundStats::default();
-    for r in 0..grid.rows() {
-        for c in 0..grid.cols() {
-            let alive = grid.get(r, c);
-            let will = Grid::rule(alive, grid.live_neighbors(r, c));
-            next.set(r, c, will);
-            match (alive, will) {
-                (false, true) => stats.births += 1,
-                (true, false) => stats.deaths += 1,
-                _ => {}
-            }
-        }
-    }
-    stats.population = next.population() as u64;
+    let stats = Halo::new(grid).advance(&mut next);
     (next, stats)
 }
 
 /// Runs `rounds` generations; returns the final grid and per-round stats.
+/// One ghost-ring buffer serves every generation.
 pub fn run(mut grid: Grid, rounds: usize) -> (Grid, Vec<RoundStats>) {
-    let mut history = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        let (next, stats) = step(&grid);
-        grid = next;
-        history.push(stats);
-    }
+    let mut halo = Halo::new(&grid);
+    let history = (0..rounds).map(|_| halo.advance(&mut grid)).collect();
     (grid, history)
 }
 
@@ -50,6 +101,58 @@ pub fn run(mut grid: Grid, rounds: usize) -> (Grid, Vec<RoundStats>) {
 mod tests {
     use super::*;
     use crate::grid::{Boundary, BLINKER, BLOCK, GLIDER, TOAD};
+
+    /// The per-cell reference the ghost-cell step must equal: every
+    /// count from `Grid::live_neighbors`, every state from `Grid::rule`.
+    fn reference_step(grid: &Grid) -> (Grid, RoundStats) {
+        let mut next = grid.clone();
+        let mut stats = RoundStats::default();
+        for r in 0..grid.rows() {
+            for c in 0..grid.cols() {
+                let alive = grid.get(r, c);
+                let will = Grid::rule(alive, grid.live_neighbors(r, c));
+                next.set(r, c, will);
+                stats.births += u64::from(will && !alive);
+                stats.deaths += u64::from(alive && !will);
+            }
+        }
+        stats.population = next.population() as u64;
+        (next, stats)
+    }
+
+    #[test]
+    fn ghost_cells_match_the_per_cell_reference() {
+        // On a degenerate torus the reference counts one cell several
+        // times (a lone cell is all eight of its own neighbours), and the
+        // ghost ring must hold the same copies.
+        let mut lone = Grid::new(1, 1, Boundary::Toroidal).unwrap();
+        lone.set(0, 0, true);
+        assert_eq!(lone.live_neighbors(0, 0), 8);
+        for boundary in [Boundary::Toroidal, Boundary::Dead] {
+            for (rows, cols) in [(1, 1), (1, 7), (7, 1), (2, 2), (3, 5), (64, 64)] {
+                for seed in 0..4 {
+                    let start = Grid::random(rows, cols, 0.5, seed, boundary).unwrap();
+                    let mut grid = start.clone();
+                    let mut history = Vec::new();
+                    for generation in 0..20 {
+                        let (want, want_stats) = reference_step(&grid);
+                        assert_eq!(
+                            step(&grid),
+                            (want.clone(), want_stats),
+                            "{boundary:?} {rows}x{cols} seed {seed} generation {generation}"
+                        );
+                        history.push(want_stats);
+                        grid = want;
+                    }
+                    assert_eq!(
+                        run(start, 20),
+                        (grid, history),
+                        "{boundary:?} {rows}x{cols}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn block_is_still_life() {

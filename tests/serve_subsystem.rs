@@ -166,6 +166,90 @@ fn server_grades_like_the_autograder_itself() {
     assert_eq!(via_server.body, direct);
 }
 
+/// One fixed request per course compute path, labelled for the golden
+/// file: Life boards at the benchmark's three sizes, MemTrace over
+/// every pattern, the three grade kinds (plus a `ret` into zeroed
+/// memory below the program, which the net load generator sends), and
+/// one problem from each homework generator.
+fn golden_requests() -> Vec<(String, Request)> {
+    let mut out = Vec::new();
+    for (side, steps) in [(16u32, 8u32), (32, 96), (64, 64)] {
+        for seed in [1u64, 0x9E37_79B9_7F4A_7C15] {
+            out.push((
+                format!("life {side}x{side} steps {steps} seed {seed}"),
+                Request::Life {
+                    w: side,
+                    h: side,
+                    steps,
+                    seed,
+                },
+            ));
+        }
+    }
+    for pattern in serve::server::MEMTRACE_PATTERNS {
+        out.push((
+            format!("memtrace {pattern} 2048"),
+            Request::MemTrace {
+                pattern: pattern.into(),
+                accesses: 2048,
+                seed: 3,
+            },
+        ));
+    }
+    let grades = [
+        (
+            "correct",
+            "    movl $0, %eax\n    movl $0, %edi\n    cmpl $0, %ecx\n    je done\n\
+             loop:\n    addl (%esi,%edi,4), %eax\n    addl $1, %edi\n    cmpl %ecx, %edi\n\
+             \x20   jne loop\ndone:\n    hlt\n",
+        ),
+        ("wrong", "    movl $0, %eax\n    hlt\n"),
+        ("non-halting", "spin:\n    jmp spin\n"),
+        ("ret below the program", "    movl $0, %eax\n    ret\n"),
+    ];
+    for (label, body) in grades {
+        // Shaped like the benchmark's compute mix: two register loads
+        // the rubric never reads, then the body.
+        let submission = format!("main:\n    movl $7, %ebx\n    movl $1, %edx\n{body}");
+        out.push((format!("grade {label}"), Request::Grade { submission }));
+    }
+    for (name, _) in cs31::homework::generators() {
+        out.push((
+            format!("homework {name} seed 11"),
+            Request::Homework {
+                generator: name.into(),
+                seed: 11,
+            },
+        ));
+    }
+    out
+}
+
+/// A golden-file record: the label line, the exact body, a terminator.
+fn golden_record(label: &str, body: &str) -> String {
+    format!(">>> {label}\n{body}\n<<<\n")
+}
+
+#[test]
+fn compute_bodies_match_the_golden_file() {
+    // Every byte the course kernels answer with is pinned: a faster
+    // emulator or Life step must not change a single one.
+    let golden = include_str!("golden/compute_bodies.txt");
+    let expected: Vec<&str> = golden.split_inclusive("\n<<<\n").collect();
+    let requests = golden_requests();
+    assert_eq!(
+        expected.len(),
+        requests.len(),
+        "one golden record per request"
+    );
+    let server = CourseServer::new(ServerConfig::default());
+    for ((label, req), want) in requests.into_iter().zip(expected) {
+        let resp = server.submit(req).expect("one request at a time").wait();
+        assert!(resp.ok, "{label}: {}", resp.body);
+        assert_eq!(golden_record(&label, &resp.body), want, "{label}");
+    }
+}
+
 /// The request pool the parity stream draws from: small
 /// deterministic key spaces across three request kinds, so streams
 /// repeat keys often enough that compute-once is what gets compared.
