@@ -15,9 +15,10 @@
 //! Each instruction of the loaded program is decoded once, not once per
 //! step: [`Machine`] caches decoded instructions by byte offset into the
 //! program. [`Machine::load`] resets the cache, a [`Machine::write_u32`]
-//! that overlaps the program clears it, and an `eip` outside the program
-//! decodes straight from memory, so every result, fault, `executed` count
-//! and cycle is the same as decoding at every step.
+//! that overlaps the program clears the entries that can cover its bytes,
+//! and an `eip` outside the program decodes straight from memory, so
+//! every result, fault, `executed` count and cycle is the same as
+//! decoding at every step.
 
 use crate::insn::{DecodeError, Instr, Mem, Op, Operand, Reg};
 use crate::parser::{Program, CODE_BASE};
@@ -178,8 +179,11 @@ impl Machine {
     }
 
     /// Writes a 32-bit little-endian word. A store that overlaps the
-    /// loaded program drops every decoded instruction, so self-modifying
-    /// code runs its new bytes.
+    /// loaded program drops the decoded instructions that can cover its
+    /// bytes, so self-modifying code runs its new bytes. An instruction
+    /// spans at most [`Instr::MAX_LEN`] bytes, so those are the entries
+    /// starting under the store or in the `MAX_LEN - 1` bytes before it:
+    /// a store costs the same whatever the program's size.
     pub fn write_u32(&mut self, addr: u32, v: u32) -> Result<(), MachineError> {
         let a = addr as usize;
         if a + 4 > MEM_SIZE {
@@ -191,7 +195,9 @@ impl Machine {
         self.mem[a..a + 4].copy_from_slice(&v.to_le_bytes());
         let code = CODE_BASE as usize;
         if a < code + self.decoded.len() && a + 4 > code {
-            self.decoded.fill(None);
+            let first = a.saturating_sub(code + Instr::MAX_LEN - 1);
+            let end = (a + 4 - code).min(self.decoded.len());
+            self.decoded[first..end].fill(None);
         }
         Ok(())
     }
@@ -890,8 +896,12 @@ mod tests {
         assemble(src).unwrap().symbols[label]
     }
 
-    fn filled(m: &Machine) -> usize {
-        m.decoded.iter().flatten().count()
+    /// The filled cache entries: each one's address and length.
+    fn filled(m: &Machine) -> Vec<(u32, u32)> {
+        (CODE_BASE..)
+            .zip(&m.decoded)
+            .filter_map(|(at, entry)| entry.map(|(_, len)| (at, u32::from(len))))
+            .collect()
     }
 
     #[test]
@@ -925,31 +935,83 @@ mod tests {
     #[test]
     fn only_stores_that_overlap_the_program_clear_the_cache() {
         // The loop stores its running sum to the first byte past the
-        // program: execution is unchanged and every decode stays cached.
+        // program and copies it on with a `movl` as long as an
+        // instruction gets: execution is unchanged and every decode stays
+        // cached.
         let src = |end: u32| {
             format!(
                 "main:\n    movl $3, %ecx\n    movl $0, %eax\nagain:\n    addl %ecx, %eax\n\
-                 \x20   movl %eax, {end:#x}\n    decl %ecx\n    cmpl $0, %ecx\n\
-                 \x20   jne again\n    hlt\n"
+                 \x20   movl %eax, {end:#x}\n    movl {end:#x}, 0x3000\n    decl %ecx\n\
+                 \x20   cmpl $0, %ecx\n    jne again\n    hlt\n"
             )
         };
         let end = CODE_BASE + assemble(&src(0)).unwrap().bytes.len() as u32;
-        let mut m = loaded(&src(end));
-        m.run(1000).unwrap();
-        assert_eq!((m.reg(Reg::Eax), m.read_u32(end).unwrap()), (6, 6));
-        assert_eq!((m.executed, m.cycles), (18, 29));
-        let cached = filled(&m);
-        assert_eq!(cached, 8, "one entry per instruction that ran");
-        for outside in [CODE_BASE - 4, end] {
-            m.write_u32(outside, 0xFFFF_FFFF).unwrap();
-            assert_eq!(filled(&m), cached, "store at {outside:#x}");
-        }
-        for overlapping in [CODE_BASE - 3, end - 1] {
-            m.load(&assemble(&src(end)).unwrap()).unwrap();
+        let ran = || {
+            let mut m = loaded(&src(end));
             m.run(1000).unwrap();
-            m.write_u32(overlapping, 1).unwrap();
-            assert_eq!(filled(&m), 0, "store at {overlapping:#x}");
+            m
+        };
+        let m = ran();
+        assert_eq!(
+            (m.reg(Reg::Eax), m.read_u32(end), m.read_u32(0x3000)),
+            (6, Ok(6), Ok(6))
+        );
+        assert_eq!((m.executed, m.cycles), (21, 50));
+        let cached = filled(&m);
+        assert_eq!(cached.len(), 9, "one entry per instruction that ran");
+        assert!(cached.iter().any(|&(_, len)| len == Instr::MAX_LEN as u32));
+        // One store at each address from below the program to past it:
+        // it drops every entry whose bytes it touches, and keeps every
+        // entry that starts neither under it nor in the `MAX_LEN - 1`
+        // bytes before it.
+        let reach = Instr::MAX_LEN as u32 - 1;
+        for addr in CODE_BASE - 8..end + 8 {
+            let mut m = ran();
+            m.write_u32(addr, 0xFFFF_FFFF).unwrap();
+            let after = filled(&m);
+            for &(at, len) in &cached {
+                let kept = after.contains(&(at, len));
+                if at < addr + 4 && at + len > addr {
+                    assert!(!kept, "a store at {addr:#x} kept the entry at {at:#x}");
+                }
+                if at + reach < addr || at >= addr + 4 {
+                    assert!(kept, "a store at {addr:#x} dropped the entry at {at:#x}");
+                }
+            }
         }
+    }
+
+    #[test]
+    fn a_large_program_keeps_the_entries_its_stores_do_not_reach() {
+        // A program as large as `load` takes, so its tail sits just under
+        // the stack. Its loop rewrites the program's first word unchanged,
+        // stores into its tail and pushes across its last bytes; each
+        // store drops only the entries around it, so every entry of the
+        // loop stays cached and only the first instruction's is gone.
+        let head = "main:\n    movl $1000, %ecx\nagain:\n    movl 0x1000, %eax\n\
+                    \x20   movl %eax, 0x1000\n    movl %ecx, 0xfef0\n    pushl %ecx\n\
+                    \x20   popl %edx\n    decl %ecx\n    cmpl $0, %ecx\n    jne again\n\
+                    \x20   hlt\n";
+        let size = (STACK_TOP - CODE_BASE - 1) as usize;
+        let nops = size - assemble(head).unwrap().bytes.len();
+        let p = assemble(&format!("{head}{}", "nop\n".repeat(nops))).unwrap();
+        assert_eq!(p.bytes.len(), size);
+        let mut m = Machine::new();
+        m.load(&p).unwrap();
+        let first = m.read_u32(CODE_BASE).unwrap();
+        m.run(200_000).unwrap();
+        assert_eq!(m.executed, 2 + 1000 * 8);
+        assert_eq!(
+            (
+                m.reg(Reg::Eax),
+                m.reg(Reg::Edx),
+                m.read_u32(0xfef0).unwrap()
+            ),
+            (first, 1, 1)
+        );
+        let cached = filled(&m);
+        assert_eq!(cached.len(), 9, "the loop's eight entries and hlt's");
+        assert!(cached.iter().all(|&(at, _)| at > CODE_BASE));
     }
 
     #[test]

@@ -405,6 +405,10 @@ pub struct Instr {
 }
 
 impl Instr {
+    /// The longest encoding: an opcode and two memory operands of 8 bytes
+    /// each.
+    pub const MAX_LEN: usize = 17;
+
     /// Zero-operand instruction.
     pub fn zero(op: Op) -> Instr {
         Instr {
@@ -715,6 +719,12 @@ mod tests {
             pos += consumed;
         }
         assert_eq!(pos, bytes.len());
+        let widest = Instr::two(
+            Op::Mov,
+            Operand::Mem(Mem::absolute(0)),
+            Operand::Mem(Mem::absolute(4)),
+        );
+        assert_eq!(widest.encode(&mut Vec::new()), Instr::MAX_LEN);
     }
 
     #[test]
@@ -789,6 +799,7 @@ mod tests {
             let (decoded, consumed) = Instr::decode(&bytes, 0).unwrap();
             prop_assert_eq!(decoded, i);
             prop_assert_eq!(consumed, len);
+            prop_assert!(len <= Instr::MAX_LEN);
         }
 
         #[test]

@@ -12,39 +12,40 @@ pub enum Boundary {
     Dead,
 }
 
-/// The eight `(dr, dc)` steps from a cell to its neighbours.
-pub(crate) const NEIGHBOR_STEPS: [(i64, i64); 8] = [
-    (-1, -1),
-    (-1, 0),
-    (-1, 1),
-    (0, -1),
-    (0, 1),
-    (1, -1),
-    (1, 0),
-    (1, 1),
-];
-
 impl Boundary {
-    /// The cell at `(r + dr, c + dc)` on a `rows × cols` board, or `None`
-    /// past a dead edge. A torus wraps, so on a board one cell wide a
-    /// sideways step lands back on the same cell.
-    pub(crate) fn neighbor(
+    /// How many of the eight cells around `(r, c)` on a `rows × cols`
+    /// board `alive` reports live. A torus wraps, so on a board one cell
+    /// wide a sideways step lands back on the same cell and counts it
+    /// again; past a dead edge there is no cell.
+    pub(crate) fn live_neighbors(
         self,
         (rows, cols): (usize, usize),
         (r, c): (usize, usize),
-        (dr, dc): (i64, i64),
-    ) -> Option<(usize, usize)> {
-        let (nr, nc) = (r as i64 + dr, c as i64 + dc);
-        match self {
-            Boundary::Toroidal => Some((
-                nr.rem_euclid(rows as i64) as usize,
-                nc.rem_euclid(cols as i64) as usize,
-            )),
-            Boundary::Dead => {
-                let inside = (0..rows as i64).contains(&nr) && (0..cols as i64).contains(&nc);
-                inside.then_some((nr as usize, nc as usize))
+        alive: impl Fn(usize, usize) -> bool,
+    ) -> u8 {
+        // The indices one before, at and one after `i` on an axis `len`
+        // long: wrapped on a torus, `None` past a dead edge.
+        let around = |i: usize, len: usize| {
+            let (before, after) = match self {
+                Boundary::Toroidal => (
+                    Some(i.checked_sub(1).unwrap_or(len - 1)),
+                    Some(if i + 1 == len { 0 } else { i + 1 }),
+                ),
+                Boundary::Dead => (i.checked_sub(1), (i + 1 < len).then_some(i + 1)),
+            };
+            [before, Some(i), after]
+        };
+        let (near_rows, near_cols) = (around(r, rows), around(c, cols));
+        let mut n = 0;
+        for (i, nr) in near_rows.into_iter().enumerate() {
+            for (j, nc) in near_cols.into_iter().enumerate() {
+                let centre = (i, j) == (1, 1);
+                if !centre && nr.zip(nc).is_some_and(|(nr, nc)| alive(nr, nc)) {
+                    n += 1;
+                }
             }
         }
+        n
     }
 }
 
@@ -141,11 +142,8 @@ impl Grid {
     /// Live-neighbor count under the grid's boundary semantics, one cell
     /// at a time: the reference [`crate::serial::step`] is tested against.
     pub fn live_neighbors(&self, r: usize, c: usize) -> u8 {
-        NEIGHBOR_STEPS
-            .iter()
-            .filter_map(|&step| self.boundary.neighbor((self.rows, self.cols), (r, c), step))
-            .filter(|&(nr, nc)| self.get(nr, nc))
-            .count() as u8
+        self.boundary
+            .live_neighbors((self.rows, self.cols), (r, c), |r, c| self.get(r, c))
     }
 
     /// The B3/S23 rule for one cell given its current state and neighbors.
@@ -280,6 +278,46 @@ mod tests {
         d.set(0, 0, true);
         assert_eq!(d.live_neighbors(2, 2), 0, "dead boundary does not wrap");
         assert_eq!(d.live_neighbors(1, 1), 1);
+    }
+
+    #[test]
+    fn neighbor_counts_match_modular_indexing() {
+        // The count as the Lab 6 handout writes it: each of the eight
+        // offsets wrapped with `%` on a torus, dropped past a dead edge.
+        // On boards one or two cells across a torus reaches one cell by
+        // several offsets and counts it each time.
+        let steps = [
+            (-1, -1),
+            (-1, 0),
+            (-1, 1),
+            (0, -1),
+            (0, 1),
+            (1, -1),
+            (1, 0),
+            (1, 1),
+        ];
+        for boundary in [Boundary::Toroidal, Boundary::Dead] {
+            for (rows, cols) in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 5), (3, 4)] {
+                for seed in 0..8 {
+                    let g = Grid::random(rows, cols, 0.5, seed, boundary).unwrap();
+                    for (r, c) in (0..rows).flat_map(|r| (0..cols).map(move |c| (r, c))) {
+                        let mut want = 0;
+                        for (dr, dc) in steps {
+                            let (nr, nc) = (r as i64 + dr, c as i64 + dc);
+                            let inside =
+                                (0..rows as i64).contains(&nr) && (0..cols as i64).contains(&nc);
+                            if boundary == Boundary::Toroidal || inside {
+                                let (nr, nc) =
+                                    (nr.rem_euclid(rows as i64), nc.rem_euclid(cols as i64));
+                                want += u8::from(g.get(nr as usize, nc as usize));
+                            }
+                        }
+                        let at = format!("{boundary:?} {rows}x{cols} seed {seed} ({r}, {c})");
+                        assert_eq!(g.live_neighbors(r, c), want, "{at}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! own correctness methodology ("compare correctness to their prior
 //! sequential solution").
 
-use crate::grid::{Boundary, Grid, Partition, NEIGHBOR_STEPS};
+use crate::grid::{Boundary, Grid, Partition};
 use crate::serial::RoundStats;
 use parallel::Barrier;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -56,11 +56,8 @@ impl AtomicGrid {
     }
 
     fn live_neighbors(&self, r: usize, c: usize) -> u8 {
-        NEIGHBOR_STEPS
-            .iter()
-            .filter_map(|&step| self.boundary.neighbor((self.rows, self.cols), (r, c), step))
-            .filter(|&(nr, nc)| self.get(nr, nc))
-            .count() as u8
+        self.boundary
+            .live_neighbors((self.rows, self.cols), (r, c), |r, c| self.get(r, c))
     }
 
     fn to_grid(&self) -> Grid {
