@@ -98,7 +98,7 @@ fn snapshot_counter(snapshot: &str, name: &str) -> u64 {
 /// and a short closed-loop [`net::loadgen`] burst with the default
 /// heavy-tail class mix. With `stats`, the demo additionally asks the
 /// live server for its metrics snapshot over the wire (`Op::Stats`)
-/// and cross-checks the registry mirrors against the bespoke ledgers.
+/// and checks that the ledger it carries balances.
 /// With `--conns a,b,c,...` the single burst becomes a connection-count
 /// sweep ([`net::loadgen::sweep`]): total work is held constant while
 /// the connection count walks the list, one wall-clock row per point.
@@ -237,12 +237,6 @@ fn net_mode(connections: u64, per_connection: u64, stats: bool, sweep: Option<Ve
             let completed = snapshot_counter(&snapshot, &format!("serve.completed.{}", c.class));
             let shed = snapshot_counter(&snapshot, &format!("serve.shed.{}", c.class));
             assert_eq!(
-                (admitted, completed, shed),
-                (c.admitted, c.completed, c.shed),
-                "{} registry mirrors must match the bespoke ledger",
-                c.class
-            );
-            assert_eq!(
                 admitted,
                 completed + shed,
                 "{} admitted must balance completed + shed in the snapshot",
@@ -259,7 +253,7 @@ fn net_mode(connections: u64, per_connection: u64, stats: bool, sweep: Option<Ve
             st.accepted,
             "every accepted request is one pool job or one inline cache hit"
         );
-        println!("\nsnapshot counters balance: registry mirrors agree with the ledgers.");
+        println!("\nsnapshot counters balance: every admitted request completed or shed.");
     }
 }
 
@@ -882,18 +876,6 @@ fn main() {
             c.in_flight, 0,
             "{} in-flight must be zero after drain",
             c.class
-        );
-    }
-
-    println!("\nper-worker load balance:");
-    println!(
-        "  {:>6} {:>8} {:>9} {:>7} {:>7} {:>11} {:>6}",
-        "worker", "finished", "panicked", "local", "steals", "stolen-from", "q-max"
-    );
-    for (i, w) in st.pool.per_worker.iter().enumerate() {
-        println!(
-            "  {i:>6} {:>8} {:>9} {:>7} {:>7} {:>11} {:>6}",
-            w.finished, w.panicked, w.local_hits, w.steals, w.stolen_from, w.queue_high_water
         );
     }
 }

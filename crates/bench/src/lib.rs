@@ -724,14 +724,12 @@ pub fn e13_priority() -> String {
     out
 }
 
-/// E15 — the observability subsystem measured on itself: the E11
-/// workload with the `obs` registry on vs disabled (instrumentation
-/// overhead budget < 5%), plus a ≥1M-sample demonstration that the
-/// log-bucketed histogram's memory stays constant while quantiles stay
-/// within the documented relative-error bound (see the `obs` module
-/// docs and DESIGN.md §10).
+/// E15 — the observability subsystem measured on itself: a
+/// ≥1M-sample demonstration that the log-bucketed histogram's memory
+/// stays constant while quantiles stay within the documented
+/// relative-error bound (see the `obs` module docs and DESIGN.md §10).
 pub fn e15_obs() -> String {
-    obs::render(&obs::obs_overhead_params())
+    obs::render(&obs::obs_params())
 }
 
 /// E16 — the course server sharded across backends through the

@@ -1,165 +1,30 @@
-//! E15 — what observability costs, and what it refuses to cost.
+//! E15 — what observability refuses to cost: memory.
 //!
-//! Instrumentation earns its keep only if it is cheap enough to leave
-//! on. The `obs` subsystem makes two promises this experiment checks:
+//! A log-bucketed [`::obs::Histogram`] holds [`::obs::BUCKETS`] fixed
+//! buckets no matter how many samples it absorbs; the
+//! `Vec<u64>`-per-sample approach the load generator used before PR 5
+//! grows 8 bytes per request forever. A ≥1M-sample run shows the
+//! footprint staying constant while quantiles stay within the
+//! documented [`::obs::RELATIVE_ERROR`] of the exact nearest-rank
+//! values (computed against the sorted samples via
+//! [`net::loadgen::percentile`], the exact reference that survives in
+//! the loadgen for this purpose).
 //!
-//! * **Part A — overhead.** The whole serve pipeline records into the
-//!   registry (admission mirrors, pool claim/steal counters, a
-//!   queue-depth gauge, per-stage histograms, a lifecycle span per
-//!   request). A disabled [`::obs::Registry`] collapses every one of
-//!   those sites to a never-taken `Option` branch. Running the same
-//!   E11-shaped closed-loop workload against both configurations in
-//!   many short back-to-back pairs and taking the median per-pair
-//!   delta bounds the price of leaving metrics on, robustly against
-//!   bursty host noise. Budget: < 5% throughput delta.
-//!
-//! * **Part B — bounded memory.** A log-bucketed
-//!   [`::obs::Histogram`] holds [`::obs::BUCKETS`] fixed buckets no
-//!   matter how many samples it absorbs; the `Vec<u64>`-per-sample
-//!   approach the load generator used before PR 5 grows 8 bytes per
-//!   request forever. A ≥1M-sample run shows the footprint staying
-//!   constant while quantiles stay within the documented
-//!   [`::obs::RELATIVE_ERROR`] of the exact nearest-rank values
-//!   (computed against the sorted samples via
-//!   [`net::loadgen::percentile`], the exact reference that survives
-//!   in the loadgen for this purpose).
-
-use serve::server::{CourseServer, Request, ServerConfig};
-use std::time::Instant;
+//! The experiment's first half, throughput with the registry on versus
+//! a disabled null-object registry, is retired: the registry is now
+//! the server's one ledger, so a server without it has no `stats()`
+//! and is not a configuration anyone can run.
 
 /// Shape of the E15 run.
 #[derive(Debug, Clone)]
 pub struct ObsParams {
-    /// Server worker threads.
-    pub workers: usize,
-    /// Closed-loop client threads.
-    pub clients: usize,
-    /// Fresh requests per client per run.
-    pub requests_per_client: usize,
-    /// Paired rounds; the median per-round delta is the overhead.
-    pub rounds: usize,
-    /// Part B sample count (the "≥1M-request run").
+    /// Samples recorded (the "≥1M-request run").
     pub samples: usize,
 }
 
-/// The published E15 configuration: the E11 shape (unique homework
-/// requests so the result cache cannot absorb the work) sized for the
-/// build host — 2 workers and 2 clients rather than E11's 4×4,
-/// because on a single-CPU host every extra thread adds timeslicing
-/// noise to exactly the per-request cost this experiment measures —
-/// with many short
-/// paired rounds (a host-noise burst then contaminates one round,
-/// and the median discards it), and 2^20 samples for the memory
-/// demonstration.
-pub fn obs_overhead_params() -> ObsParams {
-    ObsParams {
-        workers: 2,
-        clients: 2,
-        requests_per_client: 6_000,
-        rounds: 12,
-        samples: 1 << 20,
-    }
-}
-
-/// One configuration's best observed throughput.
-#[derive(Debug, Clone, Copy)]
-pub struct Throughput {
-    /// Requests completed per second, best round.
-    pub best_rps: f64,
-}
-
-/// Runs the closed-loop workload once against a server built with
-/// `registry` and returns requests/second. Every request is a unique
-/// homework generation (distinct seeds), so the cache answers nothing
-/// and every request crosses admission, the pool, and a worker.
-pub fn run_throughput(registry: &::obs::Registry, p: &ObsParams, seed: u64) -> f64 {
-    let server = CourseServer::new(ServerConfig {
-        workers: p.workers,
-        queue_capacity: (p.clients * 2).max(8),
-        registry: registry.clone(),
-        ..ServerConfig::default()
-    });
-    let total = p.clients * p.requests_per_client;
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for client in 0..p.clients {
-            let server = &server;
-            s.spawn(move || {
-                for i in 0..p.requests_per_client {
-                    let resp = server
-                        .submit(Request::Homework {
-                            generator: "binary_arithmetic".into(),
-                            seed: seed ^ ((client * p.requests_per_client + i) as u64),
-                        })
-                        .expect("closed loop never exceeds the queue")
-                        .wait();
-                    assert!(resp.ok, "homework generation failed: {}", resp.body);
-                }
-            });
-        }
-    });
-    let elapsed = start.elapsed();
-    server.shutdown();
-    total as f64 / elapsed.as_secs_f64()
-}
-
-/// Part A outcome: paired per-round measurements.
-#[derive(Debug)]
-pub struct OverheadOutcome {
-    /// Best observed obs-on throughput across rounds.
-    pub on: Throughput,
-    /// Best observed obs-off throughput across rounds.
-    pub off: Throughput,
-    /// Per-round `(off − on) / off` in percent, in round order.
-    pub round_deltas_pct: Vec<f64>,
-    /// Median of the per-round deltas — the headline overhead number.
-    ///
-    /// Each round runs both configurations back-to-back, so host
-    /// noise that drifts over the whole experiment (another build on
-    /// the machine, a shared-CPU neighbour) hits both sides of a pair
-    /// roughly equally; the median then discards the rounds where a
-    /// spike landed inside one half of a pair. On a single-CPU host
-    /// this estimator is far more stable than best-of-N throughput.
-    pub median_delta_pct: f64,
-}
-
-/// Paired interleaved comparison: obs-on vs obs-off. Each round runs
-/// both configurations back-to-back (swapping which goes first each
-/// round, so warm-up never systematically taxes one side) and records
-/// the round's relative delta; the median delta is the overhead
-/// estimate.
-pub fn compare_overhead(p: &ObsParams) -> OverheadOutcome {
-    let enabled = ::obs::Registry::new();
-    let disabled = ::obs::Registry::disabled();
-    let mut best_on = 0f64;
-    let mut best_off = 0f64;
-    let mut deltas = Vec::with_capacity(p.rounds);
-    for round in 0..p.rounds {
-        let seed = 0xE15_0000u64 ^ ((round as u64) << 8);
-        let (on, off) = if round % 2 == 0 {
-            let on = run_throughput(&enabled, p, seed);
-            (on, run_throughput(&disabled, p, seed ^ 0xFF))
-        } else {
-            let off = run_throughput(&disabled, p, seed ^ 0xFF);
-            (run_throughput(&enabled, p, seed), off)
-        };
-        best_on = best_on.max(on);
-        best_off = best_off.max(off);
-        deltas.push((off - on) / off * 100.0);
-    }
-    let mut sorted = deltas.clone();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("deltas are finite"));
-    let median_delta_pct = if sorted.len() % 2 == 1 {
-        sorted[sorted.len() / 2]
-    } else {
-        (sorted[sorted.len() / 2 - 1] + sorted[sorted.len() / 2]) / 2.0
-    };
-    OverheadOutcome {
-        on: Throughput { best_rps: best_on },
-        off: Throughput { best_rps: best_off },
-        round_deltas_pct: deltas,
-        median_delta_pct,
-    }
+/// The published E15 configuration: 2^20 samples.
+pub fn obs_params() -> ObsParams {
+    ObsParams { samples: 1 << 20 }
 }
 
 /// xorshift64* — deterministic sample stream for Part B.
@@ -184,7 +49,7 @@ fn latency_sample(state: &mut u64) -> u64 {
     }
 }
 
-/// Part B outcome.
+/// E15's outcome.
 #[derive(Debug)]
 pub struct MemoryOutcome {
     /// Samples recorded.
@@ -234,36 +99,11 @@ pub fn bounded_memory_run(p: &ObsParams) -> MemoryOutcome {
 /// Renders the full E15 report.
 pub fn render(p: &ObsParams) -> String {
     let mut out = format!(
-        "E15: instrumentation overhead and bounded histogram memory\n\
-         ({} workers, {} closed-loop clients x {} unique homework requests,\n\
-         median of {} paired rounds; Part B records {} samples)\n\n",
-        p.workers, p.clients, p.requests_per_client, p.rounds, p.samples
+        "E15: bounded histogram memory\n\
+         ({} samples; Part A, obs-on vs obs-off throughput, is retired:\n\
+         the registry is the server's one ledger and cannot be switched off)\n\n",
+        p.samples
     );
-
-    let oc = compare_overhead(p);
-    out.push_str("Part A — throughput with the registry on vs disabled:\n");
-    out.push_str(&format!("{:<28} {:>12}\n", "configuration", "reqs/sec"));
-    out.push_str(&format!(
-        "{:<28} {:>12.0}\n",
-        "obs on (registry + tracer)", oc.on.best_rps
-    ));
-    out.push_str(&format!(
-        "{:<28} {:>12.0}\n",
-        "obs off (disabled registry)", oc.off.best_rps
-    ));
-    let rounds: Vec<String> = oc
-        .round_deltas_pct
-        .iter()
-        .map(|d| format!("{d:+.2}%"))
-        .collect();
-    out.push_str(&format!("per-round deltas: {}\n", rounds.join(" ")));
-    out.push_str(&format!(
-        "overhead: {:+.2}% median of {} paired rounds (budget < 5%;\n\
-         negative means on won that pairing — the true cost is below\n\
-         host noise)\n\n",
-        oc.median_delta_pct,
-        oc.round_deltas_pct.len()
-    ));
 
     let mem = bounded_memory_run(p);
     out.push_str(&format!(
@@ -306,10 +146,7 @@ mod tests {
 
     #[test]
     fn bounded_memory_quantiles_stay_within_the_bound() {
-        let p = ObsParams {
-            samples: 50_000,
-            ..obs_overhead_params()
-        };
+        let p = ObsParams { samples: 50_000 };
         let mem = bounded_memory_run(&p);
         assert!(
             mem.worst_rel_error <= ::obs::RELATIVE_ERROR,
@@ -323,17 +160,5 @@ mod tests {
         assert_eq!(p100, 100);
         assert_eq!(e100, h100, "p100 is the exact maximum");
         assert!(mem.hist_bytes < mem.vec_bytes);
-    }
-
-    #[test]
-    fn throughput_runs_complete_with_both_registries() {
-        let p = ObsParams {
-            clients: 2,
-            requests_per_client: 20,
-            rounds: 1,
-            ..obs_overhead_params()
-        };
-        assert!(run_throughput(&::obs::Registry::new(), &p, 1) > 0.0);
-        assert!(run_throughput(&::obs::Registry::disabled(), &p, 2) > 0.0);
     }
 }

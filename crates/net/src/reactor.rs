@@ -6,7 +6,7 @@
 //! callbacks for a connection run on one thread and need no locking of
 //! their own. The pieces:
 //!
-//! * **[`Conn`] state machine** (shard-local, private): a nonblocking
+//! * **`Conn` state machine** (shard-local, private): a nonblocking
 //!   `TcpStream`, a streaming [`FrameAssembler`] for incremental frame
 //!   reassembly (a 1-byte trickle is fine), a partially-written
 //!   outbound frame with resume offset, and the epoll interest mask
@@ -315,9 +315,9 @@ struct ReactorShared {
     drained: Condvar,
 }
 
-/// Registry mirrors of the reactor's own health: how often shards wake,
-/// how often they wake for nothing, and how often the kernel split a
-/// frame write.
+/// The reactor's own health counters, in the registry: how often shards
+/// wake, how often they wake for nothing, and how often the kernel split
+/// a frame write.
 #[derive(Clone)]
 struct ReactorObs {
     /// Eventfd wakeups observed (`reactor.wakeups`).

@@ -45,7 +45,7 @@ use serve::fault::{FaultPlan, FaultPoint};
 use serve::server::{CourseServer, SubmitError, SHED_BODY_PREFIX};
 use std::io::{self, BufWriter};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -94,43 +94,38 @@ impl Default for NetConfig {
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Socket-layer counters, complementing the course server's request
-/// ledgers.
+/// ledgers: a view over the `net.*` counters of the course server's
+/// registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NetStats {
-    /// Connections accepted and served.
+    /// Connections accepted (`net.conns.accepted`), including any the
+    /// reactor then failed to register, which also count as dropped.
     pub accepted_conns: u64,
-    /// Connections shed at accept time with a `GoAway` frame.
+    /// Connections shed at accept time with a `GoAway` frame
+    /// (`net.conns.refused`).
     pub refused_conns: u64,
-    /// Request frames decoded and handed to admission.
+    /// Request frames decoded and handed to admission
+    /// (`net.requests`).
     pub requests: u64,
-    /// Response frames written to sockets.
+    /// Response frames written to sockets (`net.responses`).
     pub responses: u64,
-    /// Payloads that failed to decode (connection closed after an
-    /// `Error` frame — a framing error desynchronizes the stream).
+    /// Payloads that failed to decode, or were not frames a server
+    /// accepts (`net.malformed`); the connection closes after an
+    /// `Error` frame, since the stream cannot be trusted.
     pub malformed: u64,
     /// Connections severed mid-traffic: injected drops, I/O errors,
-    /// write timeouts.
+    /// write timeouts (`net.conns.dropped`).
     pub dropped_conns: u64,
 }
 
-/// Registry mirrors of the socket-layer counters plus the wire-time
-/// histograms (PR 5), resolved once from the course server's
-/// [`obs::Registry`] at bind time. With a disabled registry every call
-/// is a never-taken branch.
+/// The socket layer's ledger plus the wire-time histograms, resolved
+/// once from the course server's [`obs::Registry`] at bind time.
 struct NetObs {
-    /// Live connections right now (`net.conns.live`).
-    conns_live: obs::Gauge,
-    /// Mirror of [`NetStats::accepted_conns`] (`net.conns.accepted`).
     conns_accepted: obs::Counter,
-    /// Mirror of [`NetStats::refused_conns`] (`net.conns.refused`).
     conns_refused: obs::Counter,
-    /// Mirror of [`NetStats::dropped_conns`] (`net.conns.dropped`).
     conns_dropped: obs::Counter,
-    /// Mirror of [`NetStats::requests`] (`net.requests`).
     requests: obs::Counter,
-    /// Mirror of [`NetStats::responses`] (`net.responses`).
     responses: obs::Counter,
-    /// Mirror of [`NetStats::malformed`] (`net.malformed`).
     malformed: obs::Counter,
     /// Stats (op 3) frames answered synchronously
     /// (`net.stats_requests`); they bypass admission, so they are *not*
@@ -147,7 +142,6 @@ struct NetObs {
 impl NetObs {
     fn new(registry: &obs::Registry) -> NetObs {
         NetObs {
-            conns_live: registry.gauge("net.conns.live"),
             conns_accepted: registry.counter("net.conns.accepted"),
             conns_refused: registry.counter("net.conns.refused"),
             conns_dropped: registry.counter("net.conns.dropped"),
@@ -165,13 +159,6 @@ struct Shared {
     course: CourseServer,
     config: NetConfig,
     accepting: AtomicBool,
-    accepted_conns: AtomicU64,
-    refused_conns: AtomicU64,
-    requests: AtomicU64,
-    responses: AtomicU64,
-    malformed: AtomicU64,
-    dropped_conns: AtomicU64,
-    /// Registry mirrors + wire-time histograms.
     obs: NetObs,
 }
 
@@ -213,12 +200,6 @@ impl NetServer {
             course,
             config,
             accepting: AtomicBool::new(true),
-            accepted_conns: AtomicU64::new(0),
-            refused_conns: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            responses: AtomicU64::new(0),
-            malformed: AtomicU64::new(0),
-            dropped_conns: AtomicU64::new(0),
             obs,
         });
         let accept_shared = Arc::clone(&shared);
@@ -247,15 +228,16 @@ impl NetServer {
         &self.shared.course
     }
 
-    /// Socket-layer counters.
+    /// Socket-layer counters, read from the registry.
     pub fn net_stats(&self) -> NetStats {
+        let obs = &self.shared.obs;
         NetStats {
-            accepted_conns: self.shared.accepted_conns.load(Ordering::Relaxed),
-            refused_conns: self.shared.refused_conns.load(Ordering::Relaxed),
-            requests: self.shared.requests.load(Ordering::Relaxed),
-            responses: self.shared.responses.load(Ordering::Relaxed),
-            malformed: self.shared.malformed.load(Ordering::Relaxed),
-            dropped_conns: self.shared.dropped_conns.load(Ordering::Relaxed),
+            accepted_conns: obs.conns_accepted.value(),
+            refused_conns: obs.conns_refused.value(),
+            requests: obs.requests.value(),
+            responses: obs.responses.value(),
+            malformed: obs.malformed.value(),
+            dropped_conns: obs.conns_dropped.value(),
         }
     }
 
@@ -323,7 +305,6 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, reactor: &Reactor) 
         // thread registers connections, so the count cannot race past
         // the cap.
         if reactor.conns_live() >= shared.config.max_connections {
-            shared.refused_conns.fetch_add(1, Ordering::Relaxed);
             shared.obs.conns_refused.inc();
             let mut w = BufWriter::new(&stream);
             let frame = ResponseFrame {
@@ -340,21 +321,17 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, reactor: &Reactor) 
             let _ = stream.shutdown(Shutdown::Both);
             continue;
         }
-        shared.accepted_conns.fetch_add(1, Ordering::Relaxed);
         shared.obs.conns_accepted.inc();
-        shared.obs.conns_live.add(1);
         let handler = ServerConnHandler {
             shared: Arc::clone(shared),
             last_activity: Instant::now(),
             closing_since: None,
         };
         if reactor.register(stream, Box::new(handler)).is_err() {
-            // Could not switch the socket nonblocking; undo the accept
-            // accounting. (An epoll registration failure on the shard
-            // side reports through on_close(false) instead.)
-            shared.accepted_conns.fetch_sub(1, Ordering::Relaxed);
-            shared.dropped_conns.fetch_add(1, Ordering::Relaxed);
-            shared.obs.conns_live.add(-1);
+            // Could not switch the socket nonblocking: the accepted
+            // connection counts as dropped. (An epoll registration
+            // failure on the shard side reports through on_close(false)
+            // instead.)
             shared.obs.conns_dropped.inc();
         }
     }
@@ -509,6 +486,24 @@ impl ServerConnHandler {
         }
         conn.close_after_flush();
     }
+
+    /// Counts a payload the server cannot act on, answers it with an
+    /// `Error` frame carrying `reason`, and closes: after a bad frame
+    /// the stream cannot be trusted.
+    fn reject(&mut self, reason: String, conn: &ConnHandle) {
+        self.shared.obs.malformed.inc();
+        conn.send(
+            encode_response(&ResponseFrame {
+                id: 0,
+                status: RespStatus::Error,
+                retry_after_ms: 0,
+                backend: self.shared.config.backend_id,
+                body: reason,
+            }),
+            false,
+        );
+        self.begin_close(conn);
+    }
 }
 
 impl ConnHandler for ServerConnHandler {
@@ -519,19 +514,7 @@ impl ConnHandler for ServerConnHandler {
             Err(e) => {
                 // Stream desynchronized before a payload formed (an
                 // oversized length prefix): typed error, then close.
-                self.shared.malformed.fetch_add(1, Ordering::Relaxed);
-                self.shared.obs.malformed.inc();
-                conn.send(
-                    encode_response(&ResponseFrame {
-                        id: 0,
-                        status: RespStatus::Error,
-                        retry_after_ms: 0,
-                        backend: self.shared.config.backend_id,
-                        body: format!("malformed frame: {e}"),
-                    }),
-                    false,
-                );
-                self.begin_close(conn);
+                self.reject(format!("malformed frame: {e}"), conn);
                 return;
             }
         };
@@ -569,28 +552,18 @@ impl ConnHandler for ServerConnHandler {
                 answer_ctl_misdirected(id, &self.shared, conn);
                 return;
             }
-            Ok(Frame::Response(_)) | Err(_) => {
-                self.shared.malformed.fetch_add(1, Ordering::Relaxed);
-                self.shared.obs.malformed.inc();
-                let reason = match decode_payload(&payload) {
-                    Err(e) => format!("malformed frame: {e}"),
-                    _ => "protocol error: response frame sent to server".to_string(),
-                };
-                conn.send(
-                    encode_response(&ResponseFrame {
-                        id: 0,
-                        status: RespStatus::Error,
-                        retry_after_ms: 0,
-                        backend: self.shared.config.backend_id,
-                        body: reason,
-                    }),
-                    false,
+            Ok(Frame::Response(_)) => {
+                self.reject(
+                    "protocol error: response frame sent to server".to_string(),
+                    conn,
                 );
-                self.begin_close(conn);
+                return;
+            }
+            Err(e) => {
+                self.reject(format!("malformed frame: {e}"), conn);
                 return;
             }
         };
-        self.shared.requests.fetch_add(1, Ordering::Relaxed);
         self.shared.obs.requests.inc();
         if !submit_frame(frame, &self.shared, conn) {
             // Server shutting down: GoAway already queued; FIN after
@@ -610,7 +583,6 @@ impl ConnHandler for ServerConnHandler {
     }
 
     fn on_written(&mut self, _conn: &ConnHandle) {
-        self.shared.responses.fetch_add(1, Ordering::Relaxed);
         self.shared.obs.responses.inc();
     }
 
@@ -631,9 +603,7 @@ impl ConnHandler for ServerConnHandler {
 
     fn on_close(&mut self, graceful: bool) {
         if !graceful {
-            self.shared.dropped_conns.fetch_add(1, Ordering::Relaxed);
             self.shared.obs.conns_dropped.inc();
         }
-        self.shared.obs.conns_live.add(-1);
     }
 }

@@ -9,9 +9,10 @@
 //! - [`registry`]: a [`Registry`] of named [`Counter`]s, [`Gauge`]s, and
 //!   histograms. Handles are resolved once (cold path, mutex) and then
 //!   touched with single atomic instructions (hot path, sharded counters).
-//!   [`Registry::disabled`] yields null-object handles — one never-taken
-//!   branch per operation — so instrumented and uninstrumented runs can be
-//!   compared in one process (experiment E15).
+//!   A backend's registry is its one ledger: every server, pool, cache
+//!   and socket event is counted there once, and the layers' `stats()`
+//!   views read those counters back, so `Op::Stats` carries every number
+//!   a test or experiment checks.
 //! - [`trace`]: a [`Tracer`] recording per-request lifecycle spans
 //!   (admitted → queued → claimed → executing → completed/shed) into a
 //!   bounded seqlock ring of atomics, feeding per-stage duration

@@ -2,10 +2,9 @@
 //!
 //! The registry is the cold path: metric handles are resolved once by name
 //! (under a mutex) and then cloned into the hot paths, where every
-//! operation is a single atomic instruction — or, for a *disabled*
-//! registry, a single never-taken branch. That null-object design is what
-//! lets experiment E15 compare instrumented vs uninstrumented throughput
-//! inside one process.
+//! operation is a single atomic instruction. The registry is the ledger,
+//! not a copy of one: the server, pool, cache and socket layer count each
+//! event once, here, and their `stats()` views read these counters back.
 //!
 //! # Naming scheme
 //!
@@ -51,21 +50,37 @@ fn shard_index() -> usize {
     SHARD.with(|s| *s)
 }
 
+impl CounterInner {
+    fn sum(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| s.0.load(Ordering::Relaxed))
+            .sum()
+    }
+}
+
+impl GaugeInner {
+    fn sum(&self) -> i64 {
+        self.shards
+            .iter()
+            .map(|s| s.0.load(Ordering::Relaxed))
+            .sum()
+    }
+}
+
 /// A monotonically increasing counter. Cloning shares the underlying
-/// metric; a handle from a disabled registry makes every call a no-op.
+/// metric.
 #[derive(Clone)]
 pub struct Counter {
-    inner: Option<Arc<CounterInner>>,
+    inner: Arc<CounterInner>,
 }
 
 impl Counter {
     /// Adds `n` to the counter (relaxed, sharded).
     pub fn add(&self, n: u64) {
-        if let Some(inner) = &self.inner {
-            inner.shards[shard_index()]
-                .0
-                .fetch_add(n, Ordering::Relaxed);
-        }
+        self.inner.shards[shard_index()]
+            .0
+            .fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds 1 to the counter.
@@ -73,80 +88,46 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current value (sum over shards); 0 for a disabled handle.
+    /// Current value (sum over shards).
     pub fn value(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner
-                .shards
-                .iter()
-                .map(|s| s.0.load(Ordering::Relaxed))
-                .sum(),
-            None => 0,
-        }
+        self.inner.sum()
     }
 }
 
 /// A signed instantaneous value (queue depth, live connections, ...).
 /// Sharded like [`Counter`] so the +1/−1 pairs that track a hot queue
 /// do not ping-pong one cache line between workers; the value is the
-/// sum over shards, so paired add/sub from *different* threads still
-/// cancel exactly.
+/// sum over shards, so paired adds of +1 and −1 from *different*
+/// threads still cancel exactly.
 #[derive(Clone)]
 pub struct Gauge {
-    inner: Option<Arc<GaugeInner>>,
+    inner: Arc<GaugeInner>,
 }
 
 impl Gauge {
     /// Adds `n` (may be negative) to the gauge.
     pub fn add(&self, n: i64) {
-        if let Some(inner) = &self.inner {
-            inner.shards[shard_index()]
-                .0
-                .fetch_add(n, Ordering::Relaxed);
-        }
+        self.inner.shards[shard_index()]
+            .0
+            .fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Subtracts `n` from the gauge.
-    pub fn sub(&self, n: i64) {
-        self.add(-n);
-    }
-
-    /// Sets the gauge to `n`. Not atomic with respect to concurrent
-    /// `add`/`sub` (the shards are rewritten one by one) — intended for
-    /// single-writer gauges.
-    pub fn set(&self, n: i64) {
-        if let Some(inner) = &self.inner {
-            for (i, shard) in inner.shards.iter().enumerate() {
-                shard.0.store(if i == 0 { n } else { 0 }, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Current value (sum over shards); 0 for a disabled handle.
+    /// Current value (sum over shards).
     pub fn value(&self) -> i64 {
-        match &self.inner {
-            Some(inner) => inner
-                .shards
-                .iter()
-                .map(|s| s.0.load(Ordering::Relaxed))
-                .sum(),
-            None => 0,
-        }
+        self.inner.sum()
     }
 }
 
 /// A handle to a registered [`Histogram`]. Recording is lock-free.
 #[derive(Clone)]
 pub struct HistogramHandle {
-    inner: Option<Arc<Histogram>>,
+    inner: Arc<Histogram>,
 }
 
 impl HistogramHandle {
     /// Records one sample.
     pub fn record(&self, v: u64) {
-        if let Some(inner) = &self.inner {
-            inner.record(v);
-        }
+        self.inner.record(v);
     }
 
     /// Records a duration in whole microseconds.
@@ -154,12 +135,9 @@ impl HistogramHandle {
         self.record(d.as_micros() as u64);
     }
 
-    /// Snapshot of the underlying histogram; empty for a disabled handle.
+    /// Snapshot of the underlying histogram.
     pub fn snapshot(&self) -> HistSnapshot {
-        match &self.inner {
-            Some(inner) => inner.snapshot(),
-            None => HistSnapshot::empty(),
-        }
+        self.inner.snapshot()
     }
 }
 
@@ -179,52 +157,24 @@ impl Metric {
     }
 }
 
-struct RegistryInner {
-    metrics: Mutex<BTreeMap<String, Metric>>,
-}
-
 /// A process-wide (or per-server) collection of named metrics.
 ///
-/// Cloning shares the registry. [`Registry::disabled`] returns a registry
-/// whose handles compile down to a single branch per operation — the
-/// "obs off" arm of experiment E15.
-#[derive(Clone)]
+/// Cloning shares the registry.
+#[derive(Clone, Default)]
 pub struct Registry {
-    inner: Option<Arc<RegistryInner>>,
+    metrics: Arc<Mutex<BTreeMap<String, Metric>>>,
 }
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Registry")
-            .field("enabled", &self.is_enabled())
-            .finish()
-    }
-}
-
-impl Default for Registry {
-    fn default() -> Self {
-        Registry::new()
+        f.debug_struct("Registry").finish_non_exhaustive()
     }
 }
 
 impl Registry {
-    /// Creates a live registry.
+    /// Creates an empty registry.
     pub fn new() -> Registry {
-        Registry {
-            inner: Some(Arc::new(RegistryInner {
-                metrics: Mutex::new(BTreeMap::new()),
-            })),
-        }
-    }
-
-    /// Creates a disabled registry: every handle it hands out is a no-op.
-    pub fn disabled() -> Registry {
-        Registry { inner: None }
-    }
-
-    /// Whether this registry records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        Registry::default()
     }
 
     fn with_metric<T>(
@@ -232,12 +182,11 @@ impl Registry {
         name: &str,
         make: impl FnOnce() -> Metric,
         pick: impl FnOnce(&Metric) -> Option<T>,
-    ) -> Option<T> {
-        let inner = self.inner.as_ref()?;
-        let mut metrics = inner.metrics.lock().unwrap();
+    ) -> T {
+        let mut metrics = self.metrics.lock().unwrap();
         let metric = metrics.entry(name.to_string()).or_insert_with(make);
         match pick(metric) {
-            Some(t) => Some(t),
+            Some(t) => t,
             None => panic!("metric {name:?} already registered as a {}", metric.kind()),
         }
     }
@@ -300,25 +249,18 @@ impl Registry {
 
     /// Point-in-time copy of every registered metric, sorted by name.
     pub fn snapshot(&self) -> Snapshot {
-        let mut entries = Vec::new();
-        if let Some(inner) = &self.inner {
-            let metrics = inner.metrics.lock().unwrap();
-            for (name, metric) in metrics.iter() {
-                let value = match metric {
-                    Metric::Counter(c) => SnapshotValue::Counter(
-                        c.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).sum(),
-                    ),
-                    Metric::Gauge(g) => SnapshotValue::Gauge(
-                        g.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).sum(),
-                    ),
+        let metrics = self.metrics.lock().unwrap();
+        let entries = metrics
+            .iter()
+            .map(|(name, metric)| SnapshotEntry {
+                name: name.clone(),
+                value: match metric {
+                    Metric::Counter(c) => SnapshotValue::Counter(c.sum()),
+                    Metric::Gauge(g) => SnapshotValue::Gauge(g.sum()),
                     Metric::Hist(h) => SnapshotValue::Hist(h.snapshot()),
-                };
-                entries.push(SnapshotEntry {
-                    name: name.clone(),
-                    value,
-                });
-            }
-        }
+                },
+            })
+            .collect();
         Snapshot {
             entries,
             spans: Vec::new(),
@@ -666,26 +608,9 @@ mod tests {
     }
 
     #[test]
-    fn disabled_registry_is_a_no_op() {
-        let reg = Registry::disabled();
-        assert!(!reg.is_enabled());
-        let c = reg.counter("x");
-        let g = reg.gauge("y");
-        let h = reg.histogram("z");
-        c.inc();
-        g.set(9);
-        h.record(123);
-        assert_eq!(c.value(), 0);
-        assert_eq!(g.value(), 0);
-        assert_eq!(h.snapshot().count(), 0);
-        assert!(reg.snapshot().entries.is_empty());
-        assert_eq!(reg.snapshot().render(), "");
-    }
-
-    #[test]
     fn render_is_sorted_and_stable() {
         let reg = Registry::new();
-        reg.gauge("b.depth").set(-2);
+        reg.gauge("b.depth").add(-2);
         reg.counter("a.hits").add(5);
         reg.histogram("c.lat_us").record(100);
         let text = reg.snapshot().render();

@@ -110,17 +110,15 @@ struct TraceInner {
 
 /// Bounded lock-free recorder of request lifecycle spans.
 ///
-/// Cloning shares the ring. A tracer built from a disabled registry (or
-/// via [`Tracer::disabled`]) drops every span on the floor.
+/// Cloning shares the ring.
 #[derive(Clone)]
 pub struct Tracer {
-    inner: Option<Arc<TraceInner>>,
+    inner: Arc<TraceInner>,
 }
 
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tracer")
-            .field("enabled", &self.inner.is_some())
             .field("capacity", &self.capacity())
             .finish()
     }
@@ -130,12 +128,7 @@ impl Tracer {
     /// Creates a tracer whose ring holds `capacity` spans (rounded up to a
     /// power of two, minimum 8) and registers per-stage duration histograms
     /// named `serve.stage.<stage>_us.<label>` for each class label.
-    ///
-    /// If `registry` is disabled, the tracer is disabled too.
     pub fn new(capacity: usize, registry: &Registry, class_labels: &[&str]) -> Tracer {
-        if !registry.is_enabled() {
-            return Tracer::disabled();
-        }
         let cap = capacity.max(8).next_power_of_two();
         let slots: Vec<Slot> = (0..cap)
             .map(|_| Slot {
@@ -152,42 +145,29 @@ impl Tracer {
             })
             .collect();
         Tracer {
-            inner: Some(Arc::new(TraceInner {
+            inner: Arc::new(TraceInner {
                 mask: (cap - 1) as u64,
                 head: AtomicU64::new(0),
                 slots: slots.into_boxed_slice(),
                 stages: stages.into_boxed_slice(),
-            })),
+            }),
         }
     }
 
-    /// Creates a tracer that records nothing.
-    pub fn disabled() -> Tracer {
-        Tracer { inner: None }
-    }
-
-    /// Ring capacity in spans; 0 when disabled.
+    /// Ring capacity in spans.
     pub fn capacity(&self) -> usize {
-        match &self.inner {
-            Some(inner) => inner.slots.len(),
-            None => 0,
-        }
+        self.inner.slots.len()
     }
 
     /// Total spans ever recorded (old ones are overwritten in the ring).
     pub fn recorded(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.head.load(Ordering::SeqCst),
-            None => 0,
-        }
+        self.inner.head.load(Ordering::SeqCst)
     }
 
     /// Records one span: seqlock write into the ring plus per-stage
     /// histogram updates. Lock-free; callable from any thread.
     pub fn record(&self, span: &SpanRecord) {
-        let Some(inner) = &self.inner else {
-            return;
-        };
+        let inner = &self.inner;
         if let Some(stage) = inner.stages.get(span.class as usize) {
             stage.queue_us.record(span.queue_us);
             if span.outcome == SpanOutcome::Completed {
@@ -233,9 +213,7 @@ impl Tracer {
     /// Returns up to `n` recent spans, newest first. Slots being written
     /// concurrently (or already overwritten) are skipped, never torn.
     pub fn recent(&self, n: usize) -> Vec<SpanRecord> {
-        let Some(inner) = &self.inner else {
-            return Vec::new();
-        };
+        let inner = &self.inner;
         let head = inner.head.load(Ordering::SeqCst);
         let mut out = Vec::new();
         let span_count = head.min(inner.slots.len() as u64);
@@ -360,15 +338,6 @@ mod tests {
         assert_eq!(worst[0].id, 2);
         assert_eq!(worst[1].id, 4);
         assert_eq!(tr.worst(100).len(), 4, "worst never invents spans");
-    }
-
-    #[test]
-    fn disabled_tracer_drops_everything() {
-        let tr = Tracer::new(8, &Registry::disabled(), &["x"]);
-        tr.record(&span(1, 0, 1, 1));
-        assert!(tr.recent(10).is_empty());
-        assert_eq!(tr.capacity(), 0);
-        assert_eq!(tr.recorded(), 0);
     }
 
     #[test]

@@ -103,7 +103,7 @@ pub mod strategy {
             Map { inner: self, f }
         }
 
-        /// Type-erases the strategy (used by [`prop_oneof!`]).
+        /// Type-erases the strategy (used by [`prop_oneof!`](crate::prop_oneof!)).
         fn boxed(self) -> BoxedStrategy<Self::Value>
         where
             Self: Sized + 'static,
@@ -154,7 +154,7 @@ pub mod strategy {
     }
 
     /// Uniform choice between type-erased alternatives — the engine
-    /// behind [`prop_oneof!`].
+    /// behind [`prop_oneof!`](crate::prop_oneof!).
     pub struct Union<T> {
         arms: Vec<BoxedStrategy<T>>,
     }
@@ -328,7 +328,7 @@ pub mod collection {
         max_exclusive: usize,
     }
 
-    /// Length specifications accepted by [`vec`]: a `usize` for an
+    /// Length specifications accepted by [`vec()`]: a `usize` for an
     /// exact length, or a half-open/inclusive range of lengths.
     pub trait IntoSizeRange {
         /// Converts to `(min, max_exclusive)`.

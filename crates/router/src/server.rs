@@ -36,7 +36,7 @@
 //! The backend fleet is no longer fixed at bind time. A
 //! [`ctl::Membership`] state machine owns the authoritative epoch
 //! ([`ctl::MembershipEpoch`]), and every routing decision reads an
-//! immutable [`RouterView`] — the ring over in-ring members plus the
+//! immutable `RouterView` — the ring over in-ring members plus the
 //! per-backend connection slots — published through an
 //! `RwLock<Arc<RouterView>>`: a routing decision clones the current
 //! view's `Arc` under the read lock, and admin ops publish a fresh view
@@ -1163,24 +1163,33 @@ fn dispatch_client(shared: &Arc<Shared>, payload: Vec<u8>, conn: &ConnHandle) ->
             ctl_dispatch(shared, id, &token, CtlOp::View, conn);
             true
         }
-        Ok(Frame::Response(_)) | Err(_) => {
-            let reason = match decode_payload(&payload) {
-                Err(e) => format!("malformed frame: {e}"),
-                _ => "protocol error: response frame sent to router".to_string(),
-            };
-            conn.send(
-                encode_response(&ResponseFrame {
-                    id: 0,
-                    status: RespStatus::Error,
-                    retry_after_ms: 0,
-                    backend: ROUTER_BACKEND_ID,
-                    body: reason,
-                }),
-                false,
+        Ok(Frame::Response(_)) => {
+            reject_client(
+                "protocol error: response frame sent to router".to_string(),
+                conn,
             );
             false
         }
+        Err(e) => {
+            reject_client(format!("malformed frame: {e}"), conn);
+            false
+        }
     }
+}
+
+/// Answers a client payload the router cannot act on with an `Error`
+/// frame carrying `reason`; the caller then stops reading.
+fn reject_client(reason: String, conn: &ConnHandle) {
+    conn.send(
+        encode_response(&ResponseFrame {
+            id: 0,
+            status: RespStatus::Error,
+            retry_after_ms: 0,
+            backend: ROUTER_BACKEND_ID,
+            body: reason,
+        }),
+        false,
+    );
 }
 
 /// Answers a stats op from the merged fleet snapshot. The snapshot
@@ -1232,16 +1241,7 @@ impl ConnHandler for RouterClient {
         let keep = match payload {
             Ok(bytes) => dispatch_client(&self.shared, bytes, conn),
             Err(e) => {
-                conn.send(
-                    encode_response(&ResponseFrame {
-                        id: 0,
-                        status: RespStatus::Error,
-                        retry_after_ms: 0,
-                        backend: ROUTER_BACKEND_ID,
-                        body: format!("malformed frame: {e}"),
-                    }),
-                    false,
-                );
+                reject_client(format!("malformed frame: {e}"), conn);
                 false
             }
         };

@@ -1,19 +1,20 @@
 //! End-to-end router tests over real sockets and in-process backends:
 //! routing spread with cache affinity, fleet-wide stats merging,
 //! backend death mid-run (zero lost answers, honest sheds, balanced
-//! ledgers), probe-driven re-admission after a stall, and a cached
-//! relay that never crosses threads.
+//! ledgers), probe-driven re-admission after a stall, a cached relay
+//! that never crosses threads, and the protocol error a stray response
+//! frame earns at a backend and at the router.
 
 use net::loadgen::{self, call_once, ClassLoad, LoadConfig, Mode, OpTemplate};
 use net::server::{NetConfig, NetServer};
 use net::wire::{
-    decode_payload, encode_request, read_frame, write_frame, Frame, RequestFrame, RespStatus,
-    ResponseFrame, ROUTER_BACKEND_ID,
+    decode_payload, encode_request, encode_response, read_frame, write_frame, Frame, RequestFrame,
+    RespStatus, ResponseFrame, ROUTER_BACKEND_ID,
 };
 use router::server::{Router, RouterConfig};
 use serve::fault::{FaultPlan, FaultPoint};
-use serve::pool::JobClass;
-use serve::server::{CourseServer, ExperimentFn, Request, ServerConfig};
+use serve::pool::{ClassStats, JobClass};
+use serve::server::{CourseServer, ExperimentFn, Request, ServerConfig, ServerStats};
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -176,6 +177,16 @@ fn stats_through_the_router_are_the_sum_of_the_fleet() {
     );
     let unanswered: u64 = report.per_class.iter().map(|r| r.unanswered).sum();
     assert_eq!(unanswered, 0);
+    // A worker counts its job's completion just after the response
+    // publishes; wait for the last ones, so the counters are still.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !backends.iter().all(|b| {
+        let pool = b.course().stats().pool;
+        pool.finished == pool.submitted
+    }) {
+        assert!(Instant::now() < deadline, "the fleet's pools never settled");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     // Quiesced: job counters are stable, so the merged snapshot must
     // equal the per-backend sum exactly.
@@ -212,6 +223,36 @@ fn stats_through_the_router_are_the_sum_of_the_fleet() {
         .sum();
     assert_eq!(merged_admitted, admitted, "admission ledgers merge exactly");
 
+    // The counters behind `stats()` are the ones `Op::Stats` carries:
+    // the cache's and the pool's per-class ledger merge to the sum of
+    // what each backend reports.
+    let fleet: Vec<ServerStats> = backends.iter().map(|b| b.course().stats()).collect();
+    let sum = |field: &dyn Fn(&ServerStats) -> u64| fleet.iter().map(field).sum::<u64>();
+    let misses = sum(&|s| s.cache.misses);
+    assert!(misses > 0, "the busting mix computes");
+    assert_eq!(merged.counter("cache.hits"), Some(sum(&|s| s.cache.hits)));
+    assert_eq!(merged.counter("cache.misses"), Some(misses));
+    for (band, class) in JobClass::ALL.iter().enumerate() {
+        let merged_class = |name: &str| merged.counter(&format!("pool.{name}.{class}"));
+        let fleet_class =
+            |field: fn(&ClassStats) -> u64| Some(sum(&|s| field(&s.pool.per_class[band])));
+        assert_eq!(
+            merged_class("completed"),
+            fleet_class(|c| c.completed),
+            "pool.completed.{class}"
+        );
+        assert_eq!(
+            merged_class("busy_us"),
+            fleet_class(|c| c.busy_micros),
+            "pool.busy_us.{class}"
+        );
+        assert_eq!(
+            merged_class("deadline_missed"),
+            fleet_class(|c| c.deadline_missed),
+            "pool.deadline_missed.{class}"
+        );
+    }
+
     // The rendered (op 3) flavor through the router carries the
     // worst-spans forensics section fed by the backends' trace rings.
     let rendered = loadgen::fetch_stats(router.local_addr()).unwrap();
@@ -223,6 +264,46 @@ fn stats_through_the_router_are_the_sum_of_the_fleet() {
     for b in backends {
         b.shutdown();
     }
+}
+
+#[test]
+fn a_response_frame_sent_to_a_backend_or_the_router_is_a_protocol_error() {
+    let backend = backend(0, 1, None);
+    let router = Router::bind(
+        "127.0.0.1:0",
+        &[backend.local_addr()],
+        RouterConfig::default(),
+    )
+    .unwrap();
+    let stray = encode_response(&ResponseFrame {
+        id: 9,
+        status: RespStatus::Ok,
+        retry_after_ms: 0,
+        backend: 0,
+        body: "a response, sent the wrong way".to_string(),
+    });
+    for addr in [backend.local_addr(), router.local_addr()] {
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut writer = BufWriter::new(&stream);
+        let mut reader = BufReader::new(&stream);
+        write_frame(&mut writer, &stray).unwrap();
+        let answer = next_response(&mut reader);
+        assert_eq!(answer.status, RespStatus::Error, "{addr}: {answer:?}");
+        assert!(
+            answer
+                .body
+                .starts_with("protocol error: response frame sent to"),
+            "{addr}: {}",
+            answer.body
+        );
+        assert!(
+            read_frame(&mut reader).unwrap().is_none(),
+            "{addr}: the connection closes after the error"
+        );
+    }
+    assert_eq!(backend.net_stats().malformed, 1, "counted once");
+    router.shutdown();
+    backend.shutdown();
 }
 
 #[test]

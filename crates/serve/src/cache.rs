@@ -3,7 +3,8 @@
 //! once per key** even under concurrent callers, and callers with
 //! *distinct* keys never serialize behind one global lock — plus the
 //! production extras the spec leaves out: sharding, capacity-bounded
-//! LRU eviction per shard, and hit/miss/eviction counters.
+//! LRU eviction per shard, and hit/miss/eviction counters kept in an
+//! [`obs::Registry`] (`cache.hits`, `cache.misses`, `cache.evictions`).
 //!
 //! Layout: keys hash to one of N shards; each shard is a
 //! `Mutex<HashMap<K, slot>>` held only for map bookkeeping, never
@@ -18,7 +19,6 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// A filled-exactly-once promise for a computed value.
@@ -55,11 +55,13 @@ struct ShardMap<K, V> {
 /// A point-in-time snapshot of the cache counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups that found an entry (ready or still computing).
+    /// Lookups that found an entry, ready or still computing
+    /// (`cache.hits`).
     pub hits: u64,
-    /// Lookups that had to start a compute.
+    /// Lookups that had to start a compute (`cache.misses`).
     pub misses: u64,
-    /// Entries removed by the per-shard LRU capacity bound.
+    /// Entries removed by the per-shard LRU capacity bound
+    /// (`cache.evictions`).
     pub evictions: u64,
     /// Entries currently resident across all shards.
     pub entries: usize,
@@ -84,9 +86,9 @@ pub struct CacheStats {
 pub struct Cache<K, V> {
     shards: Vec<Shard<K, V>>,
     capacity_per_shard: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    hits: obs::Counter,
+    misses: obs::Counter,
+    evictions: obs::Counter,
     /// Optional seeded fault injection (test tooling): a stall at
     /// [`FaultPoint::CacheLockHold`] is executed while a shard's map
     /// lock is held, and [`FaultPoint::CacheEvictDuringCompute`]
@@ -106,16 +108,17 @@ impl<K, V> std::fmt::Debug for Cache<K, V> {
 
 impl<K: Eq + Hash + Clone, V: Clone> Cache<K, V> {
     /// A cache with `shards` independent shards, each holding at most
-    /// `capacity_per_shard` entries before LRU eviction kicks in.
+    /// `capacity_per_shard` entries before LRU eviction kicks in,
+    /// counting into a registry of its own.
     ///
     /// # Panics
     /// If `shards == 0` or `capacity_per_shard == 0`.
     pub fn new(shards: usize, capacity_per_shard: usize) -> Cache<K, V> {
-        Cache::with_fault_plan(shards, capacity_per_shard, None)
+        Cache::with_fault_plan(shards, capacity_per_shard, None, &obs::Registry::new())
     }
 
-    /// Like [`Cache::new`], plus a seeded [`FaultPlan`] consulted at
-    /// the cache-layer fault points:
+    /// Like [`Cache::new`], counting into `registry`, plus a seeded
+    /// [`FaultPlan`] consulted at the cache-layer fault points:
     ///
     /// * [`FaultPoint::CacheLockHold`] fires during phase-1 bookkeeping
     ///   **while the shard's map lock is held** — a stall there makes
@@ -134,6 +137,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Cache<K, V> {
         shards: usize,
         capacity_per_shard: usize,
         fault_plan: Option<FaultPlan>,
+        registry: &obs::Registry,
     ) -> Cache<K, V> {
         assert!(shards > 0, "cache needs at least one shard");
         assert!(capacity_per_shard > 0, "cache shards need capacity >= 1");
@@ -147,9 +151,9 @@ impl<K: Eq + Hash + Clone, V: Clone> Cache<K, V> {
                 })
                 .collect(),
             capacity_per_shard,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            hits: registry.counter("cache.hits"),
+            misses: registry.counter("cache.misses"),
+            evictions: registry.counter("cache.evictions"),
             fault_plan,
         }
     }
@@ -184,7 +188,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Cache<K, V> {
             match map.entries.get_mut(&key) {
                 Some(entry) => {
                     entry.last_used = now;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    self.hits.inc();
                     (Arc::clone(&entry.slot), false)
                 }
                 None => {
@@ -199,7 +203,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Cache<K, V> {
                             last_used: now,
                         },
                     );
-                    self.misses.fetch_add(1, Ordering::Relaxed);
+                    self.misses.inc();
                     (slot, true)
                 }
             }
@@ -279,7 +283,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Cache<K, V> {
             SlotState::Computing | SlotState::Poisoned => return None,
         };
         entry.last_used = now;
-        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.hits.inc();
         Some(value)
     }
 
@@ -303,7 +307,7 @@ impl<K: Eq + Hash + Clone, V: Clone> Cache<K, V> {
             match victim {
                 Some(k) => {
                     map.entries.remove(&k);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
+                    self.evictions.inc();
                 }
                 // Everything over capacity is still computing; nothing
                 // legal to evict right now. The next completion will
@@ -329,9 +333,9 @@ impl<K: Eq + Hash + Clone, V: Clone> Cache<K, V> {
     /// A snapshot of the hit/miss/eviction counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            hits: self.hits.value(),
+            misses: self.misses.value(),
+            evictions: self.evictions.value(),
             entries: self.len(),
         }
     }
@@ -356,23 +360,22 @@ pub type ServerCache<K, V> = Cache<K, V>;
 
 impl<K: Eq + Hash + Clone, V: Clone> Cache<K, V> {
     /// [`Cache::with_fault_plan`] under the signature perfbench calls
-    /// (see [`CacheImpl`]); the implementation choice and the registry
-    /// are ignored.
+    /// (see [`CacheImpl`]); the implementation choice is ignored.
     pub fn build(
         _which: CacheImpl,
         shards: usize,
         capacity_per_shard: usize,
         fault_plan: Option<FaultPlan>,
-        _registry: &obs::Registry,
+        registry: &obs::Registry,
     ) -> Cache<K, V> {
-        Cache::with_fault_plan(shards, capacity_per_shard, fault_plan)
+        Cache::with_fault_plan(shards, capacity_per_shard, fault_plan, registry)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::thread;
     use std::time::Duration;
 

@@ -52,18 +52,18 @@
 //! the server and the pool keep per-class counters so the scheduling
 //! win is measured (experiment E13), not asserted.
 //!
-//! Since PR 5 the whole pipeline reports into the zero-dependency
-//! `obs` crate: the server mirrors its admission/completion/shed
-//! ledgers into named [`obs::Registry`] counters (same
-//! count-then-publish discipline, so a drained snapshot balances), the
-//! pool mirrors claims/local-hits/steals plus a live queue-depth
-//! gauge, and every request records a lifecycle span (admitted →
-//! queued → claimed → executing → completed/shed) into a bounded
-//! [`obs::Tracer`] ring feeding per-stage duration histograms — so
-//! queue-wait and service-time are separable per class. Pass
-//! [`obs::Registry::disabled`] in [`server::ServerConfig`] and every
-//! recording site collapses to a never-taken branch; experiment E15
-//! measures that overhead.
+//! Every count lives in one ledger, the zero-dependency `obs` crate's
+//! [`obs::Registry`], which the pool creates and the server shares: the
+//! server's admission/completion/shed counters (`serve.*`, moved under
+//! the ticket's promise lock before it resolves, so a drained snapshot
+//! balances), the pool's claims, steals and per-class completions and
+//! busy time (`pool.*`) plus a live queue-depth gauge, and the cache's
+//! hits, misses and evictions (`cache.*`). The layers' `stats()` methods
+//! are views over those counters, so `Op::Stats` carries every number a
+//! test or experiment checks. Every request also records a lifecycle
+//! span (admitted → queued → claimed → executing → completed/shed) into
+//! a bounded [`obs::Tracer`] ring feeding per-stage duration histograms
+//! — so queue-wait and service-time are separable per class.
 //!
 //! The crate is safe Rust throughout (`forbid(unsafe_code)`): every
 //! queue, cache slot and parking protocol is built from `Mutex`,

@@ -1,7 +1,8 @@
 //! The long-lived worker pool: the cs431 "hello server" `ThreadPool`
 //! grown up — panic-isolating workers, `wait_empty`, join-on-drop with
-//! drain semantics, per-worker plus aggregate counters, and one
-//! scheduler: **per-worker deques with work stealing**, each deque
+//! drain semantics, a ledger of scheduling events kept in the pool's
+//! [`obs::Registry`] (`pool.*`; [`ThreadPool::stats`] reads it back),
+//! and one scheduler: **per-worker deques with work stealing**, each deque
 //! split into one band per [`JobClass`], so interactive work jumps a
 //! bulk backlog without bulk work starving forever.
 //!
@@ -43,7 +44,7 @@
 //!   rebalances in O(1) steals instead of one lock round-trip per job.
 //!   The relocated jobs count as the thief's `local_hits` when
 //!   eventually claimed; the event is counted in
-//!   [`WorkerStats::batch_steals`].
+//!   [`PoolStats::batch_steals`].
 //! * **aging**: every [`AGING_PERIOD`]-th claim walks the bands in
 //!   *reverse* (lowest class first). Under sustained high-class load
 //!   this bounds starvation: a queued bulk job waits at most
@@ -218,99 +219,58 @@ impl JobMeta {
     }
 }
 
-/// Counters for one worker thread.
-#[derive(Debug, Default)]
-struct WorkerCounters {
-    started: AtomicU64,
-    finished: AtomicU64,
-    panicked: AtomicU64,
-    local_hits: AtomicU64,
-    steals: AtomicU64,
-    stolen_from: AtomicU64,
-    batch_steals: AtomicU64,
-    deque_high_water: AtomicUsize,
-}
-
-/// A point-in-time snapshot of one worker's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Jobs this worker has begun executing.
-    pub started: u64,
-    /// Jobs this worker has completed (including panicked ones).
-    pub finished: u64,
-    /// Jobs that panicked on this worker.
-    pub panicked: u64,
-    /// Jobs this worker claimed from its own deque (LIFO pops).
-    pub local_hits: u64,
-    /// Jobs this worker stole from another worker's deque (the job it
-    /// ran immediately; batch-relocated jobs count as `local_hits`
-    /// when later claimed).
-    pub steals: u64,
-    /// Jobs other workers stole from this worker's deque.
-    pub stolen_from: u64,
-    /// Steals that took half of a deep victim's deque in one sweep.
-    pub batch_steals: u64,
-    /// Deepest this worker's own deque has ever been, all bands
-    /// together.
-    pub queue_high_water: usize,
-}
-
-/// Per-class counters (internal, atomic).
-#[derive(Debug, Default)]
-struct ClassCounters {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    aged: AtomicU64,
-    deadline_missed: AtomicU64,
-    busy_micros: AtomicU64,
-}
-
 /// A point-in-time snapshot of one class's pool counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassStats {
     /// The class these counters describe.
     pub class: JobClass,
-    /// Jobs of this class accepted by `execute`/`execute_with_meta`.
+    /// Jobs of this class accepted by `execute`/`execute_with_meta`
+    /// (`pool.submitted.<class>`).
     pub submitted: u64,
-    /// Jobs of this class fully executed (including panicked ones).
+    /// Jobs of this class fully executed, including panicked ones
+    /// (`pool.completed.<class>`).
     pub completed: u64,
     /// Claims of this class granted by the aging pass while
-    /// higher-class work was still queued.
+    /// higher-class work was still queued (`pool.aged.<class>`).
     pub aged: u64,
-    /// Jobs of this class that *started* after their deadline.
+    /// Jobs of this class that *started* after their deadline
+    /// (`pool.deadline_missed.<class>`).
     pub deadline_missed: u64,
     /// Total worker time spent executing jobs of this class, in
-    /// microseconds. `busy_micros / completed` is the observed mean
-    /// service time of the class.
+    /// microseconds (`pool.busy_us.<class>`). `busy_micros /
+    /// completed` is the observed mean service time of the class.
     pub busy_micros: u64,
 }
 
-/// A point-in-time snapshot of the pool's aggregate counters.
+/// A point-in-time snapshot of the pool's counters: a view over the
+/// `pool.*` counters of [`ThreadPool::registry`], plus the two values a
+/// counter cannot hold (the backlog's high-water mark and its current
+/// depth).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolStats {
     /// Worker thread count.
     pub workers: usize,
-    /// Jobs accepted by [`ThreadPool::execute`] so far.
+    /// Jobs accepted by [`ThreadPool::execute`] so far, all classes.
     pub submitted: u64,
-    /// Jobs begun across all workers.
+    /// Jobs claimed by a worker (`pool.claims`).
     pub started: u64,
-    /// Jobs completed across all workers (including panicked ones).
+    /// Jobs completed, including panicked ones, all classes.
     pub finished: u64,
-    /// Jobs that panicked across all workers.
+    /// Jobs that panicked (`pool.panicked`).
     pub panicked: u64,
-    /// Jobs claimed from the claimer's own deque across all workers.
+    /// Claims from the claimer's own deque (`pool.local_hits`).
     pub local_hits: u64,
-    /// Jobs stolen across all workers.
+    /// Claims stolen from another worker's deque (`pool.steals`); a
+    /// batch-relocated job counts as a local hit when later claimed.
     pub steals: u64,
-    /// Batched-steal events across all workers.
+    /// Steals that took half a deep victim's band in one sweep
+    /// (`pool.batch_steals`).
     pub batch_steals: u64,
     /// Deepest the total queued backlog has ever been
     /// (admission-pressure signal, summed across deques).
     pub queue_high_water: usize,
     /// Jobs currently queued but not yet claimed.
     pub queue_depth: usize,
-    /// Per-worker breakdown, indexed by worker id.
-    pub per_worker: Vec<WorkerStats>,
     /// Per-class breakdown, in [`JobClass::ALL`] order (highest class
     /// first).
     pub per_class: Vec<ClassStats>,
@@ -349,32 +309,49 @@ pub fn with_meta<R>(meta: JobMeta, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Registry-backed mirrors of the pool's hot-path scheduling events
-/// (PR 5). Handles are resolved once at construction; with a disabled
-/// [`obs::Registry`] every call is a single never-taken branch, which is
-/// the "obs off" arm experiment E15 measures against.
-struct PoolObs {
-    /// Jobs claimed, by any path (`pool.claims`).
+/// One counter per class, named `<prefix>.<class>` and indexed by
+/// [`JobClass::band`].
+pub(crate) fn class_counters(
+    registry: &obs::Registry,
+    prefix: &str,
+) -> [obs::Counter; JobClass::COUNT] {
+    std::array::from_fn(|band| registry.counter(&format!("{prefix}.{}", JobClass::from_band(band))))
+}
+
+/// The pool's ledger: each scheduling event is one increment of one
+/// counter in the pool's registry, resolved once at construction.
+struct PoolLedger {
+    submitted: [obs::Counter; JobClass::COUNT],
+    completed: [obs::Counter; JobClass::COUNT],
+    aged: [obs::Counter; JobClass::COUNT],
+    deadline_missed: [obs::Counter; JobClass::COUNT],
+    busy_us: [obs::Counter; JobClass::COUNT],
+    /// Jobs claimed, by any path.
     claims: obs::Counter,
-    /// Claims satisfied from the worker's own deque
-    /// (`pool.local_hits`).
+    /// Claims satisfied from the worker's own deque.
     local_hits: obs::Counter,
-    /// Claims satisfied by stealing from a victim (`pool.steals`).
+    /// Claims satisfied by stealing from a victim.
     steals: obs::Counter,
-    /// Steals that relocated half a deep victim deque
-    /// (`pool.batch_steals`).
+    /// Steals that relocated half a deep victim band.
     batch_steals: obs::Counter,
+    panicked: obs::Counter,
     /// Instantaneous queued-but-unclaimed jobs (`pool.queue_depth`).
     queue_depth: obs::Gauge,
 }
 
-impl PoolObs {
-    fn new(registry: &obs::Registry) -> PoolObs {
-        PoolObs {
+impl PoolLedger {
+    fn new(registry: &obs::Registry) -> PoolLedger {
+        PoolLedger {
+            submitted: class_counters(registry, "pool.submitted"),
+            completed: class_counters(registry, "pool.completed"),
+            aged: class_counters(registry, "pool.aged"),
+            deadline_missed: class_counters(registry, "pool.deadline_missed"),
+            busy_us: class_counters(registry, "pool.busy_us"),
             claims: registry.counter("pool.claims"),
             local_hits: registry.counter("pool.local_hits"),
             steals: registry.counter("pool.steals"),
             batch_steals: registry.counter("pool.batch_steals"),
+            panicked: registry.counter("pool.panicked"),
             queue_depth: registry.gauge("pool.queue_depth"),
         }
     }
@@ -412,13 +389,11 @@ struct PoolInner {
     next_deque: AtomicUsize,
     /// Monotonic claim counter driving the aging rule.
     claim_tick: AtomicU64,
-    submitted: AtomicU64,
+    /// Deepest `queued` has been: a running maximum, which a sharded
+    /// counter cannot keep.
     queue_high_water: AtomicUsize,
-    per_worker: Vec<WorkerCounters>,
-    per_class: [ClassCounters; JobClass::COUNT],
-    /// Registry mirrors of the scheduling counters (no-ops when the
-    /// pool was built without a live registry).
-    obs: PoolObs,
+    registry: obs::Registry,
+    ledger: PoolLedger,
 }
 
 impl PoolInner {
@@ -468,20 +443,14 @@ impl PoolInner {
         // submitter); the one exception — jobs in transit during a
         // batched steal — is covered by the parking re-check, which
         // retries instead of sleeping while `queued > 0`.
-        let (depth, total) = {
+        let total = {
             let mut q = self.deques[target].lock().expect("pool mutex poisoned");
             q[band].push_back(job);
             self.band_queued[band].fetch_add(1, Ordering::SeqCst);
-            (
-                q.iter().map(VecDeque::len).sum::<usize>(),
-                self.queued.fetch_add(1, Ordering::SeqCst) + 1,
-            )
+            self.queued.fetch_add(1, Ordering::SeqCst) + 1
         };
-        self.per_worker[target]
-            .deque_high_water
-            .fetch_max(depth, Ordering::Relaxed);
         self.queue_high_water.fetch_max(total, Ordering::Relaxed);
-        self.obs.queue_depth.add(1);
+        self.ledger.queue_depth.add(1);
         self.wake_one();
     }
 
@@ -489,7 +458,7 @@ impl PoolInner {
     fn unqueue(&self, band: usize) {
         self.band_queued[band].fetch_sub(1, Ordering::SeqCst);
         self.queued.fetch_sub(1, Ordering::SeqCst);
-        self.obs.queue_depth.add(-1);
+        self.ledger.queue_depth.add(-1);
     }
 
     /// One claim attempt for worker `id`: the bands highest class
@@ -512,7 +481,7 @@ impl PoolInner {
             }
             if let Some(job) = self.claim_band(id, band) {
                 if aging_pass && (0..band).any(|b| self.band_queued[b].load(Ordering::SeqCst) > 0) {
-                    self.per_class[band].aged.fetch_add(1, Ordering::Relaxed);
+                    self.ledger.aged[band].inc();
                 }
                 return Some(job);
             }
@@ -534,11 +503,8 @@ impl PoolInner {
             job
         };
         if let Some(job) = local {
-            self.per_worker[id]
-                .local_hits
-                .fetch_add(1, Ordering::Relaxed);
-            self.obs.claims.inc();
-            self.obs.local_hits.inc();
+            self.ledger.claims.inc();
+            self.ledger.local_hits.inc();
             return Some(job);
         }
         // Oldest-first from victims, by rotation. Never hold two deque
@@ -569,25 +535,11 @@ impl PoolInner {
             };
             if let Some(job) = job {
                 if !batch.is_empty() {
-                    let depth = {
-                        let mut own = self.deques[id].lock().expect("pool mutex poisoned");
-                        own[band].extend(batch);
-                        own.iter().map(VecDeque::len).sum::<usize>()
-                    };
-                    self.per_worker[id]
-                        .deque_high_water
-                        .fetch_max(depth, Ordering::Relaxed);
-                    self.per_worker[id]
-                        .batch_steals
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.obs.batch_steals.inc();
+                    self.deques[id].lock().expect("pool mutex poisoned")[band].extend(batch);
+                    self.ledger.batch_steals.inc();
                 }
-                self.per_worker[id].steals.fetch_add(1, Ordering::Relaxed);
-                self.per_worker[victim]
-                    .stolen_from
-                    .fetch_add(1, Ordering::Relaxed);
-                self.obs.claims.inc();
-                self.obs.steals.inc();
+                self.ledger.claims.inc();
+                self.ledger.steals.inc();
                 return Some(job);
             }
         }
@@ -628,24 +580,14 @@ impl std::fmt::Debug for ThreadPool {
 }
 
 impl ThreadPool {
-    /// Spawns a pool with `workers` threads.
+    /// Spawns a pool with `workers` threads and a fresh registry that
+    /// holds its ledger (see [`ThreadPool::registry`]).
     ///
     /// # Panics
     /// If `workers == 0`.
     pub fn new(workers: usize) -> ThreadPool {
-        ThreadPool::with_observability(workers, &obs::Registry::disabled())
-    }
-
-    /// Spawns a pool whose scheduling events (`pool.claims`,
-    /// `pool.local_hits`, `pool.steals`, `pool.batch_steals`, and the
-    /// `pool.queue_depth` gauge) are mirrored into `registry`. Passing a
-    /// disabled registry makes every mirror a no-op — that is exactly
-    /// what [`ThreadPool::new`] does.
-    ///
-    /// # Panics
-    /// If `workers == 0`.
-    pub fn with_observability(workers: usize, registry: &obs::Registry) -> ThreadPool {
         assert!(workers > 0, "thread pool needs at least one worker");
+        let registry = obs::Registry::new();
         let inner = Arc::new(PoolInner {
             deques: (0..workers)
                 .map(|_| Mutex::new(std::array::from_fn(|_| VecDeque::new())))
@@ -660,11 +602,9 @@ impl ThreadPool {
             pending: Mutex::new(0),
             next_deque: AtomicUsize::new(0),
             claim_tick: AtomicU64::new(0),
-            submitted: AtomicU64::new(0),
             queue_high_water: AtomicUsize::new(0),
-            per_worker: (0..workers).map(|_| WorkerCounters::default()).collect(),
-            per_class: std::array::from_fn(|_| ClassCounters::default()),
-            obs: PoolObs::new(registry),
+            ledger: PoolLedger::new(&registry),
+            registry,
         });
         let handles = (0..workers)
             .map(|id| {
@@ -683,7 +623,17 @@ impl ThreadPool {
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.inner.per_worker.len()
+        self.inner.deques.len()
+    }
+
+    /// The registry holding the pool's ledger: `pool.claims`,
+    /// `pool.local_hits`, `pool.steals`, `pool.batch_steals`,
+    /// `pool.panicked`, `pool.{submitted,completed,aged,deadline_missed,
+    /// busy_us}.<class>` and the `pool.queue_depth` gauge. A server
+    /// counts its own events here too, so one snapshot covers every
+    /// layer.
+    pub fn registry(&self) -> &obs::Registry {
+        &self.inner.registry
     }
 
     /// Submits a job with the meta inherited from the current thread
@@ -713,10 +663,7 @@ impl ThreadPool {
             self.inner.finish_one();
             return Err(PoolClosed(job));
         }
-        self.inner.submitted.fetch_add(1, Ordering::Relaxed);
-        self.inner.per_class[meta.class.band()]
-            .submitted
-            .fetch_add(1, Ordering::Relaxed);
+        self.inner.ledger.submitted[meta.class.band()].inc();
         self.inner.push(Job {
             run: Box::new(job),
             meta,
@@ -739,49 +686,38 @@ impl ThreadPool {
         }
     }
 
-    /// A snapshot of the pool's counters.
+    /// A snapshot of the pool's counters, read from its ledger.
     pub fn stats(&self) -> PoolStats {
-        let per_worker: Vec<WorkerStats> = self
-            .inner
-            .per_worker
-            .iter()
-            .map(|w| WorkerStats {
-                started: w.started.load(Ordering::Relaxed),
-                finished: w.finished.load(Ordering::Relaxed),
-                panicked: w.panicked.load(Ordering::Relaxed),
-                local_hits: w.local_hits.load(Ordering::Relaxed),
-                steals: w.steals.load(Ordering::Relaxed),
-                stolen_from: w.stolen_from.load(Ordering::Relaxed),
-                batch_steals: w.batch_steals.load(Ordering::Relaxed),
-                queue_high_water: w.deque_high_water.load(Ordering::Relaxed),
-            })
-            .collect();
+        let ledger = &self.inner.ledger;
         let per_class: Vec<ClassStats> = JobClass::ALL
             .iter()
             .map(|&class| {
-                let c = &self.inner.per_class[class.band()];
+                let band = class.band();
+                // Completions before submissions: a job is counted
+                // submitted before it can complete, so a snapshot taken
+                // under load never shows more completed than submitted.
+                let completed = ledger.completed[band].value();
                 ClassStats {
                     class,
-                    submitted: c.submitted.load(Ordering::Relaxed),
-                    completed: c.completed.load(Ordering::Relaxed),
-                    aged: c.aged.load(Ordering::Relaxed),
-                    deadline_missed: c.deadline_missed.load(Ordering::Relaxed),
-                    busy_micros: c.busy_micros.load(Ordering::Relaxed),
+                    submitted: ledger.submitted[band].value(),
+                    completed,
+                    aged: ledger.aged[band].value(),
+                    deadline_missed: ledger.deadline_missed[band].value(),
+                    busy_micros: ledger.busy_us[band].value(),
                 }
             })
             .collect();
         PoolStats {
-            workers: per_worker.len(),
-            submitted: self.inner.submitted.load(Ordering::Relaxed),
-            started: per_worker.iter().map(|w| w.started).sum(),
-            finished: per_worker.iter().map(|w| w.finished).sum(),
-            panicked: per_worker.iter().map(|w| w.panicked).sum(),
-            local_hits: per_worker.iter().map(|w| w.local_hits).sum(),
-            steals: per_worker.iter().map(|w| w.steals).sum(),
-            batch_steals: per_worker.iter().map(|w| w.batch_steals).sum(),
+            workers: self.workers(),
+            submitted: per_class.iter().map(|c| c.submitted).sum(),
+            started: ledger.claims.value(),
+            finished: per_class.iter().map(|c| c.completed).sum(),
+            panicked: ledger.panicked.value(),
+            local_hits: ledger.local_hits.value(),
+            steals: ledger.steals.value(),
+            batch_steals: ledger.batch_steals.value(),
             queue_high_water: self.inner.queue_high_water.load(Ordering::Relaxed),
             queue_depth: self.inner.queued.load(Ordering::SeqCst),
-            per_worker,
             per_class,
         }
     }
@@ -811,34 +747,24 @@ impl Drop for ThreadPool {
 /// closed *and* every deque is drained.
 fn worker_loop(id: usize, inner: &Arc<PoolInner>) {
     WORKER_IDENTITY.with(|w| w.set(Some((inner.token(), id))));
-    let counters = &inner.per_worker[id];
+    let ledger = &inner.ledger;
     loop {
         match inner.claim(id) {
             Some(job) => {
                 let band = job.meta.class.band();
-                if let Some(deadline) = job.meta.deadline {
-                    if Instant::now() > deadline {
-                        inner.per_class[band]
-                            .deadline_missed
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
+                if job.meta.deadline.is_some_and(|d| Instant::now() > d) {
+                    ledger.deadline_missed[band].inc();
                 }
-                counters.started.fetch_add(1, Ordering::Relaxed);
                 CURRENT_META.with(|m| m.set(Some(job.meta)));
                 let run_start = Instant::now();
                 let outcome = catch_unwind(AssertUnwindSafe(job.run));
                 let busy = run_start.elapsed();
                 CURRENT_META.with(|m| m.set(None));
                 if outcome.is_err() {
-                    counters.panicked.fetch_add(1, Ordering::Relaxed);
+                    ledger.panicked.inc();
                 }
-                counters.finished.fetch_add(1, Ordering::Relaxed);
-                inner.per_class[band]
-                    .busy_micros
-                    .fetch_add(busy.as_micros() as u64, Ordering::Relaxed);
-                inner.per_class[band]
-                    .completed
-                    .fetch_add(1, Ordering::Relaxed);
+                ledger.busy_us[band].add(busy.as_micros() as u64);
+                ledger.completed[band].inc();
                 inner.finish_one();
             }
             None => {
@@ -894,11 +820,7 @@ mod tests {
         assert_eq!(stats.panicked, 0);
         assert_eq!(stats.queue_depth, 0);
         assert!(stats.queue_high_water >= 1);
-        assert_eq!(stats.per_worker.len(), 4);
-        assert_eq!(
-            stats.per_worker.iter().map(|w| w.finished).sum::<u64>(),
-            100
-        );
+        assert_eq!(stats.workers, 4);
         // Every claim is either a local hit or a steal.
         assert_eq!(stats.local_hits + stats.steals, 100);
         // Default meta is Batch: the per-class ledger must agree.
@@ -909,19 +831,33 @@ mod tests {
     }
 
     #[test]
-    fn registry_mirrors_agree_with_pool_stats() {
-        let registry = obs::Registry::new();
-        let pool = ThreadPool::with_observability(4, &registry);
-        for _ in 0..200 {
-            pool.execute(|| {}).unwrap();
+    fn the_registry_ledger_balances_after_wait_empty() {
+        let pool = ThreadPool::new(4);
+        for i in 0..200 {
+            let meta = JobMeta::for_class(JobClass::from_band(i % JobClass::COUNT));
+            pool.execute_with_meta(meta, || {}).unwrap();
         }
         pool.wait_empty();
-        let stats = pool.stats();
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("pool.claims"), Some(200));
-        assert_eq!(snap.counter("pool.local_hits"), Some(stats.local_hits));
-        assert_eq!(snap.counter("pool.steals"), Some(stats.steals));
-        assert_eq!(snap.counter("pool.batch_steals"), Some(stats.batch_steals));
+        let snap = pool.registry().snapshot();
+        let count = |name: &str| {
+            snap.counter(name)
+                .unwrap_or_else(|| panic!("{name} is registered"))
+        };
+        assert_eq!(count("pool.claims"), 200);
+        assert_eq!(
+            count("pool.claims"),
+            count("pool.local_hits") + count("pool.steals"),
+            "every claim is a local hit or a steal"
+        );
+        for class in JobClass::ALL {
+            let submitted = count(&format!("pool.submitted.{class}"));
+            assert!(submitted >= 66, "{class}: {submitted}");
+            assert_eq!(
+                submitted,
+                count(&format!("pool.completed.{class}")),
+                "{class}"
+            );
+        }
         assert_eq!(snap.gauge("pool.queue_depth"), Some(0));
     }
 
@@ -1015,9 +951,9 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.finished, 41);
         assert_eq!(
-            stats.per_worker.iter().map(|w| w.stolen_from).sum::<u64>(),
-            stats.steals,
-            "every steal has a victim"
+            stats.local_hits + stats.steals,
+            stats.started,
+            "every claim is a local hit or a steal"
         );
     }
 
@@ -1065,9 +1001,9 @@ mod tests {
             "12-deep victim never batch-stolen: {stats:?}"
         );
         assert_eq!(
-            stats.per_worker.iter().map(|w| w.stolen_from).sum::<u64>(),
-            stats.steals,
-            "every steal has a victim"
+            stats.local_hits + stats.steals,
+            stats.started,
+            "every claim is a local hit or a steal"
         );
         release.store(true, Ordering::SeqCst);
         pool.wait_empty();

@@ -195,7 +195,12 @@ fn forced_eviction_during_compute_never_evicts_the_computing_entry() {
         1,
         1,
     );
-    let cache: Arc<Cache<u32, u64>> = Arc::new(Cache::with_fault_plan(1, 1, Some(plan.clone())));
+    let cache: Arc<Cache<u32, u64>> = Arc::new(Cache::with_fault_plan(
+        1,
+        1,
+        Some(plan.clone()),
+        &obs::Registry::new(),
+    ));
     let computes_a = Arc::new(AtomicU64::new(0));
 
     let owner = {

@@ -2,7 +2,8 @@
 # Tier-1 gate: everything a PR must keep green.
 #   fmt --check -> build (release) -> full test suite -> clippy with
 #   warnings denied over every target (tests, benches and examples
-#   too) -> end-to-end smokes
+#   too) -> rustdoc with warnings denied (a doc link to a deleted or
+#   private item fails here) -> end-to-end smokes
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -10,6 +11,7 @@ cargo fmt --check
 cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 # E13 smoke: the class pipeline end to end — the reproduce runner (the
 # pool's class order against a class-blind run of the same stream)
@@ -27,9 +29,10 @@ cargo run --release -q -p bench --bin reproduce -- e14 > /dev/null
 cargo run --release -q -p bench --bin serve_demo -- 4 24 net > /dev/null
 
 # Observability: obs unit tests and the histogram/exact-quantile
-# property suite, then the E15 smoke (instrumentation overhead +
-# bounded histogram memory) and the stats demo (Op::Stats over the
-# wire; asserts the registry mirrors agree with the bespoke ledgers).
+# property suite, then the E15 smoke (bounded histogram memory and
+# quantile error) and the stats demo (Op::Stats over the wire; asserts
+# the ledger it carries balances: admitted == completed + shed per
+# class, and pool.claims plus the inline hits equal the admissions).
 cargo test -q -p obs
 cargo run --release -q -p bench --bin reproduce -- e15 > /dev/null
 cargo run --release -q -p bench --bin serve_demo -- 4 24 stats > /dev/null
