@@ -890,6 +890,59 @@ mod tests {
         }
     }
 
+    #[test]
+    fn flags_match_the_bits_reference_at_32_bits() {
+        // add, sub, cmp, inc, dec and neg set the flags the course's
+        // `bits::arith` reference computes at width 32, on every pair of
+        // edge values and on seeded random pairs. inc and dec keep CF
+        // (tried both ways); neg sets it for a nonzero operand.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let edges = [0, 1, 0x7FFF_FFFF, 0x8000_0000, 0xFFFF_FFFF];
+        let mut rng = StdRng::seed_from_u64(32);
+        let mut pairs: Vec<(u32, u32)> =
+            edges.iter().flat_map(|&a| edges.map(|b| (a, b))).collect();
+        pairs.extend((0..500).map(|_| (rng.gen(), rng.gen())));
+        let mut m = Machine::new();
+        for op in [Op::Add, Op::Sub, Op::Cmp, Op::Inc, Op::Dec, Op::Neg] {
+            let instr = match op {
+                Op::Inc | Op::Dec | Op::Neg => format!("{} %eax", op.mnemonic()),
+                _ => format!("{} %ebx, %eax", op.mnemonic()),
+            };
+            let program = assemble(&format!("{instr}\nhlt\n")).unwrap();
+            for &(a, b) in &pairs {
+                for old_cf in [false, true] {
+                    m.load(&program).unwrap();
+                    m.set_reg(Reg::Eax, a);
+                    m.set_reg(Reg::Ebx, b);
+                    m.flags.cf = old_cf;
+                    m.run(2).unwrap();
+                    let (a, b) = (u64::from(a), u64::from(b));
+                    let want = match op {
+                        Op::Add => arith::add(32, a, b),
+                        Op::Sub | Op::Cmp => arith::sub(32, a, b),
+                        Op::Inc => arith::add(32, a, 1),
+                        Op::Dec => arith::sub(32, a, 1),
+                        _ => arith::sub(32, 0, a),
+                    }
+                    .unwrap();
+                    let mut flags = want.flags;
+                    match op {
+                        Op::Inc | Op::Dec => flags.cf = old_cf,
+                        Op::Neg => flags.cf = a != 0,
+                        _ => {}
+                    }
+                    let value = if op == Op::Cmp { a } else { want.value };
+                    assert_eq!(
+                        (u64::from(m.reg(Reg::Eax)), m.flags),
+                        (value, flags),
+                        "{instr} with eax={a:#x} ebx={b:#x} cf={old_cf}"
+                    );
+                }
+            }
+        }
+    }
+
     /// The address of `label` in `src` (every label-free operand has a
     /// fixed width, so a numeric placeholder does not move it).
     fn address_of(src: &str, label: &str) -> u32 {
