@@ -13,16 +13,18 @@
 //! cycle-accurate Pentium.
 //!
 //! Each instruction of the loaded program is decoded once, not once per
-//! step: [`Machine`] caches decoded instructions by byte offset into the
-//! program. [`Machine::load`] resets the cache, a [`Machine::write_u32`]
-//! that overlaps the program clears the entries that can cover its bytes,
-//! and an `eip` outside the program decodes straight from memory, so
-//! every result, fault, `executed` count and cycle is the same as
-//! decoding at every step.
+//! step: [`Machine`] caches decoded instructions, with their lengths and
+//! base costs, by byte offset into the program. [`Machine::load`] resets
+//! the cache, a [`Machine::write_u32`] that overlaps the program clears
+//! the entries that can cover its bytes, and an `eip` outside the program
+//! decodes straight from memory, so every result, fault, `executed` count
+//! and cycle is the same as decoding at every step. [`Machine::run`] and
+//! [`Machine::step`] execute through one body; `run` inlines it, so a
+//! cached step is a table load, the operation and three counter updates.
 
 use crate::insn::{DecodeError, Instr, Mem, Op, Operand, Reg};
 use crate::parser::{Program, CODE_BASE};
-use bits::arith;
+use bits::Flags;
 
 /// Bytes of machine memory (64 KiB).
 pub const MEM_SIZE: usize = 0x10000;
@@ -96,10 +98,70 @@ pub struct Machine {
     pub executed: u64,
     /// Cost-model cycles consumed.
     pub cycles: u64,
-    /// Decoded instructions (with their lengths) by byte offset into the
-    /// loaded program, which starts at [`CODE_BASE`]; one slot per
-    /// program byte, `None` until an instruction there first runs.
-    decoded: Vec<Option<(Instr, u8)>>,
+    /// Decoded instructions by byte offset into the loaded program, which
+    /// starts at [`CODE_BASE`]; one slot per program byte, `None` until an
+    /// instruction there first runs.
+    decoded: Vec<Option<Decoded>>,
+}
+
+/// A decoded instruction with what each step of it needs besides: its
+/// encoded length and its cost when no branch is taken.
+#[derive(Clone, Copy)]
+struct Decoded {
+    instr: Instr,
+    len: u8,
+    /// [`Machine::cost_of`] with `taken_branch` false: at most 27.
+    cost: u8,
+}
+
+impl Decoded {
+    fn new(instr: Instr, len: usize) -> Decoded {
+        Decoded {
+            instr,
+            len: len as u8,
+            cost: Machine::cost_of(&instr, false) as u8,
+        }
+    }
+}
+
+/// ZF and SF of a 32-bit result, with CF and OF clear: the flags the
+/// logic, shift, multiply and divide instructions start from.
+fn result_flags(v: u32) -> Flags {
+    Flags {
+        zf: v == 0,
+        sf: (v as i32) < 0,
+        cf: false,
+        of: false,
+    }
+}
+
+/// `a + b` at 32 bits with the flags `bits::arith::add(32, a, b)` sets.
+fn add_flags(a: u32, b: u32) -> (u32, Flags) {
+    let (v, cf) = a.overflowing_add(b);
+    let of = (a as i32).overflowing_add(b as i32).1;
+    (
+        v,
+        Flags {
+            cf,
+            of,
+            ..result_flags(v)
+        },
+    )
+}
+
+/// `a - b` at 32 bits with the flags `bits::arith::sub(32, a, b)` sets:
+/// CF is the borrow, set when `a < b` unsigned.
+fn sub_flags(a: u32, b: u32) -> (u32, Flags) {
+    let (v, cf) = a.overflowing_sub(b);
+    let of = (a as i32).overflowing_sub(b as i32).1;
+    (
+        v,
+        Flags {
+            cf,
+            of,
+            ..result_flags(v)
+        },
+    )
 }
 
 impl std::fmt::Debug for Machine {
@@ -280,28 +342,39 @@ impl Machine {
         c
     }
 
-    /// Decodes the instruction at `at`, through the decoded cache when
-    /// `at` lies inside the loaded program. An entry is filled only when
-    /// the whole instruction lies inside the program, so no store outside
-    /// it can leave one stale; any other `eip` decodes straight from
-    /// memory, exactly as if there were no cache.
-    fn fetch(&mut self, at: u32) -> Result<(Instr, usize), MachineError> {
-        let slot = (at as usize)
-            .checked_sub(CODE_BASE as usize)
-            .filter(|&slot| slot < self.decoded.len());
-        if let Some((instr, len)) = slot.and_then(|slot| self.decoded[slot]) {
-            return Ok((instr, usize::from(len)));
+    /// The instruction at `at`, from the decoded cache when `at` lies
+    /// inside the loaded program and its entry is filled.
+    #[inline(always)]
+    fn fetch(&mut self, at: u32) -> Result<Decoded, MachineError> {
+        let slot = (at as usize).wrapping_sub(CODE_BASE as usize);
+        match self.decoded.get(slot) {
+            Some(&Some(entry)) => Ok(entry),
+            _ => self.decode(at),
         }
+    }
+
+    /// Decodes the instruction at `at` from memory, and caches it when the
+    /// whole instruction lies inside the program, so no store outside it
+    /// can leave an entry stale; any other `eip` decodes straight from
+    /// memory at every step, exactly as if there were no cache.
+    #[cold]
+    #[inline(never)]
+    fn decode(&mut self, at: u32) -> Result<Decoded, MachineError> {
         let code_off = at as usize;
         if code_off >= MEM_SIZE {
             return Err(MachineError::Segfault { addr: at, eip: at });
         }
         let (instr, len) = Instr::decode(&self.mem, code_off)
             .map_err(|e| MachineError::IllegalInstruction(e, at))?;
-        if let Some(slot) = slot.filter(|&slot| slot + len <= self.decoded.len()) {
-            self.decoded[slot] = Some((instr, len as u8));
+        let entry = Decoded::new(instr, len);
+        let slot = code_off.wrapping_sub(CODE_BASE as usize);
+        if slot
+            .checked_add(len)
+            .is_some_and(|end| end <= self.decoded.len())
+        {
+            self.decoded[slot] = Some(entry);
         }
-        Ok((instr, len))
+        Ok(entry)
     }
 
     /// Executes one instruction. Returns the instruction executed.
@@ -309,12 +382,36 @@ impl Machine {
         if self.halted {
             return Ok(Instr::zero(Op::Hlt));
         }
+        let entry = self.fetch(self.eip)?;
+        self.execute(entry)?;
+        Ok(entry.instr)
+    }
+
+    /// Runs until `hlt` or the fuel limit.
+    pub fn run(&mut self, fuel: u64) -> Result<(), MachineError> {
+        for _ in 0..fuel {
+            if self.halted {
+                return Ok(());
+            }
+            let entry = self.fetch(self.eip)?;
+            self.execute(entry)?;
+        }
+        if self.halted {
+            Ok(())
+        } else {
+            Err(MachineError::OutOfFuel)
+        }
+    }
+
+    /// Executes `entry`, the instruction at `eip`: the one step body that
+    /// [`Machine::step`] and [`Machine::run`] share, inlined into both.
+    #[inline(always)]
+    fn execute(&mut self, entry: Decoded) -> Result<(), MachineError> {
+        let Decoded { instr, len, cost } = entry;
         let at = self.eip;
-        let (instr, len) = self.fetch(at)?;
-        self.eip = at.wrapping_add(len as u32);
+        self.eip = at.wrapping_add(u32::from(len));
         let mut taken = false;
 
-        let w = 32;
         match instr.op {
             Op::Nop => {}
             Op::Hlt => self.halted = true,
@@ -335,17 +432,17 @@ impl Machine {
                 self.write_operand(&instr.dst.expect("lea has dst"), ea)?;
             }
             Op::Add | Op::Sub | Op::Cmp => {
-                let src = self.read_operand(&instr.src.expect("src"))? as u64;
+                let src = self.read_operand(&instr.src.expect("src"))?;
                 let dst_op = instr.dst.expect("dst");
-                let dst = self.read_operand(&dst_op)? as u64;
-                let r = if instr.op == Op::Add {
-                    arith::add(w, dst, src).expect("width 32")
+                let dst = self.read_operand(&dst_op)?;
+                let (v, flags) = if instr.op == Op::Add {
+                    add_flags(dst, src)
                 } else {
-                    arith::sub(w, dst, src).expect("width 32")
+                    sub_flags(dst, src)
                 };
-                self.flags = r.flags;
+                self.flags = flags;
                 if instr.op != Op::Cmp {
-                    self.write_operand(&dst_op, r.value as u32)?;
+                    self.write_operand(&dst_op, v)?;
                 }
             }
             Op::And | Op::Or | Op::Xor | Op::Test => {
@@ -357,7 +454,7 @@ impl Machine {
                     Op::Or => dst | src,
                     _ => dst ^ src,
                 };
-                self.flags = arith::Flags::from_result(w, v as u64);
+                self.flags = result_flags(v);
                 if instr.op != Op::Test {
                     self.write_operand(&dst_op, v)?;
                 }
@@ -369,9 +466,11 @@ impl Machine {
                 let wide = src as i64 * dst as i64;
                 let v = wide as i32;
                 let overflow = wide != v as i64;
-                self.flags = arith::Flags::from_result(w, v as u32 as u64);
-                self.flags.cf = overflow;
-                self.flags.of = overflow;
+                self.flags = Flags {
+                    cf: overflow,
+                    of: overflow,
+                    ..result_flags(v as u32)
+                };
                 self.write_operand(&dst_op, v as u32)?;
             }
             Op::Idiv | Op::Imod => {
@@ -388,7 +487,7 @@ impl Machine {
                 };
                 // x86 leaves flags undefined after division; we define them
                 // from the result for determinism.
-                self.flags = arith::Flags::from_result(w, v as u32 as u64);
+                self.flags = result_flags(v as u32);
                 self.write_operand(&dst_op, v as u32)?;
             }
             Op::Shl | Op::Shr | Op::Sar => {
@@ -411,31 +510,34 @@ impl Machine {
                         ),
                     }
                 };
-                self.flags = arith::Flags::from_result(w, v as u64);
-                self.flags.cf = cf;
+                self.flags = Flags {
+                    cf,
+                    ..result_flags(v)
+                };
                 self.write_operand(&dst_op, v)?;
             }
             Op::Inc | Op::Dec => {
                 let dst_op = instr.dst.expect("dst");
-                let dst = self.read_operand(&dst_op)? as u64;
-                let r = if instr.op == Op::Inc {
-                    arith::add(w, dst, 1).expect("width 32")
+                let dst = self.read_operand(&dst_op)?;
+                let (v, flags) = if instr.op == Op::Inc {
+                    add_flags(dst, 1)
                 } else {
-                    arith::sub(w, dst, 1).expect("width 32")
+                    sub_flags(dst, 1)
                 };
                 // x86: inc/dec preserve CF.
-                let old_cf = self.flags.cf;
-                self.flags = r.flags;
-                self.flags.cf = old_cf;
-                self.write_operand(&dst_op, r.value as u32)?;
+                self.flags = Flags {
+                    cf: self.flags.cf,
+                    ..flags
+                };
+                self.write_operand(&dst_op, v)?;
             }
             Op::Neg => {
                 let dst_op = instr.dst.expect("dst");
-                let dst = self.read_operand(&dst_op)? as u64;
-                let r = arith::sub(w, 0, dst).expect("width 32");
-                self.flags = r.flags;
-                self.flags.cf = dst != 0;
-                self.write_operand(&dst_op, r.value as u32)?;
+                let dst = self.read_operand(&dst_op)?;
+                // CF is the borrow of `0 - dst`: set unless `dst` is 0.
+                let (v, flags) = sub_flags(0, dst);
+                self.flags = flags;
+                self.write_operand(&dst_op, v)?;
             }
             Op::Not => {
                 let dst_op = instr.dst.expect("dst");
@@ -484,23 +586,8 @@ impl Machine {
         }
 
         self.executed += 1;
-        self.cycles += Machine::cost_of(&instr, taken);
-        Ok(instr)
-    }
-
-    /// Runs until `hlt` or the fuel limit.
-    pub fn run(&mut self, fuel: u64) -> Result<(), MachineError> {
-        for _ in 0..fuel {
-            if self.halted {
-                return Ok(());
-            }
-            self.step()?;
-        }
-        if self.halted {
-            Ok(())
-        } else {
-            Err(MachineError::OutOfFuel)
-        }
+        self.cycles += u64::from(cost) + u64::from(taken);
+        Ok(())
     }
 
     /// Pretty-prints registers the way the course's GDB cheat-sheet does.
@@ -524,6 +611,7 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::parser::assemble;
+    use bits::arith;
 
     /// Loads `src` into a fresh machine without running it.
     fn loaded(src: &str) -> Machine {
@@ -953,7 +1041,7 @@ mod tests {
     fn filled(m: &Machine) -> Vec<(u32, u32)> {
         (CODE_BASE..)
             .zip(&m.decoded)
-            .filter_map(|(at, entry)| entry.map(|(_, len)| (at, u32::from(len))))
+            .filter_map(|(at, entry)| entry.map(|entry| (at, u32::from(entry.len))))
             .collect()
     }
 

@@ -431,6 +431,8 @@ impl ServeLedger {
 
 struct ServerInner {
     cache: Cache<Request, Response>,
+    /// The Lab 4 rubric every Grade request runs, built once.
+    rubric: Vec<autograde::TestCase>,
     experiments: Vec<(String, ExperimentFn)>,
     fault_plan: Option<FaultPlan>,
     slots: Semaphore,
@@ -475,7 +477,7 @@ impl ServerInner {
     fn handle_inner(&self, req: &Request) -> Response {
         match req {
             Request::Grade { submission } => {
-                let report = autograde::grade(submission, &autograde::sum_array_rubric(), 200_000);
+                let report = autograde::grade(submission, &self.rubric, 200_000);
                 Response {
                     ok: true,
                     body: report.render(),
@@ -851,6 +853,7 @@ impl CourseServer {
                 config.fault_plan.clone(),
                 registry,
             ),
+            rubric: autograde::sum_array_rubric(),
             experiments,
             fault_plan: config.fault_plan,
             slots: Semaphore::new(config.queue_capacity),

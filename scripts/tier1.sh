@@ -3,7 +3,8 @@
 #   fmt --check -> build (release) -> full test suite -> clippy with
 #   warnings denied over every target (tests, benches and examples
 #   too) -> rustdoc with warnings denied (a doc link to a deleted or
-#   private item fails here) -> end-to-end smokes
+#   private item fails here) -> the course kernels' own suites ->
+#   end-to-end smokes
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -12,6 +13,13 @@ cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
+# Course-kernel tier: the emulator's unit tests (the decoded cache, fuel
+# and cycle pins, the 32-bit flags against `bits::arith`), its golden
+# machine-state corpus, the Life engines' differential and parallel-vs-
+# serial tests, and the autograder's, which the root suite reaches only
+# through the golden response bodies.
+cargo test -q -p asm -p life -p cs31
 
 # E13 smoke: the class pipeline end to end — the reproduce runner (the
 # pool's class order against a class-blind run of the same stream)
