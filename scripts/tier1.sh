@@ -88,9 +88,9 @@ printf 'view\njoin 0\ndrain 0\nload\nquit\n' | \
 # the code that ships, the course compute path included. The hit
 # workloads run 1 s. compute_mix runs 3 s: it takes one p99 over its
 # whole timed phase and fails a run with fewer than ten samples beyond
-# it. At the 1,360-2,210 interactive answers a second that ten 20 s runs
-# measured on the 2-vCPU reference host, 3 s leaves at least 40 beyond
-# its interactive p99, and still about 13 at a third of the slowest.
+# it. At the 2,680-3,250 interactive answers a second that ten 20 s runs
+# measured on the 2-vCPU reference host, 3 s leaves at least 80 beyond
+# its interactive p99, and still about 27 at a third of the slowest.
 cargo test -q --release --manifest-path perfbench/Cargo.toml
 for workload in hit_direct hit_routed; do
     cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
