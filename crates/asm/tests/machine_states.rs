@@ -261,8 +261,9 @@ fn directed_programs() -> Vec<(String, String)> {
         add(format!("condition j{}", cond.suffix()), s);
     }
 
-    // Shifts: counts 0 (flags keep CF), 1, 31 and 32 (masked to 0) as
-    // immediates and from %ecx, on values with both ends set.
+    // Shifts: counts 0 (flags keep CF), 1, 31, and 32 and 33 (masked to
+    // 0 and 1), as immediates and from %ecx, on values with both ends
+    // set.
     for op in ["shll", "shrl", "sarl"] {
         for count in [0u32, 1, 31, 32, 33] {
             for from_reg in [false, true] {
@@ -382,7 +383,7 @@ fn directed_programs() -> Vec<(String, String)> {
 
     // Stores into the program: patch an immediate the loop then runs,
     // rewrite the next instruction into garbage, and overwrite the
-    // running loop's tail.
+    // loop's back jump with `hlt`s.
     let patch = |imm: u32| {
         format!(
             "main:\n movl $0, %eax\n movl $2, %ecx\npatch:\n addl $1, %eax\n\
