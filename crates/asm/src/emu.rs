@@ -13,16 +13,18 @@
 //! cycle-accurate Pentium.
 //!
 //! Each instruction of the loaded program is decoded once, not once per
-//! step: [`Machine`] caches decoded instructions, with their lengths and
-//! base costs, by byte offset into the program. [`Machine::load`] resets
-//! the cache, a [`Machine::write_u32`] that overlaps the program clears
-//! the entries that can cover its bytes, and an `eip` outside the program
-//! decodes straight from memory, so every result, fault, `executed` count
-//! and cycle is the same as decoding at every step. [`Machine::run`] and
-//! [`Machine::step`] execute through one body; `run` inlines it, so a
-//! cached step is a table load, the operation and three counter updates.
+//! step, into straight-line blocks of up to 16 instructions that end at
+//! a control transfer. [`Machine::run`] executes a whole block per
+//! lookup, takes a `jmp` or `jcc` to a fixed address itself, and keeps a
+//! block that jumps back to its own start in hand; [`Machine::step`]
+//! runs the first instruction of the block at `eip` through the same
+//! body. [`Machine::load`] empties the cache, a [`Machine::write_u32`]
+//! that overlaps the program clears the blocks that can cover its bytes,
+//! and an `eip` where no block can start decodes straight from memory,
+//! so every result, fault, `executed` count and cycle is the same as
+//! decoding at every step.
 
-use crate::insn::{DecodeError, Instr, Mem, Op, Operand, Reg};
+use crate::insn::{Cond, DecodeError, Instr, Mem, Op, Operand, Reg};
 use crate::parser::{Program, CODE_BASE};
 use bits::Flags;
 
@@ -30,6 +32,11 @@ use bits::Flags;
 pub const MEM_SIZE: usize = 0x10000;
 /// Initial stack pointer (stack grows down from here).
 pub const STACK_TOP: u32 = 0xFF00;
+/// Most instructions in one block.
+const BLOCK_LEN: usize = 16;
+/// Decoded instructions the cache holds before it starts over, so a
+/// program that keeps rewriting itself cannot grow it without bound.
+const CACHE_LIMIT: usize = 1 << 15;
 
 /// Runtime errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,10 +105,8 @@ pub struct Machine {
     pub executed: u64,
     /// Cost-model cycles consumed.
     pub cycles: u64,
-    /// Decoded instructions by byte offset into the loaded program, which
-    /// starts at [`CODE_BASE`]; one slot per program byte, `None` until an
-    /// instruction there first runs.
-    decoded: Vec<Option<Decoded>>,
+    /// The loaded program's instructions, decoded into blocks.
+    cache: Cache,
 }
 
 /// A decoded instruction with what each step of it needs besides: its
@@ -120,6 +125,137 @@ impl Decoded {
             instr,
             len: len as u8,
             cost: Machine::cost_of(&instr, false) as u8,
+        }
+    }
+}
+
+/// Up to [`BLOCK_LEN`] instructions of the program that run one after
+/// another: decoding stops after a `jmp`, `jcc`, `call`, `ret` or `hlt`,
+/// and before an instruction that does not decode or does not lie wholly
+/// inside the program.
+#[derive(Clone, Copy)]
+struct Block {
+    /// Its instructions are `Cache::body[first..first + len]`.
+    first: u32,
+    len: u8,
+    /// The address just past its last instruction.
+    end: u32,
+    exit: Exit,
+}
+
+/// How [`Machine::run`] leaves a block after its last instruction.
+#[derive(Clone, Copy)]
+enum Exit {
+    /// A `jmp` to a fixed address.
+    Jump(u32),
+    /// A `jcc` to a fixed address; not taken, it falls through to the
+    /// block's `end`.
+    Branch(Cond, u32),
+    /// Any other instruction, run through `execute` like the rest.
+    Step,
+}
+
+/// The instruction cache: the loaded program's blocks, each decoded the
+/// first time `eip` reaches its start, in one arena.
+#[derive(Clone, Default)]
+struct Cache {
+    /// One entry per program byte (the program starts at [`CODE_BASE`]):
+    /// 0, or one more than the index in `blocks` of the block starting
+    /// there.
+    starts: Vec<u32>,
+    blocks: Vec<Block>,
+    /// Every block's instructions, each block's in order.
+    body: Vec<Decoded>,
+    /// The most bytes any block built since the cache was emptied spans,
+    /// so a block that covers a byte starts at most `span - 1` bytes
+    /// before it.
+    span: usize,
+}
+
+impl Cache {
+    /// Empties the cache for a program of `len` bytes.
+    fn reset(&mut self, len: usize) {
+        self.starts.clear();
+        self.starts.resize(len, 0);
+        self.blocks.clear();
+        self.body.clear();
+        self.span = 0;
+    }
+
+    /// The block starting at `at`, decoded from `mem` the first time;
+    /// `None` when no instruction at `at` lies wholly inside the program.
+    #[inline(always)]
+    fn lookup(&mut self, mem: &[u8], at: u32) -> Option<usize> {
+        let offset = (at as usize).wrapping_sub(CODE_BASE as usize);
+        match *self.starts.get(offset)? {
+            0 => self.build(mem, offset),
+            tag => Some(tag as usize - 1),
+        }
+    }
+
+    /// Whether block `id` still starts at `at`: false once a store has
+    /// cleared it.
+    #[inline(always)]
+    fn holds(&self, at: u32, id: usize) -> bool {
+        let offset = (at as usize).wrapping_sub(CODE_BASE as usize);
+        self.starts.get(offset) == Some(&(id as u32 + 1))
+    }
+
+    /// Decodes the block starting `start` bytes into the program. A
+    /// cache holding [`CACHE_LIMIT`] instructions empties first, so a
+    /// program that keeps rewriting itself cannot grow it without bound.
+    #[cold]
+    #[inline(never)]
+    fn build(&mut self, mem: &[u8], start: usize) -> Option<usize> {
+        if self.body.len() + BLOCK_LEN > CACHE_LIMIT {
+            self.reset(self.starts.len());
+        }
+        let code = CODE_BASE as usize;
+        let program = &mem[code..code + self.starts.len()];
+        let first = self.body.len();
+        let mut at = start;
+        let mut exit = Exit::Step;
+        while self.body.len() - first < BLOCK_LEN {
+            let Ok((instr, len)) = Instr::decode(program, at) else {
+                break;
+            };
+            self.body.push(Decoded::new(instr, len));
+            at += len;
+            match (instr.op, instr.cond, instr.dst) {
+                (Op::Jmp, _, Some(Operand::Imm(target))) => exit = Exit::Jump(target as u32),
+                (Op::Jcc, Some(cond), Some(Operand::Imm(target))) => {
+                    exit = Exit::Branch(cond, target as u32)
+                }
+                (Op::Jmp | Op::Jcc | Op::Call | Op::Ret | Op::Hlt, ..) => {}
+                _ => continue,
+            }
+            break;
+        }
+        let len = self.body.len() - first;
+        if len == 0 {
+            return None;
+        }
+        self.span = self.span.max(at - start);
+        self.blocks.push(Block {
+            first: first as u32,
+            len: len as u8,
+            end: (code + at) as u32,
+            exit,
+        });
+        self.starts[start] = self.blocks.len() as u32;
+        Some(self.blocks.len() - 1)
+    }
+
+    /// Clears every block a store to `[addr, addr + 4)` can overlap: the
+    /// starts under it and in the `span - 1` bytes before it, at most
+    /// 16 × 17 + 3 entries whatever the program's size.
+    fn clear(&mut self, addr: usize) {
+        let code = CODE_BASE as usize;
+        let len = self.starts.len();
+        if addr < code + len && addr + 4 > code {
+            let first = (addr + 1).saturating_sub(code + self.span);
+            let end = (addr + 4 - code).min(len);
+            self.starts[first..end].fill(0);
         }
     }
 }
@@ -193,7 +329,7 @@ impl Machine {
             output: Vec::new(),
             executed: 0,
             cycles: 0,
-            decoded: Vec::new(),
+            cache: Cache::default(),
         };
         m.regs[Reg::Esp.index() as usize] = STACK_TOP;
         m.regs[Reg::Ebp.index() as usize] = STACK_TOP;
@@ -207,7 +343,7 @@ impl Machine {
             return Err(MachineError::ProgramTooLarge(program.bytes.len()));
         }
         self.mem[CODE_BASE as usize..end].copy_from_slice(&program.bytes);
-        self.decoded = vec![None; program.bytes.len()];
+        self.cache.reset(program.bytes.len());
         self.eip = program.entry;
         self.halted = false;
         Ok(())
@@ -241,11 +377,12 @@ impl Machine {
     }
 
     /// Writes a 32-bit little-endian word. A store that overlaps the
-    /// loaded program drops the decoded instructions that can cover its
-    /// bytes, so self-modifying code runs its new bytes. An instruction
-    /// spans at most [`Instr::MAX_LEN`] bytes, so those are the entries
-    /// starting under the store or in the `MAX_LEN - 1` bytes before it:
-    /// a store costs the same whatever the program's size.
+    /// loaded program drops the decoded blocks that can cover its bytes,
+    /// so self-modifying code runs its new bytes. A block spans at most
+    /// 16 instructions of [`Instr::MAX_LEN`] bytes, so those are the
+    /// blocks starting under the store or in the bytes before it that the
+    /// longest block built so far spans: a store costs the same whatever
+    /// the program's size.
     pub fn write_u32(&mut self, addr: u32, v: u32) -> Result<(), MachineError> {
         let a = addr as usize;
         if a + 4 > MEM_SIZE {
@@ -255,13 +392,13 @@ impl Machine {
             });
         }
         self.mem[a..a + 4].copy_from_slice(&v.to_le_bytes());
-        let code = CODE_BASE as usize;
-        if a < code + self.decoded.len() && a + 4 > code {
-            let first = a.saturating_sub(code + Instr::MAX_LEN - 1);
-            let end = (a + 4 - code).min(self.decoded.len());
-            self.decoded[first..end].fill(None);
-        }
+        self.cache.clear(a);
         Ok(())
+    }
+
+    /// All of memory, read-only.
+    pub fn memory(&self) -> &[u8] {
+        &self.mem
     }
 
     /// Reads one byte (used by the debugger's memory examiner).
@@ -342,71 +479,136 @@ impl Machine {
         c
     }
 
-    /// The instruction at `at`, from the decoded cache when `at` lies
-    /// inside the loaded program and its entry is filled.
-    #[inline(always)]
-    fn fetch(&mut self, at: u32) -> Result<Decoded, MachineError> {
-        let slot = (at as usize).wrapping_sub(CODE_BASE as usize);
-        match self.decoded.get(slot) {
-            Some(&Some(entry)) => Ok(entry),
-            _ => self.decode(at),
-        }
-    }
-
-    /// Decodes the instruction at `at` from memory, and caches it when the
-    /// whole instruction lies inside the program, so no store outside it
-    /// can leave an entry stale; any other `eip` decodes straight from
-    /// memory at every step, exactly as if there were no cache.
+    /// Decodes the instruction at `at` straight from memory: the path for
+    /// an `eip` where no block can start (outside the program, or an
+    /// instruction running past its end), taken at every step there
+    /// exactly as if there were no cache.
     #[cold]
     #[inline(never)]
-    fn decode(&mut self, at: u32) -> Result<Decoded, MachineError> {
+    fn decode(&self, at: u32) -> Result<Decoded, MachineError> {
         let code_off = at as usize;
         if code_off >= MEM_SIZE {
             return Err(MachineError::Segfault { addr: at, eip: at });
         }
         let (instr, len) = Instr::decode(&self.mem, code_off)
             .map_err(|e| MachineError::IllegalInstruction(e, at))?;
-        let entry = Decoded::new(instr, len);
-        let slot = code_off.wrapping_sub(CODE_BASE as usize);
-        if slot
-            .checked_add(len)
-            .is_some_and(|end| end <= self.decoded.len())
-        {
-            self.decoded[slot] = Some(entry);
-        }
-        Ok(entry)
+        Ok(Decoded::new(instr, len))
     }
 
-    /// Executes one instruction. Returns the instruction executed.
+    /// Decodes the instruction at `eip` straight from memory and executes
+    /// it, returning the cycles it cost.
+    #[cold]
+    #[inline(never)]
+    fn execute_from_memory(&mut self) -> Result<u64, MachineError> {
+        let entry = self.decode(self.eip)?;
+        self.execute(entry)
+    }
+
+    /// Executes one instruction, the first of the block at `eip`. Returns
+    /// the instruction executed.
     pub fn step(&mut self) -> Result<Instr, MachineError> {
         if self.halted {
             return Ok(Instr::zero(Op::Hlt));
         }
-        let entry = self.fetch(self.eip)?;
-        self.execute(entry)?;
+        let entry = match self.cache.lookup(&self.mem, self.eip) {
+            Some(id) => self.cache.body[self.cache.blocks[id].first as usize],
+            None => self.decode(self.eip)?,
+        };
+        self.cycles += self.execute(entry)?;
+        self.executed += 1;
         Ok(entry.instr)
     }
 
-    /// Runs until `hlt` or the fuel limit.
+    /// Runs until `hlt` or the fuel limit, a block per lookup. A block
+    /// runs whole only when the fuel covers it; otherwise its first
+    /// instructions run until the fuel is gone, so the fuel runs out on
+    /// the instruction it would at one step a time. After each
+    /// instruction `run` checks that its block still starts where it
+    /// did: a store that overlapped the block cleared that start, and the
+    /// rest is looked up again from `eip`.
     pub fn run(&mut self, fuel: u64) -> Result<(), MachineError> {
-        for _ in 0..fuel {
+        // Every instruction that runs takes one unit of `left`, so
+        // `executed` grows by the fuel used.
+        let (mut left, mut cycles) = (fuel, self.cycles);
+        let result = 'run: loop {
             if self.halted {
-                return Ok(());
+                break Ok(());
             }
-            let entry = self.fetch(self.eip)?;
-            self.execute(entry)?;
-        }
-        if self.halted {
-            Ok(())
-        } else {
-            Err(MachineError::OutOfFuel)
-        }
+            if left == 0 {
+                break Err(MachineError::OutOfFuel);
+            }
+            let start = self.eip;
+            let Some(id) = self.cache.lookup(&self.mem, start) else {
+                match self.execute_from_memory() {
+                    Ok(cost) => (cycles, left) = (cycles + cost, left - 1),
+                    Err(e) => break Err(e),
+                }
+                continue;
+            };
+            let Block {
+                first,
+                len,
+                end,
+                exit,
+            } = self.cache.blocks[id];
+            let (first, len) = (first as usize, u64::from(len));
+            // A fixed jump is taken below; every other instruction runs
+            // through `execute`.
+            let (steps, jump_cost) = match exit {
+                Exit::Step => (len, 0),
+                _ => (
+                    len - 1,
+                    u64::from(self.cache.body[first + len as usize - 1].cost),
+                ),
+            };
+            // The block again for as long as it ends where it starts.
+            loop {
+                for i in 0..steps.min(left) as usize {
+                    match self.execute(self.cache.body[first + i]) {
+                        Ok(cost) => cycles += cost,
+                        Err(e) => {
+                            left -= i as u64;
+                            break 'run Err(e);
+                        }
+                    }
+                    if !self.cache.holds(start, id) {
+                        left -= i as u64 + 1;
+                        continue 'run;
+                    }
+                }
+                if len > left {
+                    left = 0;
+                    continue 'run;
+                }
+                left -= len;
+                match exit {
+                    Exit::Jump(target) => {
+                        self.eip = target;
+                        cycles += jump_cost + 1;
+                    }
+                    Exit::Branch(cond, target) => {
+                        let taken = cond.eval(self.flags);
+                        self.eip = if taken { target } else { end };
+                        cycles += jump_cost + u64::from(taken);
+                    }
+                    Exit::Step => {}
+                }
+                if self.eip != start || left == 0 {
+                    continue 'run;
+                }
+            }
+        };
+        self.executed += fuel - left;
+        self.cycles = cycles;
+        result
     }
 
-    /// Executes `entry`, the instruction at `eip`: the one step body that
-    /// [`Machine::step`] and [`Machine::run`] share, inlined into both.
+    /// Executes `entry`, the instruction at `eip`, and returns the cycles
+    /// it cost: the one step body that [`Machine::step`] and
+    /// [`Machine::run`] share, inlined into both. The caller counts it in
+    /// `executed` and `cycles`.
     #[inline(always)]
-    fn execute(&mut self, entry: Decoded) -> Result<(), MachineError> {
+    fn execute(&mut self, entry: Decoded) -> Result<u64, MachineError> {
         let Decoded { instr, len, cost } = entry;
         let at = self.eip;
         self.eip = at.wrapping_add(u32::from(len));
@@ -585,9 +787,7 @@ impl Machine {
             }
         }
 
-        self.executed += 1;
-        self.cycles += u64::from(cost) + u64::from(taken);
-        Ok(())
+        Ok(u64::from(cost) + u64::from(taken))
     }
 
     /// Pretty-prints registers the way the course's GDB cheat-sheet does.
@@ -1037,11 +1237,12 @@ mod tests {
         assemble(src).unwrap().symbols[label]
     }
 
-    /// The filled cache entries: each one's address and length.
+    /// The cached blocks: each one's start address and length in bytes.
     fn filled(m: &Machine) -> Vec<(u32, u32)> {
         (CODE_BASE..)
-            .zip(&m.decoded)
-            .filter_map(|(at, entry)| entry.map(|entry| (at, u32::from(entry.len))))
+            .zip(&m.cache.starts)
+            .filter(|&(_, &tag)| tag != 0)
+            .map(|(at, &tag)| (at, m.cache.blocks[tag as usize - 1].end - at))
             .collect()
     }
 
@@ -1077,7 +1278,7 @@ mod tests {
     fn only_stores_that_overlap_the_program_clear_the_cache() {
         // The loop stores its running sum to the first byte past the
         // program and copies it on with a `movl` as long as an
-        // instruction gets: execution is unchanged and every decode stays
+        // instruction gets: execution is unchanged and every block stays
         // cached.
         let src = |end: u32| {
             format!(
@@ -1087,6 +1288,7 @@ mod tests {
             )
         };
         let end = CODE_BASE + assemble(&src(0)).unwrap().bytes.len() as u32;
+        let again = address_of(&src(0), "again");
         let ran = || {
             let mut m = loaded(&src(end));
             m.run(1000).unwrap();
@@ -1098,14 +1300,23 @@ mod tests {
             (6, Ok(6), Ok(6))
         );
         assert_eq!((m.executed, m.cycles), (21, 50));
+        // main's block runs into the loop, the loop's starts at `again`,
+        // and `hlt` follows the loop's last `jne`.
         let cached = filled(&m);
-        assert_eq!(cached.len(), 9, "one entry per instruction that ran");
-        assert!(cached.iter().any(|&(_, len)| len == Instr::MAX_LEN as u32));
+        assert_eq!(
+            cached,
+            [
+                (CODE_BASE, again - CODE_BASE + 51),
+                (again, 51),
+                (end - 1, 1)
+            ],
+            "one block per block start that ran"
+        );
         // One store at each address from below the program to past it:
-        // it drops every entry whose bytes it touches, and keeps every
-        // entry that starts neither under it nor in the `MAX_LEN - 1`
-        // bytes before it.
-        let reach = Instr::MAX_LEN as u32 - 1;
+        // it drops every block whose bytes it touches, and keeps every
+        // block that starts neither under it nor in the bytes before it
+        // that the longest block spans.
+        let reach = cached.iter().map(|&(_, len)| len).max().unwrap() - 1;
         for addr in CODE_BASE - 8..end + 8 {
             let mut m = ran();
             m.write_u32(addr, 0xFFFF_FFFF).unwrap();
@@ -1113,10 +1324,10 @@ mod tests {
             for &(at, len) in &cached {
                 let kept = after.contains(&(at, len));
                 if at < addr + 4 && at + len > addr {
-                    assert!(!kept, "a store at {addr:#x} kept the entry at {at:#x}");
+                    assert!(!kept, "a store at {addr:#x} kept the block at {at:#x}");
                 }
                 if at + reach < addr || at >= addr + 4 {
-                    assert!(kept, "a store at {addr:#x} dropped the entry at {at:#x}");
+                    assert!(kept, "a store at {addr:#x} dropped the block at {at:#x}");
                 }
             }
         }
@@ -1127,8 +1338,9 @@ mod tests {
         // A program as large as `load` takes, so its tail sits just under
         // the stack. Its loop rewrites the program's first word unchanged,
         // stores into its tail and pushes across its last bytes; each
-        // store drops only the entries around it, so every entry of the
-        // loop stays cached and only the first instruction's is gone.
+        // store drops only the blocks around it, so the loop's block stays
+        // cached (and in hand: `run` never looks it up again) and only
+        // main's block, which the first word starts, is gone.
         let head = "main:\n    movl $1000, %ecx\nagain:\n    movl 0x1000, %eax\n\
                     \x20   movl %eax, 0x1000\n    movl %ecx, 0xfef0\n    pushl %ecx\n\
                     \x20   popl %edx\n    decl %ecx\n    cmpl $0, %ecx\n    jne again\n\
@@ -1150,8 +1362,12 @@ mod tests {
             ),
             (first, 1, 1)
         );
+        let again = p.symbols["again"];
         let cached = filled(&m);
-        assert_eq!(cached.len(), 9, "the loop's eight entries and hlt's");
+        assert!(
+            cached.contains(&(again, 57)),
+            "the loop's block: {cached:x?}"
+        );
         assert!(cached.iter().all(|&(at, _)| at > CODE_BASE));
     }
 
@@ -1283,6 +1499,138 @@ mod tests {
             assert_eq!(m.reg(Reg::Eax) as i32, values.iter().sum::<i32>());
             assert_eq!((m.executed, m.cycles), (executed, cycles), "{values:?}");
         }
+    }
+
+    #[test]
+    fn a_store_into_a_later_instruction_of_the_running_block_runs_its_new_bytes() {
+        // The `movl` and the `addl` after it are one block, built before
+        // the store rewrites the `addl`'s immediate (after its opcode and
+        // operand-kind bytes) to 1000: the block must stop after the
+        // store, and the `addl` run its new bytes.
+        let src = |imm_addr: u32| {
+            format!("main:\n    movl $1000, {imm_addr:#x}\npatch:\n    addl $1, %eax\n    hlt\n")
+        };
+        let imm_addr = address_of(&src(0), "patch") + 2;
+        let mut m = loaded(&src(imm_addr));
+        m.run(100).unwrap();
+        assert_eq!((m.reg(Reg::Eax), m.executed, m.cycles), (1000, 3, 6));
+    }
+
+    #[test]
+    fn a_call_to_its_own_address_that_pushes_over_itself_runs_the_new_bytes() {
+        // The `call` is a block of its own, entered by the `jmp`, and
+        // `%esp` points 4 bytes into it, so its push writes the return
+        // address over the `call`'s first four bytes. A block kept in hand
+        // would call again; the new first byte, the return address's low
+        // byte, is no opcode.
+        let src = |esp: u32| {
+            format!("main:\n    movl ${esp:#x}, %esp\n    jmp again\nagain:\n    call again\n")
+        };
+        let again = address_of(&src(0), "again");
+        let ret = again + 6;
+        let mut m = loaded(&src(again + 4));
+        let illegal = MachineError::IllegalInstruction(
+            DecodeError::BadOpcode(ret as u8, again as usize),
+            again,
+        );
+        assert_eq!(m.run(100), Err(illegal));
+        assert_eq!((m.eip, m.executed, m.cycles), (again, 3, 8));
+        assert_eq!(m.read_u32(again), Ok(ret));
+    }
+
+    #[test]
+    fn a_jump_into_the_middle_of_a_block_starts_a_block_there() {
+        // main's block runs through `ten` to the `jl`, which then jumps
+        // into it: `ten` gets a block of its own over the same bytes.
+        let src = "main:\n    movl $0, %eax\n    movl $0, %ecx\n    addl $1, %eax\nten:\n\
+                   \x20   addl $10, %ecx\n    cmpl $50, %ecx\n    jl ten\n    hlt\n";
+        let ten = address_of(src, "ten");
+        let mut m = loaded(src);
+        m.run(1000).unwrap();
+        assert_eq!((m.reg(Reg::Eax), m.reg(Reg::Ecx)), (1, 50));
+        assert_eq!((m.executed, m.cycles), (19, 23));
+        let cached = filled(&m);
+        let main = cached[0];
+        assert_eq!(main.0, CODE_BASE);
+        assert!(
+            cached.contains(&(ten, CODE_BASE + main.1 - ten)),
+            "{cached:x?}"
+        );
+    }
+
+    #[test]
+    fn a_block_stops_at_the_end_of_the_program() {
+        // No control transfer ends the program: its block ends with its
+        // last byte, and execution runs on past it through memory.
+        let src = "main:\n    movl $5, %eax\n    movl $6, %ebx\n";
+        let end = CODE_BASE + assemble(src).unwrap().bytes.len() as u32;
+        let mut m = loaded(src);
+        m.write_u32(end, 0x0000_0001).unwrap(); // a `hlt` past the end
+        m.run(100).unwrap();
+        assert_eq!((m.reg(Reg::Eax), m.reg(Reg::Ebx)), (5, 6));
+        assert_eq!((m.eip, m.executed, m.cycles), (end + 1, 3, 3));
+        assert_eq!(filled(&m), [(CODE_BASE, end - CODE_BASE)]);
+    }
+
+    #[test]
+    fn fuel_runs_out_inside_a_block_on_the_instruction_it_would_step_to() {
+        let src = "main:\n    movl $1, %eax\n    addl $1, %eax\n    addl $1, %eax\n\
+                   \x20   addl $1, %eax\n    hlt\n";
+        let fourth = CODE_BASE + 3 * 8;
+        let mut m = loaded(src);
+        assert_eq!(m.run(3), Err(MachineError::OutOfFuel));
+        assert_eq!(
+            (m.reg(Reg::Eax), m.eip, m.executed, m.cycles),
+            (3, fourth, 3, 3)
+        );
+        // The rest of the block on more fuel, from where it stopped.
+        assert_eq!(m.run(1), Err(MachineError::OutOfFuel));
+        assert_eq!((m.reg(Reg::Eax), m.executed), (4, 4));
+        m.run(1).unwrap();
+        assert!(m.halted);
+        assert_eq!((m.executed, m.cycles), (5, 5));
+    }
+
+    #[test]
+    fn a_fault_inside_a_block_leaves_the_state_of_single_steps() {
+        // The load segfaults in the middle of main's block: the `movl`
+        // before it ran and is counted, nothing after it ran, and the
+        // fault names the `eip` a step reports (the next instruction's).
+        let src = "main:\n    movl $1, %eax\n    movl $0xfffffff0, %ebx\n\
+                   \x20   movl (%ebx), %ecx\n    movl $2, %eax\n    hlt\n";
+        let next = CODE_BASE + 8 + 8 + 11;
+        let mut m = loaded(src);
+        let fault = MachineError::Segfault {
+            addr: 0xffff_fff0,
+            eip: next,
+        };
+        assert_eq!(m.run(100), Err(fault));
+        assert_eq!(
+            (m.reg(Reg::Eax), m.eip, m.executed, m.cycles),
+            (1, next, 2, 2)
+        );
+    }
+
+    #[test]
+    fn a_program_that_keeps_rewriting_itself_keeps_the_cache_bounded() {
+        // Every pass stores into the loop's own `addl`, so every pass
+        // rebuilds the loop's block; the cache starts over before it
+        // holds more than its limit.
+        let src = |imm_addr: u32| {
+            format!(
+                "main:\n    movl $100000, %ecx\nagain:\n    movl %ecx, {imm_addr:#x}\n\
+                 \x20   addl $0, %eax\n    decl %ecx\n    jne again\n    hlt\n"
+            )
+        };
+        let probe = src(0);
+        let imm_addr = address_of(&probe, "again") + 11 + 2;
+        let mut m = loaded(&src(imm_addr));
+        m.run(1_000_000).unwrap();
+        // 100000 + 99999 + ... + 1, at 32 bits.
+        assert_eq!(m.reg(Reg::Eax), (100_000u64 * 100_001 / 2) as u32);
+        assert_eq!(m.executed, 2 + 4 * 100_000);
+        assert!(m.cache.body.len() <= CACHE_LIMIT);
+        assert!(m.cache.blocks.len() <= CACHE_LIMIT);
     }
 
     #[test]

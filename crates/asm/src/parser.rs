@@ -253,8 +253,9 @@ fn parse_mnemonic(m: &str) -> Option<(Op, Option<Cond>)> {
         ("imod", Op::Imod),
     ];
     let lower = m.to_ascii_lowercase();
+    let bare = lower.strip_suffix('l');
     for (name, op) in table {
-        if lower == *name || lower == format!("{name}l") {
+        if lower == *name || bare == Some(*name) {
             return Some((*op, None));
         }
     }
@@ -608,6 +609,71 @@ mod tests {
     fn directives_and_comments_ignored() {
         let p = assemble(".text\n.globl main\n# comment\nmain: hlt\n").unwrap();
         assert_eq!(p.listing.len(), 1);
+    }
+
+    #[test]
+    fn mnemonics_take_an_optional_l_suffix_in_any_case() {
+        let table = [
+            ("nop", Op::Nop),
+            ("hlt", Op::Hlt),
+            ("mov", Op::Mov),
+            ("lea", Op::Lea),
+            ("add", Op::Add),
+            ("sub", Op::Sub),
+            ("and", Op::And),
+            ("or", Op::Or),
+            ("xor", Op::Xor),
+            ("imul", Op::Imul),
+            ("shl", Op::Shl),
+            ("shr", Op::Shr),
+            ("sar", Op::Sar),
+            ("inc", Op::Inc),
+            ("dec", Op::Dec),
+            ("neg", Op::Neg),
+            ("not", Op::Not),
+            ("cmp", Op::Cmp),
+            ("test", Op::Test),
+            ("push", Op::Push),
+            ("pop", Op::Pop),
+            ("jmp", Op::Jmp),
+            ("call", Op::Call),
+            ("ret", Op::Ret),
+            ("leave", Op::Leave),
+            ("out", Op::Out),
+            ("idiv", Op::Idiv),
+            ("imod", Op::Imod),
+        ];
+        for (name, op) in table {
+            for spelling in [name.to_string(), format!("{name}l")] {
+                for m in [spelling.clone(), spelling.to_ascii_uppercase()] {
+                    assert_eq!(parse_mnemonic(&m), Some((op, None)), "{m}");
+                }
+            }
+        }
+        // `jl` and `jle` are conditions, not `j` with a suffix; `jmpl`,
+        // `calll` and `shll` are suffixed table entries.
+        assert_eq!(parse_mnemonic("jl"), Some((Op::Jcc, Some(Cond::L))));
+        assert_eq!(parse_mnemonic("JLE"), Some((Op::Jcc, Some(Cond::Le))));
+        assert_eq!(parse_mnemonic("jmpl"), Some((Op::Jmp, None)));
+        assert_eq!(parse_mnemonic("calll"), Some((Op::Call, None)));
+        assert_eq!(parse_mnemonic("shll"), Some((Op::Shl, None)));
+        for rejected in ["movll", "jll", "j", "l", ""] {
+            assert_eq!(parse_mnemonic(rejected), None, "{rejected}");
+        }
+        let p = assemble("main:\n    jl main\n    jmpl main\n    calll main\n    shll $1, %eax\n")
+            .unwrap();
+        let ops: Vec<_> = p.listing.iter().map(|(_, i)| (i.op, i.cond)).collect();
+        assert_eq!(
+            ops,
+            [
+                (Op::Jcc, Some(Cond::L)),
+                (Op::Jmp, None),
+                (Op::Call, None),
+                (Op::Shl, None)
+            ]
+        );
+        assert!(assemble("movll %eax, %ebx\n").is_err());
+        assert!(assemble("main:\n    jll main\n").is_err());
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! pinned in `golden/machine_states.txt`, so a change to how the machine
 //! runs an instruction cannot change what it computes. Each program also
 //! runs once through `Machine::step`, which must reach the same state as
-//! `Machine::run`.
+//! `Machine::run`, and at every small fuel, where `run` with that fuel
+//! must stop in the state as many calls of `step` reach: fuel can run out
+//! inside any block.
 //!
 //! On a mismatch the whole rendered corpus is written to
 //! `machine_states.txt` under Cargo's integration-test temporary
@@ -522,6 +524,59 @@ fn execute(program: &Program, by_steps: bool) -> (Machine, Result<(), MachineErr
         m.run(FUEL)
     };
     (m, result)
+}
+
+/// Everything in `m` but memory, with `result`, for comparing machines.
+fn state(m: &Machine, result: &Result<(), MachineError>) -> String {
+    format!(
+        "{result:?} regs={:08x?} eip={:08x} flags={} halted={} executed={} cycles={} out={:?}",
+        asm::Reg::all().map(|r| m.reg(r)),
+        m.eip,
+        m.flags.pretty(),
+        m.halted,
+        m.executed,
+        m.cycles,
+        m.output
+    )
+}
+
+#[test]
+fn run_stops_where_as_many_steps_stop_at_every_small_fuel() {
+    for (label, program) in corpus() {
+        let (full, _) = execute(&program, false);
+        let top = (full.executed + 1).min(64);
+        // One machine stepped along under the fuel rule, and the result
+        // it ended with once it halted or faulted.
+        let mut stepped = Machine::new();
+        stepped.load(&program).expect("loads");
+        let mut ended = None;
+        for fuel in 0..=top {
+            let mut m = Machine::new();
+            m.load(&program).expect("loads");
+            let result = m.run(fuel);
+            let want = ended.clone().unwrap_or(if stepped.halted {
+                Ok(())
+            } else {
+                Err(MachineError::OutOfFuel)
+            });
+            assert_eq!(
+                state(&m, &result),
+                state(&stepped, &want),
+                "{label} at fuel {fuel}"
+            );
+            assert!(
+                m.memory() == stepped.memory(),
+                "{label} at fuel {fuel}: memory"
+            );
+            if ended.is_none() {
+                if stepped.halted {
+                    ended = Some(Ok(()));
+                } else if let Err(e) = stepped.step() {
+                    ended = Some(Err(e));
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -36,6 +36,20 @@ const MEM_LOOP: &str = r#"
 /// A submission that never halts: the autograder's timeout path.
 const SPIN: &str = "main:\n    movl $7, %ebx\n    movl $1, %edx\nspin:\n    jmp spin\n";
 
+/// A sum-array submission that forgot its increment: `%edi` stays 0, so
+/// the loop adds the first element forever, reading memory and setting
+/// flags at every pass.
+const FORGOTTEN_INCREMENT: &str = r#"
+    main:
+        movl $0, %eax
+        movl $0, %edi
+    loop:
+        addl (%esi,%edi,4), %eax
+        cmpl %ecx, %edi
+        jne loop
+        hlt
+"#;
+
 /// A 14-instruction loop that never halts: a store, a load, and a call
 /// whose frame reads its argument (push, call, leave, ret), then imul.
 const MEMORY_CALL_LOOP: &str = r#"
@@ -83,6 +97,9 @@ fn bench(c: &mut Criterion) {
     assert_eq!(rubric.len() as u64, CASES);
     g.bench_function("grade_timeout_4x200k", |b| {
         b.iter(|| cs31::autograde::grade(SPIN, &rubric, FUEL).earned)
+    });
+    g.bench_function("forgotten_increment_4x200k", |b| {
+        b.iter(|| cs31::autograde::grade(FORGOTTEN_INCREMENT, &rubric, FUEL).earned)
     });
     let prog = asm::assemble(MEMORY_CALL_LOOP).expect("assembles");
     g.bench_function("memory_call_loop_4x200k", |b| {

@@ -898,6 +898,14 @@ mod tests {
     fn e10_sequences_agree_and_differ_in_cost() {
         let out = e10_asm_sequences();
         assert!(out.contains("register loop beats memory loop"), "{out}");
+        // The cost model's lesson, cycle for cycle: imul against shift and
+        // add, then the loop counter in a register against memory.
+        let cycles: Vec<u64> = out
+            .lines()
+            .filter_map(|line| line.split("cycles=").nth(1))
+            .map(|c| c.trim().parse().expect("cycle count"))
+            .collect();
+        assert_eq!(cycles, [7, 5, 5002, 13005], "{out}");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * [`grid`] — the board: toroidal or dead-edge boundaries, file I/O,
 //!   classic patterns, seeded random fill;
 //! * [`serial`] — the Lab 6 engine (the correctness reference), counting
-//!   neighbours over a ghost-cell ring so no cell needs an edge test;
+//!   neighbours 64 cells at a time over rows of 64-bit words;
 //! * [`parallel`] — the Lab 10 engine: persistent worker threads,
 //!   row/column partitioning, a [`::parallel::Barrier`] per round, and a
 //!   mutex-guarded shared statistics block; bit-identical to serial for

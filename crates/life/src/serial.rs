@@ -15,101 +15,181 @@ pub struct RoundStats {
     pub population: u64,
 }
 
-/// The board with a one-cell ghost ring around it, as `0`/`1` bytes in
-/// row-major order: the ring holds what the boundary rule says lies past
-/// each edge (the wrapped cells on a torus, dead cells at a dead edge),
-/// so no neighbour count needs an edge test.
-struct Halo {
-    /// Padded row width: the board's columns plus the two ghost columns.
-    width: usize,
-    cells: Vec<u8>,
-    /// One padded row of column sums: each column's cell in the row above,
-    /// the row itself and the row below, so a cell's neighbours are three
-    /// adjacent sums less the cell.
-    sums: Vec<u8>,
+/// The board as rows of 64-cell words, the form [`step`] and [`run`]
+/// count in: bit `c % 64` of word `c / 64` of a row is column `c`, and
+/// the bits past the last column are 0. Two boards of words take turns
+/// as a generation's source and its result.
+struct Words {
+    shape: Shape,
+    cells: Vec<u64>,
+    next: Vec<u64>,
+    /// One row of dead cells: what lies past a dead edge.
+    dead: Vec<u64>,
 }
 
-impl Halo {
-    fn new(grid: &Grid) -> Halo {
-        let width = grid.cols() + 2;
-        Halo {
-            width,
-            cells: vec![0; width * (grid.rows() + 2)],
-            sums: vec![0; width],
+impl Words {
+    fn new(grid: &Grid) -> Words {
+        let width = grid.cols().div_ceil(64);
+        let top = ((grid.cols() - 1) % 64) as u32;
+        let mut cells = vec![0; width * grid.rows()];
+        for (words, row) in cells
+            .chunks_exact_mut(width)
+            .zip(grid.cells().chunks_exact(grid.cols()))
+        {
+            for (word, chunk) in words.iter_mut().zip(row.chunks(64)) {
+                *word = chunk
+                    .iter()
+                    .rev()
+                    .fold(0, |word, &alive| word << 1 | u64::from(alive));
+            }
+        }
+        Words {
+            shape: Shape {
+                width,
+                top,
+                torus: grid.boundary == Boundary::Toroidal,
+            },
+            next: vec![0; cells.len()],
+            cells,
+            dead: vec![0; width],
         }
     }
 
-    /// Copies `grid` into the ring's interior and fills the ring. On a
-    /// torus each ghost copies the cell its wrapped index names, so on a
-    /// board one or two cells across a cell is counted as many times as
-    /// [`Grid::live_neighbors`] counts it.
-    fn fill(&mut self, grid: &Grid) {
-        let (rows, cols, w) = (grid.rows(), grid.cols(), self.width);
-        let wrap = grid.boundary == Boundary::Toroidal;
-        for (r, src) in grid.cells().chunks_exact(cols).enumerate() {
-            let row = &mut self.cells[(r + 1) * w..(r + 2) * w];
-            for (cell, &alive) in row[1..=cols].iter_mut().zip(src) {
-                *cell = u8::from(alive);
+    /// Writes the board back into `grid`'s cells.
+    fn write(&self, grid: &mut Grid) {
+        let cols = grid.cols();
+        for (row, words) in grid
+            .cells_mut()
+            .chunks_exact_mut(cols)
+            .zip(self.cells.chunks_exact(self.shape.width))
+        {
+            for (chunk, &word) in row.chunks_mut(64).zip(words) {
+                for (bit, cell) in chunk.iter_mut().enumerate() {
+                    *cell = word >> bit & 1 == 1;
+                }
             }
-            if wrap {
-                row[0] = u8::from(src[cols - 1]);
-                row[cols + 1] = u8::from(src[0]);
-            }
-        }
-        if wrap {
-            // Whole padded rows, so the corner ghosts wrap both ways.
-            self.cells.copy_within(rows * w..(rows + 1) * w, 0);
-            self.cells.copy_within(w..2 * w, (rows + 1) * w);
         }
     }
 
-    /// Advances `grid` one generation in place, counting over the ring
-    /// filled from it, and returns the round's statistics. Each row takes
-    /// two passes over bytes: one sums the three padded rows column by
-    /// column, the next adds three adjacent sums, takes the cell away and
-    /// applies the rule. The row's counts add into the round's once.
-    fn advance(&mut self, grid: &mut Grid) -> RoundStats {
-        self.fill(grid);
-        let (cols, w) = (grid.cols(), self.width);
+    /// Advances the board one generation and returns the round's
+    /// statistics. Each word's eight neighbour words (the rows above and
+    /// below with their shifts, and the row's own shifts) are added bit
+    /// by bit: a full adder makes each outer row of three a ones and a
+    /// twos bit, the row's own two neighbours make a ones and a twos bit,
+    /// and the three ones bits make a ones bit and a fourth twos bit. A
+    /// cell has two or three neighbours exactly when one of its four
+    /// twos bits is set.
+    fn advance(&mut self) -> RoundStats {
+        let Words {
+            shape,
+            cells,
+            next,
+            dead,
+        } = self;
+        let w = shape.width;
+        let rows = cells.len() / w;
+        let row = |r: usize| &cells[r * w..(r + 1) * w];
+        // The bits of a row's last word that are columns.
+        let mask = u64::MAX >> (63 - shape.top);
         let mut stats = RoundStats::default();
-        for (r, out) in grid.cells_mut().chunks_exact_mut(cols).enumerate() {
-            let (up, rest) = self.cells[r * w..(r + 3) * w].split_at(w);
-            let (mid, down) = rest.split_at(w);
-            for (((sum, &u), &m), &d) in self.sums.iter_mut().zip(up).zip(mid).zip(down) {
-                *sum = u + m + d;
+        for (r, out) in next.chunks_exact_mut(w).enumerate() {
+            let up = match r {
+                0 if shape.torus => row(rows - 1),
+                0 => &dead[..],
+                _ => row(r - 1),
+            };
+            let down = match r + 1 {
+                below if below < rows => row(below),
+                _ if shape.torus => row(0),
+                _ => &dead[..],
+            };
+            let mid = row(r);
+            for (i, out) in out.iter_mut().enumerate() {
+                let (uw, ue) = shape.sides(up, i);
+                let (mw, me) = shape.sides(mid, i);
+                let (dw, de) = shape.sides(down, i);
+                let (s1, c1) = full_add(uw, up[i], ue);
+                let (s2, c2) = full_add(dw, down[i], de);
+                let (ones, c3) = full_add(s1, s2, mw ^ me);
+                let c4 = mw & me;
+                let one_two = (c1 ^ c2 ^ c3 ^ c4) & !((c1 & c2) | (c3 & c4));
+                let alive = mid[i];
+                let mut will = one_two & (ones | alive);
+                if i == w - 1 {
+                    will &= mask;
+                }
+                *out = will;
+                stats.births += u64::from((will & !alive).count_ones());
+                stats.deaths += u64::from((alive & !will).count_ones());
+                stats.population += u64::from(will.count_ones());
             }
-            let (left, centre, right) = (&self.sums[..cols], &self.sums[1..], &self.sums[2..]);
-            let (mut births, mut deaths, mut population) = (0u32, 0u32, 0u32);
-            for ((((&a, &b), &c), &m), cell) in
-                left.iter().zip(centre).zip(right).zip(&mid[1..]).zip(out)
-            {
-                let alive = m == 1;
-                let will = Grid::rule(alive, a + b + c - m);
-                *cell = will;
-                births += u32::from(will & !alive);
-                deaths += u32::from(alive & !will);
-                population += u32::from(will);
-            }
-            stats.births += u64::from(births);
-            stats.deaths += u64::from(deaths);
-            stats.population += u64::from(population);
         }
+        std::mem::swap(cells, next);
         stats
     }
 }
 
+/// The geometry of a board of words.
+#[derive(Clone, Copy)]
+struct Shape {
+    /// Words per row.
+    width: usize,
+    /// The last column's bit in the last word of a row.
+    top: u32,
+    torus: bool,
+}
+
+impl Shape {
+    /// Word `i` of `row` moved one column east and one column west: bit
+    /// `b` of the first is the cell west of column `64 i + b`, and of the
+    /// second the cell east of it. Each shift carries a bit in from the
+    /// adjacent word; at the row's ends a torus wraps to its other end and a
+    /// dead edge shifts in 0, so on a board one or two cells wide a cell
+    /// is counted as often as [`Grid::live_neighbors`] counts it.
+    #[inline(always)]
+    fn sides(&self, row: &[u64], i: usize) -> (u64, u64) {
+        let last = self.width - 1;
+        let word = row[i];
+        let west = if i > 0 {
+            row[i - 1] >> 63
+        } else if self.torus {
+            row[last] >> self.top
+        } else {
+            0
+        };
+        let east = if i < last {
+            row[i + 1] << 63
+        } else if self.torus {
+            (row[0] & 1) << self.top
+        } else {
+            0
+        };
+        (word << 1 | west, word >> 1 | east)
+    }
+}
+
+/// The sum and carry bits of `a + b + c`, 64 lanes at a time.
+#[inline(always)]
+fn full_add(a: u64, b: u64, c: u64) -> (u64, u64) {
+    let ab = a ^ b;
+    (ab ^ c, (a & b) | (ab & c))
+}
+
 /// Advances the grid one generation, returning the new grid and stats.
 pub fn step(grid: &Grid) -> (Grid, RoundStats) {
+    let mut words = Words::new(grid);
+    let stats = words.advance();
     let mut next = grid.clone();
-    let stats = Halo::new(grid).advance(&mut next);
+    words.write(&mut next);
     (next, stats)
 }
 
 /// Runs `rounds` generations; returns the final grid and per-round stats.
-/// One ghost-ring buffer serves every generation.
+/// The board stays in words for the whole run and is written back once.
 pub fn run(mut grid: Grid, rounds: usize) -> (Grid, Vec<RoundStats>) {
-    let mut halo = Halo::new(&grid);
-    let history = (0..rounds).map(|_| halo.advance(&mut grid)).collect();
+    let mut words = Words::new(&grid);
+    let history = (0..rounds).map(|_| words.advance()).collect();
+    words.write(&mut grid);
     (grid, history)
 }
 
@@ -118,7 +198,7 @@ mod tests {
     use super::*;
     use crate::grid::{Boundary, BLINKER, BLOCK, GLIDER, TOAD};
 
-    /// The per-cell reference the ghost-cell step must equal: every
+    /// The per-cell reference the word step must equal: every
     /// count from `Grid::live_neighbors`, every state from `Grid::rule`.
     fn reference_step(grid: &Grid) -> (Grid, RoundStats) {
         let mut next = grid.clone();
@@ -140,12 +220,27 @@ mod tests {
     fn ghost_cells_match_the_per_cell_reference() {
         // On a degenerate torus the reference counts one cell several
         // times (a lone cell is all eight of its own neighbours), and the
-        // ghost ring must hold the same copies.
+        // word step's wrapped shifts must count the same copies. Rows of
+        // 65 to 256 cells span two to four words, so the shifts carry
+        // across words and wrap from a partly filled last word.
         let mut lone = Grid::new(1, 1, Boundary::Toroidal).unwrap();
         lone.set(0, 0, true);
         assert_eq!(lone.live_neighbors(0, 0), 8);
         for boundary in [Boundary::Toroidal, Boundary::Dead] {
-            for (rows, cols) in [(1, 1), (1, 7), (7, 1), (2, 2), (3, 5), (64, 64)] {
+            for (rows, cols) in [
+                (1, 1),
+                (1, 7),
+                (7, 1),
+                (2, 2),
+                (3, 5),
+                (64, 64),
+                (1, 65),
+                (3, 64),
+                (5, 127),
+                (4, 128),
+                (6, 129),
+                (9, 256),
+            ] {
                 for seed in 0..4 {
                     let start = Grid::random(rows, cols, 0.5, seed, boundary).unwrap();
                     let mut grid = start.clone();

@@ -14,12 +14,15 @@ cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
-# Course-kernel tier: the emulator's unit tests (the decoded cache, fuel
+# Course-kernel tier: the emulator's unit tests (the block cache, fuel
 # and cycle pins, the 32-bit flags against `bits::arith`), its golden
-# machine-state corpus, the Life engines' differential and parallel-vs-
-# serial tests, and the autograder's, which the root suite reaches only
-# through the golden response bodies.
+# machine-state corpus and fuel sweep, the Life engines' differential and
+# parallel-vs-serial tests, and the autograder's, which the root suite
+# reaches only through the golden response bodies. Then E10's cycle
+# table (7, 5, 5002 and 13005 cycles), the cost model's lesson; the rest
+# of the `bench` lib suite stays out for its wall-clock flake.
 cargo test -q -p asm -p life -p cs31
+cargo test -q -p bench --lib e10_
 
 # E13 smoke: the class pipeline end to end — the reproduce runner (the
 # pool's class order against a class-blind run of the same stream)
@@ -88,9 +91,9 @@ printf 'view\njoin 0\ndrain 0\nload\nquit\n' | \
 # the code that ships, the course compute path included. The hit
 # workloads run 1 s. compute_mix runs 3 s: it takes one p99 over its
 # whole timed phase and fails a run with fewer than ten samples beyond
-# it. At the 2,680-3,250 interactive answers a second that ten 20 s runs
-# measured on the 2-vCPU reference host, 3 s leaves at least 80 beyond
-# its interactive p99, and still about 27 at a third of the slowest.
+# it. At the 5,050-6,370 interactive answers a second that ten 20 s runs
+# measured on the 2-vCPU reference host, 3 s leaves at least 150 beyond
+# its interactive p99, and still about 50 at a third of the slowest.
 cargo test -q --release --manifest-path perfbench/Cargo.toml
 for workload in hit_direct hit_routed; do
     cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
