@@ -15,14 +15,14 @@
 //! Each instruction of the loaded program is decoded once, not once per
 //! step, into straight-line blocks of up to 16 instructions that end at
 //! a control transfer. [`Machine::run`] executes a whole block per
-//! lookup, takes a `jmp` or `jcc` to a fixed address itself, and keeps a
-//! block that jumps back to its own start in hand; [`Machine::step`]
-//! runs the first instruction of the block at `eip` through the same
-//! body. [`Machine::load`] empties the cache, a [`Machine::write_u32`]
-//! that overlaps the program clears the blocks that can cover its bytes,
-//! and an `eip` where no block can start decodes straight from memory,
-//! so every result, fault, `executed` count and cycle is the same as
-//! decoding at every step.
+//! lookup, takes a `jmp` or `jcc` to a fixed address itself, and runs a
+//! block whose fixed jump leads back to its own start in a loop of its
+//! own; [`Machine::step`] runs the first instruction of the block at
+//! `eip` through the same body. [`Machine::load`] empties the cache, a
+//! [`Machine::write_u32`] that overlaps the program clears the blocks
+//! that can cover its bytes, and an `eip` where no block can start
+//! decodes straight from memory, so every result, fault, `executed`
+//! count and cycle is the same as decoding at every step.
 
 use crate::insn::{Cond, DecodeError, Instr, Mem, Op, Operand, Reg};
 use crate::parser::{Program, CODE_BASE};
@@ -110,21 +110,32 @@ pub struct Machine {
 }
 
 /// A decoded instruction with what each step of it needs besides: its
-/// encoded length and its cost when no branch is taken.
+/// encoded length, its cost when no branch is taken, and whether it can
+/// store.
 #[derive(Clone, Copy)]
 struct Decoded {
     instr: Instr,
     len: u8,
     /// [`Machine::cost_of`] with `taken_branch` false: at most 27.
     cost: u8,
+    /// Whether it can write memory: `push`, `call`, or a memory
+    /// destination that its op writes. Only such an instruction can
+    /// clear the start of the block it runs in.
+    stores: bool,
 }
 
 impl Decoded {
     fn new(instr: Instr, len: usize) -> Decoded {
+        let writes_dst = !matches!(
+            instr.op,
+            Op::Cmp | Op::Test | Op::Push | Op::Jmp | Op::Jcc | Op::Call | Op::Out
+        );
         Decoded {
             instr,
             len: len as u8,
             cost: Machine::cost_of(&instr, false) as u8,
+            stores: matches!(instr.op, Op::Push | Op::Call)
+                || (writes_dst && matches!(instr.dst, Some(Operand::Mem(_)))),
         }
     }
 }
@@ -523,9 +534,11 @@ impl Machine {
     /// runs whole only when the fuel covers it; otherwise its first
     /// instructions run until the fuel is gone, so the fuel runs out on
     /// the instruction it would at one step a time. After each
-    /// instruction `run` checks that its block still starts where it
-    /// did: a store that overlapped the block cleared that start, and the
-    /// rest is looked up again from `eip`.
+    /// instruction that can store, `run` checks that its block still
+    /// starts where it did: a store that overlapped the block cleared
+    /// that start, and the rest is looked up again from `eip`. A block
+    /// whose fixed `jmp` or `jcc` leads back to its own start runs again
+    /// without a lookup, in a loop picked once from its exit.
     pub fn run(&mut self, fuel: u64) -> Result<(), MachineError> {
         // Every instruction that runs takes one unit of `left`, so
         // `executed` grows by the fuel used.
@@ -561,40 +574,89 @@ impl Machine {
                     u64::from(self.cache.body[first + len as usize - 1].cost),
                 ),
             };
-            // The block again for as long as it ends where it starts.
-            loop {
-                for i in 0..steps.min(left) as usize {
-                    match self.execute(self.cache.body[first + i]) {
-                        Ok(cost) => cycles += cost,
-                        Err(e) => {
-                            left -= i as u64;
-                            break 'run Err(e);
+            // The first `$count` instructions of the block through
+            // `execute`. A fault, or a store that cleared the block's
+            // start, ends the pass there.
+            macro_rules! body {
+                ($count:expr) => {
+                    for i in 0..$count as usize {
+                        let entry = self.cache.body[first + i];
+                        match self.execute(entry) {
+                            Ok(cost) => cycles += cost,
+                            Err(e) => {
+                                left -= i as u64;
+                                break 'run Err(e);
+                            }
+                        }
+                        if entry.stores && !self.cache.holds(start, id) {
+                            left -= i as u64 + 1;
+                            continue 'run;
                         }
                     }
-                    if !self.cache.holds(start, id) {
-                        left -= i as u64 + 1;
+                };
+            }
+            // The fuel for the whole block, once its instructions up to the
+            // fixed jump have run: a block the fuel does not cover stops
+            // where the fuel ran out.
+            macro_rules! charge {
+                () => {
+                    if len > left {
+                        left = 0;
                         continue 'run;
                     }
-                }
-                if len > left {
-                    left = 0;
-                    continue 'run;
-                }
-                left -= len;
-                match exit {
-                    Exit::Jump(target) => {
-                        self.eip = target;
-                        cycles += jump_cost + 1;
+                    left -= len;
+                };
+            }
+            // A block whose fixed jump leads back to its own start runs in
+            // a loop of its own, picked here once from its exit. Each pass
+            // first takes the fuel and the jump of the pass before it, so
+            // the body's loop ends the pass: for a block that is only its
+            // jump, the body's empty test is then the loop's back edge.
+            match exit {
+                Exit::Jump(target) if target == start => {
+                    let mut ran = false;
+                    loop {
+                        if ran {
+                            charge!();
+                            self.eip = start;
+                            cycles += jump_cost + 1;
+                        }
+                        ran = true;
+                        body!(steps.min(left));
                     }
-                    Exit::Branch(cond, target) => {
-                        let taken = cond.eval(self.flags);
-                        self.eip = if taken { target } else { end };
-                        cycles += jump_cost + u64::from(taken);
-                    }
-                    Exit::Step => {}
                 }
-                if self.eip != start || left == 0 {
-                    continue 'run;
+                Exit::Branch(cond, target) if target == start => {
+                    let mut ran = false;
+                    loop {
+                        if ran {
+                            charge!();
+                            if !cond.eval(self.flags) {
+                                self.eip = end;
+                                cycles += jump_cost;
+                                continue 'run;
+                            }
+                            self.eip = start;
+                            cycles += jump_cost + 1;
+                        }
+                        ran = true;
+                        body!(steps.min(left));
+                    }
+                }
+                _ => {
+                    body!(steps.min(left));
+                    charge!();
+                    match exit {
+                        Exit::Jump(target) => {
+                            self.eip = target;
+                            cycles += jump_cost + 1;
+                        }
+                        Exit::Branch(cond, target) => {
+                            let taken = cond.eval(self.flags);
+                            self.eip = if taken { target } else { end };
+                            cycles += jump_cost + u64::from(taken);
+                        }
+                        Exit::Step => {}
+                    }
                 }
             }
         };
@@ -609,7 +671,9 @@ impl Machine {
     /// `executed` and `cycles`.
     #[inline(always)]
     fn execute(&mut self, entry: Decoded) -> Result<u64, MachineError> {
-        let Decoded { instr, len, cost } = entry;
+        let Decoded {
+            instr, len, cost, ..
+        } = entry;
         let at = self.eip;
         self.eip = at.wrapping_add(u32::from(len));
         let mut taken = false;
@@ -1503,17 +1567,158 @@ mod tests {
 
     #[test]
     fn a_store_into_a_later_instruction_of_the_running_block_runs_its_new_bytes() {
-        // The `movl` and the `addl` after it are one block, built before
+        // Each store and the `addl` after it are one block, built before
         // the store rewrites the `addl`'s immediate (after its opcode and
-        // operand-kind bytes) to 1000: the block must stop after the
-        // store, and the `addl` run its new bytes.
-        let src = |imm_addr: u32| {
-            format!("main:\n    movl $1000, {imm_addr:#x}\npatch:\n    addl $1, %eax\n    hlt\n")
+        // operand-kind bytes) to 1000: a `movl` and an `addl` to memory,
+        // and a `pushl` with `%esp` just past the immediate. The block
+        // must stop after the store, and the `addl` run its new bytes.
+        type Store = fn(u32) -> String;
+        let stores: [(Store, u64, u64); 3] = [
+            (|imm| format!("movl $1000, {imm:#x}"), 3, 6),
+            (|imm| format!("addl $999, {imm:#x}"), 3, 6),
+            (
+                |imm| format!("movl ${:#x}, %esp\n    pushl $1000", imm + 4),
+                4,
+                7,
+            ),
+        ];
+        for (store, executed, cycles) in stores {
+            let src = |imm: u32| {
+                format!(
+                    "main:\n    {}\npatch:\n    addl $1, %eax\n    hlt\n",
+                    store(imm)
+                )
+            };
+            let imm = address_of(&src(0), "patch") + 2;
+            let mut m = loaded(&src(imm));
+            m.run(100).unwrap();
+            assert_eq!(
+                (m.reg(Reg::Eax), m.executed, m.cycles),
+                (1000, executed, cycles),
+                "{}",
+                store(imm)
+            );
+        }
+    }
+
+    /// Runs a copy of `m` on `fuel` and steps another copy as often, and
+    /// checks that both end alike: the result, registers, flags, `eip`,
+    /// `executed`, cycles and memory. Returns the copy that ran.
+    fn run_like_steps(m: &Machine, fuel: u64) -> Machine {
+        let mut ran = m.clone();
+        let result = ran.run(fuel);
+        let mut stepped = m.clone();
+        let mut stepped_result = Err(MachineError::OutOfFuel);
+        for _ in 0..fuel {
+            if stepped.halted {
+                break;
+            }
+            if let Err(e) = stepped.step() {
+                stepped_result = Err(e);
+                break;
+            }
+        }
+        if stepped.halted {
+            stepped_result = Ok(());
+        }
+        let state = |m: &Machine| (m.regs, m.flags, m.eip, m.executed, m.cycles);
+        assert_eq!(
+            (result, state(&ran)),
+            (stepped_result, state(&stepped)),
+            "fuel {fuel}"
+        );
+        assert!(ran.mem == stepped.mem, "memory at fuel {fuel}");
+        ran
+    }
+
+    #[test]
+    fn a_jump_back_to_its_own_start_loops_as_single_steps_do() {
+        // main's block runs into the loop once; the loop's block, two
+        // `addl`s and its `jmp`, then loops in hand. Fuel that ends at a
+        // pass boundary leaves `eip` at `spin`, and one more stops a pass
+        // after its first instruction.
+        let src = "main:\n    movl $5, %ebx\nspin:\n    addl $1, %eax\nsecond:\n\
+                   \x20   addl %eax, %ebx\n    jmp spin\n";
+        let (spin, second) = (address_of(src, "spin"), address_of(src, "second"));
+        let m = loaded(src);
+        for fuel in 0..40 {
+            let ran = run_like_steps(&m, fuel);
+            match fuel.checked_sub(4).map(|f| f % 3) {
+                Some(0) => assert_eq!(ran.eip, spin, "fuel {fuel}"),
+                Some(1) => assert_eq!(ran.eip, second, "fuel {fuel}"),
+                _ => {}
+            }
+        }
+        let ran = run_like_steps(&m, 100_000);
+        assert_eq!(
+            (ran.reg(Reg::Eax), ran.eip, ran.cycles),
+            (33_333, spin, 5 + 33_332 * 4)
+        );
+    }
+
+    #[test]
+    fn a_branch_back_to_its_own_start_loops_until_its_condition_fails() {
+        // main's block runs the loop's first pass; the loop's own block
+        // then takes the `jne` three times and falls through to the
+        // `hlt` on its fourth pass. Every fuel up to the `hlt` and past
+        // it, and `eip` at each pass boundary.
+        let src = "main:\n    movl $5, %ecx\ntop:\n    addl %ecx, %eax\n    decl %ecx\n\
+                   \x20   jne top\ndone:\n    hlt\n";
+        let (top, done) = (address_of(src, "top"), address_of(src, "done"));
+        let m = loaded(src);
+        for fuel in 0..24 {
+            let ran = run_like_steps(&m, fuel);
+            match fuel {
+                4 | 7 | 10 | 13 => assert_eq!(ran.eip, top, "fuel {fuel}"),
+                16 => assert_eq!(ran.eip, done),
+                _ => {}
+            }
+        }
+        let ran = run_like_steps(&m, 100);
+        assert!(ran.halted);
+        assert_eq!((ran.reg(Reg::Eax), ran.executed, ran.cycles), (15, 17, 21));
+    }
+
+    #[test]
+    fn a_store_into_a_block_that_jumps_to_itself_ends_its_pass() {
+        // Every pass stores `%ecx` into the immediate of the `addl` after
+        // the store, so every pass must leave the loop's block after the
+        // store and run the new bytes: after n passes `%eax` is
+        // 1 + 2 + ... + n.
+        let src = |imm: u32| {
+            format!(
+                "main:\n    movl $1, %ecx\nspin:\n    movl %ecx, {imm:#x}\npatch:\n\
+                 \x20   addl $0, %eax\n    incl %ecx\n    jmp spin\n"
+            )
         };
-        let imm_addr = address_of(&src(0), "patch") + 2;
-        let mut m = loaded(&src(imm_addr));
-        m.run(100).unwrap();
-        assert_eq!((m.reg(Reg::Eax), m.executed, m.cycles), (1000, 3, 6));
+        let imm = address_of(&src(0), "patch") + 2;
+        let m = loaded(&src(imm));
+        for fuel in 0..40 {
+            run_like_steps(&m, fuel);
+        }
+        let ran = run_like_steps(&m, 1 + 4 * 100);
+        assert_eq!(ran.reg(Reg::Eax), 5050);
+    }
+
+    #[test]
+    fn a_call_or_ret_to_its_own_start_is_looked_up_at_every_pass() {
+        // Neither ends its block in a fixed jump, so each pass starts with
+        // a lookup. The `call` calls itself, pushing a return address each
+        // time; the `ret` pops its own address, pushed three times by the
+        // loop before it, then the 0 above the stack.
+        let call = loaded("main:\n    jmp again\nagain:\n    call again\n");
+        let src = |again: u32| {
+            format!(
+                "main:\n    movl $3, %ecx\nfill:\n    pushl ${again:#x}\n    decl %ecx\n\
+                 \x20   jne fill\nagain:\n    addl $1, %eax\n    ret\n"
+            )
+        };
+        let ret = loaded(&src(address_of(&src(0), "again")));
+        for fuel in (0..40).chain([5000]) {
+            run_like_steps(&call, fuel);
+            run_like_steps(&ret, fuel);
+        }
+        assert_eq!(run_like_steps(&ret, 16).reg(Reg::Eax), 3);
     }
 
     #[test]

@@ -36,6 +36,11 @@ const MEM_LOOP: &str = r#"
 /// A submission that never halts: the autograder's timeout path.
 const SPIN: &str = "main:\n    movl $7, %ebx\n    movl $1, %edx\nspin:\n    jmp spin\n";
 
+/// A submission that never halts but does work: the spin loop with a
+/// body, one `addl` per `jmp`.
+const COUNTING_SPIN: &str =
+    "main:\n    movl $7, %ebx\n    movl $1, %edx\nspin:\n    addl $1, %eax\n    jmp spin\n";
+
 /// A sum-array submission that forgot its increment: `%edi` stays 0, so
 /// the loop adds the first element forever, reading memory and setting
 /// flags at every pass.
@@ -97,6 +102,9 @@ fn bench(c: &mut Criterion) {
     assert_eq!(rubric.len() as u64, CASES);
     g.bench_function("grade_timeout_4x200k", |b| {
         b.iter(|| cs31::autograde::grade(SPIN, &rubric, FUEL).earned)
+    });
+    g.bench_function("counting_spin_4x200k", |b| {
+        b.iter(|| cs31::autograde::grade(COUNTING_SPIN, &rubric, FUEL).earned)
     });
     g.bench_function("forgotten_increment_4x200k", |b| {
         b.iter(|| cs31::autograde::grade(FORGOTTEN_INCREMENT, &rubric, FUEL).earned)

@@ -23,6 +23,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 # of the `bench` lib suite stays out for its wall-clock flake.
 cargo test -q -p asm -p life -p cs31
 cargo test -q -p bench --lib e10_
+# The emulator's suite again with the optimizer on: the golden corpus,
+# the fuel sweep and the block tests, built the way `Machine::run` ships.
+cargo test -q --release -p asm
 
 # E13 smoke: the class pipeline end to end — the reproduce runner (the
 # pool's class order against a class-blind run of the same stream)
