@@ -16,7 +16,7 @@
 //! step, into straight-line blocks of up to 16 instructions that end at
 //! a control transfer. [`Machine::run`] executes a whole block per
 //! lookup, takes a `jmp` or `jcc` to a fixed address itself, and runs a
-//! block whose fixed jump leads back to its own start in a loop of its
+//! block whose fixed `jmp` leads back to its own start in a loop of its
 //! own; [`Machine::step`] runs the first instruction of the block at
 //! `eip` through the same body. [`Machine::load`] empties the cache, a
 //! [`Machine::write_u32`] that overlaps the program clears the blocks
@@ -110,32 +110,21 @@ pub struct Machine {
 }
 
 /// A decoded instruction with what each step of it needs besides: its
-/// encoded length, its cost when no branch is taken, and whether it can
-/// store.
+/// encoded length and its cost when no branch is taken.
 #[derive(Clone, Copy)]
 struct Decoded {
     instr: Instr,
     len: u8,
     /// [`Machine::cost_of`] with `taken_branch` false: at most 27.
     cost: u8,
-    /// Whether it can write memory: `push`, `call`, or a memory
-    /// destination that its op writes. Only such an instruction can
-    /// clear the start of the block it runs in.
-    stores: bool,
 }
 
 impl Decoded {
     fn new(instr: Instr, len: usize) -> Decoded {
-        let writes_dst = !matches!(
-            instr.op,
-            Op::Cmp | Op::Test | Op::Push | Op::Jmp | Op::Jcc | Op::Call | Op::Out
-        );
         Decoded {
             instr,
             len: len as u8,
             cost: Machine::cost_of(&instr, false) as u8,
-            stores: matches!(instr.op, Op::Push | Op::Call)
-                || (writes_dst && matches!(instr.dst, Some(Operand::Mem(_)))),
         }
     }
 }
@@ -534,11 +523,12 @@ impl Machine {
     /// runs whole only when the fuel covers it; otherwise its first
     /// instructions run until the fuel is gone, so the fuel runs out on
     /// the instruction it would at one step a time. After each
-    /// instruction that can store, `run` checks that its block still
-    /// starts where it did: a store that overlapped the block cleared
-    /// that start, and the rest is looked up again from `eip`. A block
-    /// whose fixed `jmp` or `jcc` leads back to its own start runs again
-    /// without a lookup, in a loop picked once from its exit.
+    /// instruction `run` checks that its block still starts where it
+    /// did: a store that overlapped the block cleared that start, and the
+    /// rest is looked up again from `eip`. A block whose fixed `jmp`
+    /// leads back to its own start runs in a loop of its own, and any
+    /// other block whose exit lands on its own start runs again without
+    /// a lookup too.
     pub fn run(&mut self, fuel: u64) -> Result<(), MachineError> {
         // Every instruction that runs takes one unit of `left`, so
         // `executed` grows by the fuel used.
@@ -580,15 +570,14 @@ impl Machine {
             macro_rules! body {
                 ($count:expr) => {
                     for i in 0..$count as usize {
-                        let entry = self.cache.body[first + i];
-                        match self.execute(entry) {
+                        match self.execute(self.cache.body[first + i]) {
                             Ok(cost) => cycles += cost,
                             Err(e) => {
                                 left -= i as u64;
                                 break 'run Err(e);
                             }
                         }
-                        if entry.stores && !self.cache.holds(start, id) {
+                        if !self.cache.holds(start, id) {
                             left -= i as u64 + 1;
                             continue 'run;
                         }
@@ -607,42 +596,28 @@ impl Machine {
                     left -= len;
                 };
             }
-            // A block whose fixed jump leads back to its own start runs in
-            // a loop of its own, picked here once from its exit. Each pass
-            // first takes the fuel and the jump of the pass before it, so
-            // the body's loop ends the pass: for a block that is only its
-            // jump, the body's empty test is then the loop's back edge.
+            // A block whose fixed `jmp` leads back to its own start runs
+            // in a loop of its own, picked here once from its exit. After
+            // a pass's body, the inner loop takes the pass's fuel and jump,
+            // and keeps taking them for as long as the next pass would run
+            // no instruction: a block that is only its `jmp` spins in that
+            // inner loop, a short innermost loop with its counters in
+            // registers.
             match exit {
-                Exit::Jump(target) if target == start => {
-                    let mut ran = false;
+                Exit::Jump(target) if target == start => loop {
+                    body!(steps.min(left));
                     loop {
-                        if ran {
-                            charge!();
-                            self.eip = start;
-                            cycles += jump_cost + 1;
+                        charge!();
+                        self.eip = start;
+                        cycles += jump_cost + 1;
+                        if steps.min(left) != 0 {
+                            break;
                         }
-                        ran = true;
-                        body!(steps.min(left));
                     }
-                }
-                Exit::Branch(cond, target) if target == start => {
-                    let mut ran = false;
-                    loop {
-                        if ran {
-                            charge!();
-                            if !cond.eval(self.flags) {
-                                self.eip = end;
-                                cycles += jump_cost;
-                                continue 'run;
-                            }
-                            self.eip = start;
-                            cycles += jump_cost + 1;
-                        }
-                        ran = true;
-                        body!(steps.min(left));
-                    }
-                }
-                _ => {
+                },
+                // Any other block runs a pass at a time, and again without a
+                // lookup for as long as its exit lands on its own start.
+                _ => loop {
                     body!(steps.min(left));
                     charge!();
                     match exit {
@@ -657,7 +632,10 @@ impl Machine {
                         }
                         Exit::Step => {}
                     }
-                }
+                    if self.eip != start {
+                        continue 'run;
+                    }
+                },
             }
         };
         self.executed += fuel - left;
@@ -671,9 +649,7 @@ impl Machine {
     /// `executed` and `cycles`.
     #[inline(always)]
     fn execute(&mut self, entry: Decoded) -> Result<u64, MachineError> {
-        let Decoded {
-            instr, len, cost, ..
-        } = entry;
+        let Decoded { instr, len, cost } = entry;
         let at = self.eip;
         self.eip = at.wrapping_add(u32::from(len));
         let mut taken = false;
@@ -1403,8 +1379,8 @@ mod tests {
         // the stack. Its loop rewrites the program's first word unchanged,
         // stores into its tail and pushes across its last bytes; each
         // store drops only the blocks around it, so the loop's block stays
-        // cached (and in hand: `run` never looks it up again) and only
-        // main's block, which the first word starts, is gone.
+        // cached and only main's block, which the first word starts, is
+        // gone.
         let head = "main:\n    movl $1000, %ecx\nagain:\n    movl 0x1000, %eax\n\
                     \x20   movl %eax, 0x1000\n    movl %ecx, 0xfef0\n    pushl %ecx\n\
                     \x20   popl %edx\n    decl %ecx\n    cmpl $0, %ecx\n    jne again\n\
@@ -1634,9 +1610,9 @@ mod tests {
     #[test]
     fn a_jump_back_to_its_own_start_loops_as_single_steps_do() {
         // main's block runs into the loop once; the loop's block, two
-        // `addl`s and its `jmp`, then loops in hand. Fuel that ends at a
-        // pass boundary leaves `eip` at `spin`, and one more stops a pass
-        // after its first instruction.
+        // `addl`s and its `jmp`, then runs in the `jmp` loop. Fuel that
+        // ends at a pass boundary leaves `eip` at `spin`, and one more
+        // stops a pass after its first instruction.
         let src = "main:\n    movl $5, %ebx\nspin:\n    addl $1, %eax\nsecond:\n\
                    \x20   addl %eax, %ebx\n    jmp spin\n";
         let (spin, second) = (address_of(src, "spin"), address_of(src, "second"));
@@ -1659,9 +1635,9 @@ mod tests {
     #[test]
     fn a_branch_back_to_its_own_start_loops_until_its_condition_fails() {
         // main's block runs the loop's first pass; the loop's own block
-        // then takes the `jne` three times and falls through to the
-        // `hlt` on its fourth pass. Every fuel up to the `hlt` and past
-        // it, and `eip` at each pass boundary.
+        // then takes the `jne` three times and falls through to the `hlt`
+        // on its fourth pass. Every fuel up to the `hlt` and past it, and
+        // `eip` at each pass boundary.
         let src = "main:\n    movl $5, %ecx\ntop:\n    addl %ecx, %eax\n    decl %ecx\n\
                    \x20   jne top\ndone:\n    hlt\n";
         let (top, done) = (address_of(src, "top"), address_of(src, "done"));
@@ -1701,11 +1677,12 @@ mod tests {
     }
 
     #[test]
-    fn a_call_or_ret_to_its_own_start_is_looked_up_at_every_pass() {
-        // Neither ends its block in a fixed jump, so each pass starts with
-        // a lookup. The `call` calls itself, pushing a return address each
-        // time; the `ret` pops its own address, pushed three times by the
-        // loop before it, then the 0 above the stack.
+    fn a_call_or_ret_to_its_own_start_runs_as_single_steps_do() {
+        // Neither ends its block in a fixed jump, so each runs a pass at a
+        // time and again for as long as it lands on its own start. The
+        // `call` calls itself, pushing a return address each time; the
+        // `ret` pops its own address, pushed three times by the loop
+        // before it, then the 0 above the stack.
         let call = loaded("main:\n    jmp again\nagain:\n    call again\n");
         let src = |again: u32| {
             format!(

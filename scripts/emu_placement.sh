@@ -2,18 +2,15 @@
 # Placement sweep for the emulator's hot loop.
 #
 # Writes a throwaway harness crate into target/emu_placement/ that links
-# `asm` and `cs31` after a function of N `nop` bytes, builds it with
-# N = 0, 16, 32 and 48, reads from `nm` where `asm::emu::Machine::run`
-# then starts within its 64-byte line, and times each build in 5
-# interleaved rounds (pinned to one CPU when `taskset` exists):
-#   jmp_200k, jmp_2M  ns per simulated step of `spin: jmp spin` at 200k
-#                     and 2M fuel (equal when no pass is folded away)
-#   forgot_200k       ns per step of the forgotten-increment sum loop
-#   grade_us          us per correct sum-array grade (4 rubric cases)
-# Each figure is the median over rounds of each round's median, with the
-# rounds' range after it. Output is timing, so no test runs this script;
-# run it after a change to `asm::emu`, and whenever a `compute_mix`
-# verdict moves with no kernel change.
+# `asm` after a function of N `nop` bytes, builds it with N = 0, 16, 32
+# and 48, reads from `nm` where `asm::emu::Machine::run` then starts
+# within its 64-byte line, and times each build in 5 interleaved rounds
+# (pinned to one CPU when `taskset` exists): ns per simulated step of
+# `spin: jmp spin` at 200k and at 2M fuel, which are equal when no pass
+# is folded away. Each figure is the median over rounds of each round's
+# median, with the rounds' range after it. Output is timing, so no test
+# runs this script; run it after a change to `asm::emu`, and whenever a
+# `compute_mix` verdict moves with no kernel change.
 #
 #   scripts/emu_placement.sh
 set -eu
@@ -35,7 +32,6 @@ publish = false
 
 [dependencies]
 asm = { path = "$root/crates/asm" }
-cs31 = { path = "$root/crates/cs31" }
 
 [profile.release]
 opt-level = 3
@@ -43,7 +39,7 @@ EOF
 
 for pad in $pads; do
     cat > "$dir/src/main.rs" <<EOF
-use asm::{Machine, MachineError, Reg};
+use asm::{Machine, MachineError};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -55,49 +51,26 @@ pub extern "C" fn emu_placement_pad() {
     unsafe { std::arch::asm!(".fill $pad, 1, 0x90", options(nomem, nostack, preserves_flags)) }
 }
 
-const SPIN: &str = "main:\n    movl \$7, %ebx\n    movl \$1, %edx\nspin:\n    jmp spin\n";
-const FORGOTTEN: &str = "main:\n    movl \$0, %eax\n    movl \$0, %edi\nloop:\n    \\
-    addl (%esi,%edi,4), %eax\n    cmpl %ecx, %edi\n    jne loop\n    hlt\n";
-const CORRECT: &str = "main:\n    movl \$0, %eax\n    movl \$0, %edi\n    cmpl \$0, %ecx\n    \\
-    je done\nloop:\n    addl (%esi,%edi,4), %eax\n    addl \$1, %edi\n    cmpl %ecx, %edi\n    \\
-    jne loop\ndone:\n    hlt\n";
-
-/// The median of \`reps\` timings of \`f\`, in ns.
-fn median_ns(reps: usize, mut f: impl FnMut()) -> f64 {
+/// ns per simulated step of \`spin: jmp spin\` run to \`fuel\`: the
+/// median of \`reps\` runs.
+fn per_step(fuel: u64, reps: usize) -> f64 {
+    let prog = asm::assemble("main:\n    movl \$7, %ebx\nspin:\n    jmp spin\n").expect("assembles");
+    let mut m = Machine::new();
     let mut t: Vec<u128> = (0..reps)
         .map(|_| {
+            m.load(&prog).expect("loads");
             let s = Instant::now();
-            f();
+            assert_eq!(m.run(black_box(fuel)), Err(MachineError::OutOfFuel));
             s.elapsed().as_nanos()
         })
         .collect();
     t.sort_unstable();
-    t[reps / 2] as f64
-}
-
-/// ns per simulated step of \`src\` run to \`fuel\`, which it never reaches
-/// the end of.
-fn per_step(src: &str, fuel: u64, reps: usize) -> f64 {
-    let prog = asm::assemble(src).expect("assembles");
-    let mut m = Machine::new();
-    m.set_reg(Reg::Esi, 0x3000);
-    m.set_reg(Reg::Ecx, 3);
-    median_ns(reps, || {
-        m.load(&prog).expect("loads");
-        assert_eq!(m.run(black_box(fuel)), Err(MachineError::OutOfFuel));
-    }) / fuel as f64
+    t[reps / 2] as f64 / fuel as f64
 }
 
 fn main() {
     emu_placement_pad();
-    let rubric = cs31::autograde::sum_array_rubric();
-    let jmp_200k = per_step(SPIN, 200_000, 31);
-    let jmp_2m = per_step(SPIN, 2_000_000, 11);
-    let forgot = per_step(FORGOTTEN, 200_000, 21);
-    let grade_us = median_ns(201, || {
-        black_box(cs31::autograde::grade(black_box(CORRECT), &rubric, 200_000).earned);
-    }) / 1000.0;
-    println!("{jmp_200k:.3} {jmp_2m:.3} {forgot:.3} {grade_us:.2}");
+    println!("{:.3} {:.3}", per_step(200_000, 31), per_step(2_000_000, 11));
 }
 EOF
     cargo build --release --quiet --offline --manifest-path "$dir/Cargo.toml" \
@@ -118,15 +91,15 @@ while [ "$round" -le "$rounds" ]; do
     round=$((round + 1))
 done
 
-echo "pad  run_addr            line_off  jmp_200k_ns         jmp_2M_ns           forgot_200k_ns      grade_us"
+echo "pad  run_addr            line_off  jmp_200k_ns         jmp_2M_ns"
 for pad in $pads; do
     addr=$(nm -C "$dir/bin/pad$pad" | awk '$3 == "asm::emu::Machine::run" { print $1 }')
     off=$(( 0x$addr % 64 ))
     awk -v pad="$pad" -v addr="$addr" -v off="$off" '
-        $1 == pad { n++; for (c = 2; c <= 5; c++) v[c, n] = $c }
+        $1 == pad { n++; for (c = 2; c <= 3; c++) v[c, n] = $c }
         END {
             printf "%-4s %-19s %-9s", pad, "0x" addr, off
-            for (c = 2; c <= 5; c++) {
+            for (c = 2; c <= 3; c++) {
                 for (i = 1; i <= n; i++) s[i] = v[c, i]
                 for (i = 2; i <= n; i++)
                     for (j = i; j > 1 && s[j - 1] > s[j]; j--) { t = s[j]; s[j] = s[j - 1]; s[j - 1] = t }
